@@ -25,7 +25,7 @@ from ..lang.parser import parse_program
 from ..lang.pretty import pretty_fun_decl
 from ..lang.program import Program
 from ..lang.types import TData, Type
-from ..lang.values import Value, VClosure, bool_of_value
+from ..lang.values import Value, bool_of_value
 
 __all__ = ["Predicate", "always_true"]
 
@@ -43,12 +43,10 @@ class Predicate:
         self.program = program
         self._cache: Dict[Value, bool] = {}
         param_name, param_type = decl.params[0]
-        body: Expr = decl.body
-        self._closure = VClosure(
+        self._closure = program.evaluator.closure(
             param_name,
             param_type,
-            body,
-            {},
+            decl.body,
             rec_name=decl.name if decl.recursive else None,
         )
 

@@ -32,6 +32,7 @@ from .ast import (
     free_vars,
 )
 from .errors import (
+    EvalDepthExceeded,
     EvalError,
     FuelExhausted,
     LangError,

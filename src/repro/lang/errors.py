@@ -75,3 +75,13 @@ class FuelExhausted(EvalError):
 
 class MatchFailure(EvalError):
     """Raised when a ``match`` expression has no branch covering the value."""
+
+
+class EvalDepthExceeded(EvalError):
+    """Raised when evaluation nests deeper than the Python stack allows.
+
+    The evaluator recurses on the depth of the value being processed, so a
+    deep enough input (a Peano natural in the thousands) overflows the stack
+    long before it runs out of fuel.  Reporting that as an :class:`EvalError`
+    lets callers record it as a crash like any other evaluation failure.
+    """

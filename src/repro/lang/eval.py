@@ -1,23 +1,54 @@
-"""Call-by-value evaluator for the object language.
+"""Call-by-value evaluator for the object language, compiled to closures.
 
-The evaluator is a straightforward environment-passing interpreter with a
-*fuel* budget.  Fuel bounds the number of evaluation steps so that the Hanoi
-loop can safely run synthesized candidates and enumerated functional
-arguments without risking non-termination (all benchmark code is structurally
-recursive, but the budget also protects against pathological inputs).
+Every function body is compiled once, when its closure is built, into nested
+Python closures ``run(frame, budget) -> Value`` (closure compilation, Feeley &
+Lapalme, "Using closures for code generation", 1987).  Compilation settles
+everything that depends only on the syntax:
+
+* which code runs for each node: a node becomes its own closure, so
+  evaluation never inspects an expression's class;
+* where each variable lives: a parameter, ``let`` or ``match`` binder becomes
+  an index into the *frame*, the list of slots one application of the body
+  runs in.  Any other name is a global, looked up at run time in
+  :attr:`Evaluator.globals`, because some callers (the fold synthesizer) add
+  globals after the code that uses them was compiled;
+* how each ``match`` decides: its branches are indexed by constructor tag,
+  and each pattern becomes tag and tuple-arity tests that write the pattern's
+  binders into frame slots.
+
+A ``fun`` expression compiles to one :class:`~repro.lang.values.Code`, shared
+by every closure it creates; each closure captures only the values of the
+variables its body uses from the enclosing frame.
+
+Fuel bounds the number of evaluation steps so that the Hanoi loop can run
+synthesized candidates and enumerated functional arguments without risking
+non-termination.  Running out is an observable outcome (a candidate invariant
+that runs out of fuel rejects the value), so the compiled code spends fuel
+exactly as a direct interpreter does: one unit per expression node evaluated
+and one per function application, in the same order relative to every error
+and native call.  Where several units fall due with nothing observable in
+between (an application node and the variable at its head, say) they are
+spent at once, and running out leaves the budget where spending them one at a
+time would have.  ``tests/lang/test_fuel_parity.py`` pins the step counts.
 
 Native function values (:class:`~repro.lang.values.VNative`) are applied by
 calling their Python callable; this is how the synthesizer's example oracle
-and the higher-order contract wrappers participate in evaluation.
+and the higher-order contract wrappers take part in evaluation.
+
+Evaluation recurses on the Python stack, so a deep enough input overflows it;
+:meth:`Evaluator.eval` and :meth:`Evaluator.apply` report that as
+:class:`~repro.lang.errors.EvalDepthExceeded`.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ast import (
+    EApp,
     ECtor,
     EFun,
     ELet,
@@ -25,25 +56,36 @@ from .ast import (
     EProj,
     ETuple,
     EVar,
-    EApp,
     Expr,
     PCtor,
     PTuple,
     PVar,
     PWild,
     Pattern,
+    free_vars,
 )
-from .errors import EvalError, FuelExhausted, MatchFailure
-from .values import Value, VClosure, VCtor, VNative, VTuple
+from .errors import EvalDepthExceeded, EvalError, FuelExhausted, MatchFailure
+from .types import Type
+from .values import Code, Value, VClosure, VCtor, VNative, VTuple
 
 __all__ = ["Evaluator", "EvalBudget", "DEFAULT_FUEL"]
 
 DEFAULT_FUEL = 500_000
 
-# The interpreter recurses on expression and data depth; benchmark values are
+# Evaluation recurses on expression and data depth; benchmark values are
 # small, but deep Peano naturals in stress tests need head-room.
 if sys.getrecursionlimit() < 20_000:
     sys.setrecursionlimit(20_000)
+
+_OUT_OF_FUEL = "evaluation step budget exhausted"
+_TOO_DEEP = "evaluation nested too deeply"
+
+#: A compiled expression: evaluates in a frame, spending from a budget.
+Run = Callable[[list, "EvalBudget"], Value]
+#: A compiled pattern: tests a value and, on success, writes the pattern's
+#: binders into the frame.  ``None`` stands for a test that always succeeds
+#: and binds nothing.
+Test = Optional[Callable[[Value, list], bool]]
 
 
 @dataclass
@@ -55,7 +97,17 @@ class EvalBudget:
     def spend(self, amount: int = 1) -> None:
         self.remaining -= amount
         if self.remaining < 0:
-            raise FuelExhausted("evaluation step budget exhausted")
+            raise FuelExhausted(_OUT_OF_FUEL)
+
+
+def _exhaust(budget: EvalBudget) -> None:
+    """Fail a merged spend of several units that does not fit the budget.
+
+    Spending one unit at a time stops at the first unit that takes
+    ``remaining`` below zero, so that is where ``remaining`` is left.
+    """
+    budget.remaining = min(budget.remaining, 0) - 1
+    raise FuelExhausted(_OUT_OF_FUEL)
 
 
 class Evaluator:
@@ -69,107 +121,569 @@ class Evaluator:
 
     def eval(self, expr: Expr, env: Optional[Dict[str, Value]] = None,
              budget: Optional[EvalBudget] = None) -> Value:
-        """Evaluate ``expr`` to a value in local environment ``env``."""
+        """Evaluate ``expr`` to a value in local environment ``env``.
+
+        The expression is compiled for this one call; a ``fun`` in it
+        captures the values ``env`` holds now.
+        """
         if budget is None:
             budget = EvalBudget(self.default_fuel)
-        return self._eval(expr, env or {}, budget)
+        env = env or {}
+        scope = _Scope.fresh(list(env))
+        run = _Compiler(self.globals).expr(expr, scope)
+        try:
+            return run([*env.values(), *scope.pad()], budget)
+        except RecursionError:
+            raise EvalDepthExceeded(_TOO_DEEP) from None
 
     def apply(self, fn: Value, *args: Value, budget: Optional[EvalBudget] = None) -> Value:
         """Apply a function value to arguments, left to right."""
         if budget is None:
             budget = EvalBudget(self.default_fuel)
         result = fn
-        for arg in args:
-            result = self._apply(result, arg, budget)
+        try:
+            for arg in args:
+                result = _apply(result, arg, budget)
+        except RecursionError:
+            raise EvalDepthExceeded(_TOO_DEEP) from None
         return result
 
-    # -- core evaluation --------------------------------------------------------
+    def closure(self, param: str, param_type: Optional[Type], body: Expr,
+                rec_name: Optional[str] = None) -> VClosure:
+        """A closure over this evaluator's globals whose body is compiled
+        once, when it is first applied.
 
-    def _eval(self, expr: Expr, env: Dict[str, Value], budget: EvalBudget) -> Value:
-        budget.spend()
+        ``rec_name``, when given, is bound to the closure itself inside the
+        body (it shadows ``param`` if the two coincide).  Compiling on first
+        use keeps loading a program (and linting one) free of compilation.
+        """
+        names = [param] if rec_name is None else [param, rec_name]
+        code = Code(None, (), rec_name is not None)
+        compiler = _Compiler(self.globals)
 
-        if isinstance(expr, EVar):
-            if expr.name in env:
-                return env[expr.name]
-            if expr.name in self.globals:
-                return self.globals[expr.name]
-            raise EvalError(f"unbound variable at runtime: {expr.name}")
+        def compile_and_run(frame: list, budget: EvalBudget) -> Value:
+            scope = _Scope.fresh(names)
+            code.run = run = compiler.expr(body, scope)
+            code.pad = scope.pad()
+            frame.extend(code.pad)
+            return run(frame, budget)
 
-        if isinstance(expr, ECtor):
-            payload = self._eval(expr.payload, env, budget) if expr.payload is not None else None
-            return VCtor(expr.ctor, payload)
+        code.run = compile_and_run
+        return VClosure(param, param_type, body, (), rec_name, code)
 
-        if isinstance(expr, ETuple):
-            return VTuple(tuple(self._eval(e, env, budget) for e in expr.items))
 
-        if isinstance(expr, EProj):
-            value = self._eval(expr.expr, env, budget)
-            if not isinstance(value, VTuple) or expr.index >= len(value.items):
+def _apply(fn: Value, arg: Value, budget: EvalBudget) -> Value:
+    """One application step: spend its unit, then run the function."""
+    remaining = budget.remaining - 1
+    budget.remaining = remaining
+    if remaining < 0:
+        raise FuelExhausted(_OUT_OF_FUEL)
+    if fn.__class__ is VClosure:
+        code = fn.code
+        if code.rec:
+            return code.run([*fn.env, arg, fn, *code.pad], budget)
+        return code.run([*fn.env, arg, *code.pad], budget)
+    if fn.__class__ is VNative:
+        return fn.fn(arg)
+    raise EvalError(f"application of non-function value {fn}")
+
+
+# ---------------------------------------------------------------------------
+# Scopes: compile-time slot assignment
+# ---------------------------------------------------------------------------
+
+
+class _Frame:
+    """The slot count of the frame of one body being compiled."""
+
+    __slots__ = ("base", "size")
+
+    def __init__(self, base: int):
+        self.base = base
+        self.size = base
+
+
+class _Scope:
+    """The frame slot of every local name visible at one point of a body."""
+
+    __slots__ = ("slots", "next", "frame")
+
+    def __init__(self, slots: Dict[str, int], next_: int, frame: _Frame):
+        self.slots = slots
+        self.next = next_
+        self.frame = frame
+
+    @classmethod
+    def fresh(cls, names: Sequence[str]) -> "_Scope":
+        """The scope of a body whose frame starts with ``names``' slots.
+
+        A name listed twice lives in its last slot, as a later binding
+        shadows an earlier one.
+        """
+        return cls({name: slot for slot, name in enumerate(names)}, len(names),
+                   _Frame(len(names)))
+
+    def bind(self, name: str) -> Tuple["_Scope", int]:
+        """A scope extended with ``name`` in a new slot, and that slot."""
+        slot = self.next
+        slots = dict(self.slots)
+        slots[name] = slot
+        if slot >= self.frame.size:
+            self.frame.size = slot + 1
+        return _Scope(slots, slot + 1, self.frame), slot
+
+    def pad(self) -> Tuple[None, ...]:
+        """Initial contents of the binder slots after the frame's base."""
+        return (None,) * (self.frame.size - self.frame.base)
+
+
+def _local_slot(expr: Expr, scope: _Scope) -> Optional[int]:
+    """The slot of ``expr`` when it is a local variable, else ``None``."""
+    if expr.__class__ is EVar:
+        return scope.slots.get(expr.name)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Expressions
+# ---------------------------------------------------------------------------
+
+
+class _Compiler:
+    """Compiles expressions whose globals live in one evaluator's table."""
+
+    def __init__(self, globals_: Dict[str, Value]):
+        self.globals = globals_
+
+    def expr(self, expr: Expr, scope: _Scope) -> Run:
+        compile_node = _NODE_COMPILERS.get(expr.__class__)
+        if compile_node is None:
+            raise EvalError(f"unknown expression node: {expr!r}")
+        return compile_node(self, expr, scope)
+
+    def var(self, expr: EVar, scope: _Scope) -> Run:
+        slot = scope.slots.get(expr.name)
+        if slot is not None:
+            def local(frame, budget):
+                remaining = budget.remaining - 1
+                budget.remaining = remaining
+                if remaining < 0:
+                    raise FuelExhausted(_OUT_OF_FUEL)
+                return frame[slot]
+            return local
+
+        globals_ = self.globals
+        name = expr.name
+        unbound = f"unbound variable at runtime: {name}"
+
+        def global_(frame, budget):
+            remaining = budget.remaining - 1
+            budget.remaining = remaining
+            if remaining < 0:
+                raise FuelExhausted(_OUT_OF_FUEL)
+            try:
+                return globals_[name]
+            except KeyError:
+                raise EvalError(unbound) from None
+        return global_
+
+    def ctor(self, expr: ECtor, scope: _Scope) -> Run:
+        tag = expr.ctor
+        if expr.payload is None:
+            value = VCtor(tag)
+
+            def constant(frame, budget):
+                remaining = budget.remaining - 1
+                budget.remaining = remaining
+                if remaining < 0:
+                    raise FuelExhausted(_OUT_OF_FUEL)
+                return value
+            return constant
+
+        slot = _local_slot(expr.payload, scope)
+        if slot is not None:
+            # The constructor's unit and its variable's fall due together.
+            def wrap_local(frame, budget):
+                remaining = budget.remaining - 2
+                if remaining < 0:
+                    _exhaust(budget)
+                budget.remaining = remaining
+                return VCtor(tag, frame[slot])
+            return wrap_local
+
+        payload = self.expr(expr.payload, scope)
+
+        def wrap(frame, budget):
+            remaining = budget.remaining - 1
+            budget.remaining = remaining
+            if remaining < 0:
+                raise FuelExhausted(_OUT_OF_FUEL)
+            return VCtor(tag, payload(frame, budget))
+        return wrap
+
+    def tuple_(self, expr: ETuple, scope: _Scope) -> Run:
+        items = [self.expr(item, scope) for item in expr.items]
+        if len(items) == 2:
+            first, second = items
+
+            def pair(frame, budget):
+                remaining = budget.remaining - 1
+                budget.remaining = remaining
+                if remaining < 0:
+                    raise FuelExhausted(_OUT_OF_FUEL)
+                return VTuple((first(frame, budget), second(frame, budget)))
+            return pair
+
+        def tuple_n(frame, budget):
+            remaining = budget.remaining - 1
+            budget.remaining = remaining
+            if remaining < 0:
+                raise FuelExhausted(_OUT_OF_FUEL)
+            return VTuple(tuple([item(frame, budget) for item in items]))
+        return tuple_n
+
+    def proj(self, expr: EProj, scope: _Scope) -> Run:
+        index = expr.index
+        inner = self.expr(expr.expr, scope)
+
+        def project(frame, budget):
+            remaining = budget.remaining - 1
+            budget.remaining = remaining
+            if remaining < 0:
+                raise FuelExhausted(_OUT_OF_FUEL)
+            value = inner(frame, budget)
+            if value.__class__ is not VTuple or index >= len(value.items):
                 raise EvalError(f"invalid projection from {value}")
-            return value.items[expr.index]
+            return value.items[index]
+        return project
 
-        if isinstance(expr, EApp):
-            fn = self._eval(expr.fn, env, budget)
-            arg = self._eval(expr.arg, env, budget)
-            return self._apply(fn, arg, budget)
+    def app(self, expr: EApp, scope: _Scope) -> Run:
+        # ``f a1 ... an`` nests n application nodes whose units fall due
+        # one after another before the head is evaluated; the arguments are
+        # then evaluated and applied left to right, one unit per application.
+        args: List[Expr] = []
+        head: Expr = expr
+        while head.__class__ is EApp:
+            args.append(head.arg)
+            head = head.fn
+        args.reverse()
+        nodes = len(args)
 
-        if isinstance(expr, EFun):
-            return VClosure(expr.param, expr.param_type, expr.body, dict(env))
+        if head.__class__ is EVar and head.name not in scope.slots:
+            slots = [_local_slot(arg, scope) for arg in args]
+            if nodes == 1 and slots[0] is not None:
+                return _call_global_local(self.globals, head.name, slots[0])
+            if nodes == 2 and None not in slots:
+                return _call_global_local2(self.globals, head.name, slots[0], slots[1])
+        head_run = self.expr(head, scope)
+        arg_runs = [self.expr(arg, scope) for arg in args]
 
-        if isinstance(expr, ELet):
-            value = self._eval(expr.value, env, budget)
-            inner = dict(env)
-            inner[expr.name] = value
-            return self._eval(expr.body, inner, budget)
+        def call_n(frame, budget):
+            remaining = budget.remaining - nodes
+            if remaining < 0:
+                _exhaust(budget)
+            budget.remaining = remaining
+            fn = head_run(frame, budget)
+            for arg_run in arg_runs:
+                fn = _apply(fn, arg_run(frame, budget), budget)
+            return fn
+        return call_n
 
-        if isinstance(expr, EMatch):
-            scrutinee = self._eval(expr.scrutinee, env, budget)
-            for branch in expr.branches:
-                bindings = match_pattern(branch.pattern, scrutinee)
-                if bindings is not None:
-                    inner = dict(env)
-                    inner.update(bindings)
-                    return self._eval(branch.body, inner, budget)
-            raise MatchFailure(f"no branch matched value {scrutinee}")
+    def fun(self, expr: EFun, scope: _Scope) -> Run:
+        # The body is compiled once, here; each closure the node creates
+        # captures the enclosing slots the body reads, which become the
+        # first slots of the body's own frame.
+        captured = sorted(name for name in free_vars(expr) if name in scope.slots)
+        body_scope = _Scope.fresh(captured + [expr.param])
+        code = Code(self.expr(expr.body, body_scope), body_scope.pad(), False)
+        param, param_type, body = expr.param, expr.param_type, expr.body
+        sources = [scope.slots[name] for name in captured]
+        if len(sources) > 1:
+            gather = itemgetter(*sources)
+        elif sources:
+            source = sources[0]
 
-        raise EvalError(f"unknown expression node: {expr!r}")
+            def gather(frame):
+                return (frame[source],)
+        else:
+            def gather(frame):
+                return ()
 
-    def _apply(self, fn: Value, arg: Value, budget: EvalBudget) -> Value:
-        budget.spend()
-        if isinstance(fn, VClosure):
-            env = dict(fn.env)
-            env[fn.param] = arg
-            if fn.rec_name is not None:
-                env[fn.rec_name] = fn
-            return self._eval(fn.body, env, budget)
-        if isinstance(fn, VNative):
+        def closure(frame, budget):
+            remaining = budget.remaining - 1
+            budget.remaining = remaining
+            if remaining < 0:
+                raise FuelExhausted(_OUT_OF_FUEL)
+            return VClosure(param, param_type, body, gather(frame), None, code)
+        return closure
+
+    def let(self, expr: ELet, scope: _Scope) -> Run:
+        value = self.expr(expr.value, scope)
+        inner, slot = scope.bind(expr.name)
+        body = self.expr(expr.body, inner)
+
+        def let_in(frame, budget):
+            remaining = budget.remaining - 1
+            budget.remaining = remaining
+            if remaining < 0:
+                raise FuelExhausted(_OUT_OF_FUEL)
+            frame[slot] = value(frame, budget)
+            return body(frame, budget)
+        return let_in
+
+    def match(self, expr: EMatch, scope: _Scope) -> Run:
+        # Branches are indexed by constructor tag: ``by_tag[c]`` lists, in
+        # source order, the branches that can match a ``c`` value, each with
+        # the test that remains once the tag is known; ``others`` lists the
+        # branches that can match anything else.
+        arms: List[Tuple[Optional[str], Test, Run]] = []
+        for branch in expr.branches:
+            pattern = branch.pattern
+            tag = pattern.ctor if pattern.__class__ is PCtor else None
+            inner, test = _pattern(pattern, scope, tag_checked=tag is not None)
+            arms.append((tag, test, self.expr(branch.body, inner)))
+        others = tuple((test, body) for tag, test, body in arms if tag is None)
+        by_tag = {
+            tag: tuple((test, body) for arm_tag, test, body in arms
+                       if arm_tag == tag or arm_tag is None)
+            for tag in dict.fromkeys(tag for tag, _, _ in arms if tag is not None)
+        }
+        scrutinee = self.expr(expr.scrutinee, scope)
+
+        if not others and all(len(entry) == 1 for entry in by_tag.values()):
+            # Distinct constructor tags and no catch-all: one table lookup
+            # picks the only branch that can match.
+            single = {tag: entry[0] for tag, entry in by_tag.items()}
+
+            def match_single(frame, budget):
+                remaining = budget.remaining - 1
+                budget.remaining = remaining
+                if remaining < 0:
+                    raise FuelExhausted(_OUT_OF_FUEL)
+                value = scrutinee(frame, budget)
+                if value.__class__ is VCtor:
+                    arm = single.get(value.ctor)
+                    if arm is not None:
+                        test, body = arm
+                        if test is None or test(value, frame):
+                            return body(frame, budget)
+                raise MatchFailure(f"no branch matched value {value}")
+            return match_single
+
+        def match_first(frame, budget):
+            remaining = budget.remaining - 1
+            budget.remaining = remaining
+            if remaining < 0:
+                raise FuelExhausted(_OUT_OF_FUEL)
+            value = scrutinee(frame, budget)
+            for test, body in (by_tag.get(value.ctor, others)
+                               if value.__class__ is VCtor else others):
+                if test is None or test(value, frame):
+                    return body(frame, budget)
+            raise MatchFailure(f"no branch matched value {value}")
+        return match_first
+
+
+_NODE_COMPILERS: Dict[type, Callable[[_Compiler, Expr, _Scope], Run]] = {
+    EVar: _Compiler.var,
+    ECtor: _Compiler.ctor,
+    ETuple: _Compiler.tuple_,
+    EProj: _Compiler.proj,
+    EApp: _Compiler.app,
+    EFun: _Compiler.fun,
+    ELet: _Compiler.let,
+    EMatch: _Compiler.match,
+}
+
+
+# The two most common application shapes, a global applied to one or two
+# local variables, get their own closures: their fuel units merge into two
+# spends per argument, and the application runs inline rather than through
+# :func:`_apply`, which also keeps the Python stack no deeper per object-level
+# call than a direct interpreter's.
+
+
+def _call_global_local(globals_: Dict[str, Value], name: str, slot: int) -> Run:
+    """``g x``: a global applied to a local variable."""
+    unbound = f"unbound variable at runtime: {name}"
+
+    def call(frame, budget):
+        # The application node's unit and the head's; the lookup may fail.
+        remaining = budget.remaining - 2
+        if remaining < 0:
+            _exhaust(budget)
+        budget.remaining = remaining
+        try:
+            fn = globals_[name]
+        except KeyError:
+            raise EvalError(unbound) from None
+        # The argument variable's unit and the application's.
+        remaining -= 2
+        if remaining < 0:
+            _exhaust(budget)
+        budget.remaining = remaining
+        arg = frame[slot]
+        if fn.__class__ is VClosure:
+            code = fn.code
+            if code.rec:
+                return code.run([*fn.env, arg, fn, *code.pad], budget)
+            return code.run([*fn.env, arg, *code.pad], budget)
+        if fn.__class__ is VNative:
             return fn.fn(arg)
         raise EvalError(f"application of non-function value {fn}")
+    return call
+
+
+def _call_global_local2(globals_: Dict[str, Value], name: str, first: int,
+                        second: int) -> Run:
+    """``g x y``: a global applied to two local variables."""
+    unbound = f"unbound variable at runtime: {name}"
+
+    def call(frame, budget):
+        # Both application nodes' units and the head's.
+        remaining = budget.remaining - 3
+        if remaining < 0:
+            _exhaust(budget)
+        budget.remaining = remaining
+        try:
+            fn = globals_[name]
+        except KeyError:
+            raise EvalError(unbound) from None
+        remaining -= 2
+        if remaining < 0:
+            _exhaust(budget)
+        budget.remaining = remaining
+        arg = frame[first]
+        if fn.__class__ is VClosure:
+            code = fn.code
+            if code.rec:
+                fn = code.run([*fn.env, arg, fn, *code.pad], budget)
+            else:
+                fn = code.run([*fn.env, arg, *code.pad], budget)
+        elif fn.__class__ is VNative:
+            fn = fn.fn(arg)
+        else:
+            raise EvalError(f"application of non-function value {fn}")
+        remaining = budget.remaining - 2
+        if remaining < 0:
+            _exhaust(budget)
+        budget.remaining = remaining
+        arg = frame[second]
+        if fn.__class__ is VClosure:
+            code = fn.code
+            if code.rec:
+                return code.run([*fn.env, arg, fn, *code.pad], budget)
+            return code.run([*fn.env, arg, *code.pad], budget)
+        if fn.__class__ is VNative:
+            return fn.fn(arg)
+        raise EvalError(f"application of non-function value {fn}")
+    return call
+
+
+# ---------------------------------------------------------------------------
+# Patterns
+# ---------------------------------------------------------------------------
+
+
+def _pattern(pattern: Pattern, scope: _Scope, tag_checked: bool) -> Tuple[_Scope, Test]:
+    """Compile ``pattern`` into a test that binds into ``scope``'s frame.
+
+    With ``tag_checked`` the caller has already checked that the value is a
+    constructor with the pattern's tag (``pattern`` must then be a
+    :class:`PCtor`), so the test covers only the payload.
+    """
+    if pattern.__class__ is PWild:
+        return scope, None
+    if pattern.__class__ is PVar:
+        inner, slot = scope.bind(pattern.name)
+
+        def bind(value, frame):
+            frame[slot] = value
+            return True
+        return inner, bind
+    if pattern.__class__ is PCtor:
+        return _ctor_pattern(pattern, scope, tag_checked)
+    if pattern.__class__ is PTuple:
+        return _tuple_pattern(pattern, scope)
+    raise EvalError(f"unknown pattern node: {pattern!r}")
+
+
+def _ctor_pattern(pattern: PCtor, scope: _Scope, tag_checked: bool) -> Tuple[_Scope, Test]:
+    tag = pattern.ctor
+    if pattern.payload is None:
+        # A payload-less pattern matches the tag whatever the payload.
+        if tag_checked:
+            return scope, None
+
+        def tag_only(value, frame):
+            return value.__class__ is VCtor and value.ctor == tag
+        return scope, tag_only
+
+    inner, payload_test = _pattern(pattern.payload, scope, tag_checked=False)
+    if payload_test is None:
+        def payload_present(value, frame):
+            return value.payload is not None
+        after_tag = payload_present
+    else:
+        def payload_matches(value, frame):
+            payload = value.payload
+            return payload is not None and payload_test(payload, frame)
+        after_tag = payload_matches
+    if tag_checked:
+        return inner, after_tag
+
+    def tag_and_payload(value, frame):
+        return value.__class__ is VCtor and value.ctor == tag and after_tag(value, frame)
+    return inner, tag_and_payload
+
+
+def _tuple_pattern(pattern: PTuple, scope: _Scope) -> Tuple[_Scope, Test]:
+    arity = len(pattern.items)
+    inner = scope
+    tests: List[Test] = []
+    for item in pattern.items:
+        inner, test = _pattern(item, inner, tag_checked=False)
+        tests.append(test)
+
+    if arity == 2 and all(item.__class__ is PVar for item in pattern.items):
+        # The common ``(x, y)``: one arity test, then straight stores (a
+        # repeated name keeps the later item, as a later binding shadows).
+        first, second = [inner.slots[item.name] for item in pattern.items]
+
+        def bind_pair(value, frame):
+            if value.__class__ is not VTuple:
+                return False
+            items = value.items
+            if len(items) != 2:
+                return False
+            frame[first], frame[second] = items
+            return True
+        return inner, bind_pair
+
+    checks = [(index, test) for index, test in enumerate(tests) if test is not None]
+
+    def tuple_test(value, frame):
+        if value.__class__ is not VTuple:
+            return False
+        items = value.items
+        if len(items) != arity:
+            return False
+        for index, test in checks:
+            if not test(items[index], frame):
+                return False
+        return True
+    return inner, tuple_test
 
 
 def match_pattern(pattern: Pattern, value: Value) -> Optional[Dict[str, Value]]:
     """Return the bindings produced by matching ``value`` against ``pattern``,
-    or ``None`` when the pattern does not match."""
-    if isinstance(pattern, PWild):
-        return {}
-    if isinstance(pattern, PVar):
-        return {pattern.name: value}
-    if isinstance(pattern, PCtor):
-        if not isinstance(value, VCtor) or value.ctor != pattern.ctor:
-            return None
-        if pattern.payload is None:
-            return {}
-        if value.payload is None:
-            return None
-        return match_pattern(pattern.payload, value.payload)
-    if isinstance(pattern, PTuple):
-        if not isinstance(value, VTuple) or len(value.items) != len(pattern.items):
-            return None
-        bindings: Dict[str, Value] = {}
-        for sub_pattern, sub_value in zip(pattern.items, value.items):
-            sub_bindings = match_pattern(sub_pattern, sub_value)
-            if sub_bindings is None:
-                return None
-            bindings.update(sub_bindings)
-        return bindings
-    raise EvalError(f"unknown pattern node: {pattern!r}")
+    or ``None`` when the pattern does not match.
+
+    This runs the same compiled test a ``match`` branch runs.
+    """
+    scope = _Scope.fresh(())
+    inner, test = _pattern(pattern, scope, tag_checked=False)
+    frame = [None] * inner.frame.size
+    if test is not None and not test(value, frame):
+        return None
+    return {name: frame[slot] for name, slot in inner.slots.items()}

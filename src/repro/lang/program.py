@@ -16,7 +16,8 @@ candidate invariants, enumerating values of declared types).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from .ast import EFun, Expr, FunDecl, TypeDecl, expr_size
 from .errors import TypeError_
@@ -25,9 +26,16 @@ from .parser import parse_program
 from .prelude import PRELUDE_SOURCE
 from .typecheck import TypeChecker, TypeEnvironment
 from .types import Type
-from .values import Value, VClosure
+from .values import Value
 
 __all__ = ["Program"]
+
+
+@lru_cache(maxsize=None)
+def _prelude_declarations() -> Tuple[object, ...]:
+    """The parsed prelude; declarations are immutable, so every program
+    loading the prelude shares one parse."""
+    return tuple(parse_program(PRELUDE_SOURCE))
 
 
 class Program:
@@ -58,7 +66,10 @@ class Program:
 
     def extend(self, source: str) -> None:
         """Parse and load additional declarations on top of this program."""
-        self.extend_declarations(parse_program(source))
+        if source == PRELUDE_SOURCE:
+            self.extend_declarations(list(_prelude_declarations()))
+        else:
+            self.extend_declarations(parse_program(source))
 
     def extend_declarations(self, decls: List[object]) -> None:
         """Type check and install already-parsed declarations.
@@ -84,9 +95,10 @@ class Program:
     def _compile_fun(self, decl: FunDecl) -> Value:
         """Turn a top-level definition into a runtime value.
 
-        Definitions with parameters become curried closures; recursion is
-        resolved through the global environment (the evaluator falls back to
-        globals for unbound names), so mutually recursive top-level functions
+        Definitions with parameters become curried closures, their bodies
+        compiled once, on first application; recursion is resolved through
+        the global environment (names not bound locally are looked up in the
+        globals when they run), so mutually recursive top-level functions
         work without extra machinery.
         """
         if not decl.params:
@@ -95,7 +107,7 @@ class Program:
         for name, ty in reversed(decl.params[1:]):
             body = EFun(name, ty, body)
         first_name, first_type = decl.params[0]
-        return VClosure(first_name, first_type, body, {})
+        return self.evaluator.closure(first_name, first_type, body)
 
     # -- queries ------------------------------------------------------------------
 

@@ -19,9 +19,10 @@ example sets V+ and V- as Python sets.  Closures compare by identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .ast import Expr
+from .errors import EvalError
 from .types import Type
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "VCtor",
     "VTuple",
     "VClosure",
+    "Code",
     "VNative",
     "value_size",
     "value_order",
@@ -45,16 +47,44 @@ __all__ = [
 class Value:
     """Base class for runtime values."""
 
+    __slots__ = ()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return str(self)
 
 
-@dataclass(frozen=True)
+# Constructor and tuple values are the bulk of what the evaluator allocates
+# and of what the caches key on.  They use slots (about two thirds of the
+# memory of a dict-backed instance) and compute their hash once: it is the
+# hash the dataclass would derive, so set iteration orders are unchanged.
+# Pickling goes through the constructor, leaving the cached hash (which
+# depends on the process) behind.
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class VCtor(Value):
     """A data constructor value with an optional payload."""
 
+    __slots__ = ("ctor", "payload", "_hash")
+
     ctor: str
-    payload: Optional[Value] = None
+    payload: Optional[Value]
+
+    def __init__(self, ctor: str, payload: Optional[Value] = None):
+        _set_field(self, "ctor", ctor)
+        _set_field(self, "payload", payload)
+        _set_field(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.ctor, self.payload))
+            _set_field(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        return VCtor, (self.ctor, self.payload)
 
     def __str__(self) -> str:
         rendered = _render_sugar(self)
@@ -65,29 +95,76 @@ class VCtor(Value):
         return f"{self.ctor} ({self.payload})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VTuple(Value):
     """A tuple value."""
 
+    __slots__ = ("items", "_hash")
+
     items: Tuple[Value, ...]
+
+    def __init__(self, items: Tuple[Value, ...]):
+        _set_field(self, "items", items)
+        _set_field(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.items,))
+            _set_field(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        return VTuple, (self.items,)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.items) + ")"
+
+
+class Code:
+    """The compiled form of one function body, shared by every closure over it.
+
+    ``run(frame, budget)`` evaluates the body in ``frame``, a list of slots
+    laid out as: the closure's captured values, the argument, the closure
+    itself when ``rec`` is set, then ``pad`` (one ``None`` per slot the
+    body's ``let`` and ``match`` binders use).  The evaluator builds it; see
+    :mod:`repro.lang.eval`.
+    """
+
+    __slots__ = ("run", "pad", "rec")
+
+    def __init__(self, run: Callable[[list, object], "Value"], pad: Tuple[None, ...],
+                 rec: bool):
+        self.run = run
+        self.pad = pad
+        self.rec = rec
+
+
+def _uncompiled(frame: list, budget: object) -> "Value":
+    raise EvalError("application of a closure that was never compiled")
+
+
+#: The code of a closure built by hand rather than by the evaluator.
+UNCOMPILED = Code(_uncompiled, (), False)
 
 
 @dataclass(frozen=True, eq=False)
 class VClosure(Value):
     """A function closure.
 
-    ``rec_name`` is the name under which the closure refers to itself for
-    recursive definitions; the evaluator re-binds it on every application.
+    ``env`` holds the values the body captured from its defining scope, in
+    the slot order ``code`` expects; ``code`` is compiled once per function
+    body (see :meth:`repro.lang.eval.Evaluator.closure`).  ``rec_name`` is the
+    name under which the closure refers to itself for recursive definitions;
+    it is bound to the closure on every application.
     """
 
     param: str
     param_type: Optional[Type]
     body: Expr
-    env: Dict[str, Value] = field(repr=False)
+    env: Tuple[Value, ...] = field(repr=False)
     rec_name: Optional[str] = None
+    code: Code = field(default=UNCOMPILED, repr=False)
 
     def __str__(self) -> str:
         return f"<fun {self.param}>"

@@ -69,7 +69,8 @@ __all__ = ["DiskCacheStore", "PersistentCacheBinding", "STORE_VERSION"]
 #: Store format version.  Bump on any incompatible change to the entry
 #: layout *or* the pickled payload shapes; old entries then fail the header
 #: check and are skipped (and eventually re-written) rather than misread.
-STORE_VERSION = 1
+#: Version 2: constructor and tuple values pickle through their constructors.
+STORE_VERSION = 2
 
 #: Leading bytes of every entry file - rejects foreign files instantly.
 MAGIC = b"HANC"
