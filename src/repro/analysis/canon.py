@@ -426,7 +426,7 @@ def _render_decl(decl: object) -> str:
 def _checked_module(definition: ModuleDefinition) -> Tuple[List[object], Program]:
     decls = parse_program(definition.source)
     program = Program()
-    program.extend(PRELUDE_SOURCE)
+    program.extend_prelude()
     program.extend_declarations(decls)
     return decls, program
 

@@ -26,7 +26,6 @@ from ..core.module import ModuleDefinition
 from ..lang.ast import FunDecl, free_vars
 from ..lang.errors import LangError
 from ..lang.parser import parse_program
-from ..lang.prelude import PRELUDE_SOURCE
 from ..lang.program import Program
 from ..lang.typecheck import TypeChecker
 from ..lang.types import TArrow, TData, Type
@@ -137,7 +136,7 @@ def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
         try:
             decls = parse_program(definition.source)
             program = Program()
-            program.extend(PRELUDE_SOURCE)
+            program.extend_prelude()
             program.extend_declarations(decls)
         except LangError as exc:
             diagnostics.append(Diagnostic(

@@ -95,15 +95,23 @@ class Predicate:
         construction, so this only matters for adversarial hand-written
         predicates.
         """
-        if value in self._cache:
-            return self._cache[value]
+        try:
+            cached = self._cache.get(value)
+        except RecursionError:
+            # Hashing recurses once per level of the value, and on Python
+            # 3.12 through the C stack, whose limit is lower than the
+            # evaluator's; such a value is evaluated without the cache.
+            return self._evaluate(value)
+        if cached is None:
+            cached = self._cache[value] = self._evaluate(value)
+        return cached
+
+    def _evaluate(self, value: Value) -> bool:
         try:
             budget = EvalBudget(self.program.evaluator.default_fuel)
-            result = bool_of_value(self.program.evaluator.apply(self._closure, value, budget=budget))
+            return bool_of_value(self.program.evaluator.apply(self._closure, value, budget=budget))
         except (LangError, ValueError):
-            result = False
-        self._cache[value] = result
-        return result
+            return False
 
     def accepts_all(self, values) -> bool:
         return all(self(v) for v in values)

@@ -26,10 +26,10 @@ non-termination.  Running out is an observable outcome (a candidate invariant
 that runs out of fuel rejects the value), so the compiled code spends fuel
 exactly as a direct interpreter does: one unit per expression node evaluated
 and one per function application, in the same order relative to every error
-and native call.  Where several units fall due with nothing observable in
-between (an application node and the variable at its head, say) they are
-spent at once, and running out leaves the budget where spending them one at a
-time would have.  ``tests/lang/test_fuel_parity.py`` pins the step counts.
+and native call.  The nested application nodes of ``f a1 ... an`` fall due
+with nothing observable in between, so their units are spent at once, and
+running out leaves the budget where spending them one at a time would have.
+``tests/lang/test_fuel_parity.py`` pins the step counts.
 
 Native function values (:class:`~repro.lang.values.VNative`) are applied by
 calling their Python callable; this is how the synthesizer's example oracle
@@ -237,13 +237,6 @@ class _Scope:
         return (None,) * (self.frame.size - self.frame.base)
 
 
-def _local_slot(expr: Expr, scope: _Scope) -> Optional[int]:
-    """The slot of ``expr`` when it is a local variable, else ``None``."""
-    if expr.__class__ is EVar:
-        return scope.slots.get(expr.name)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -300,17 +293,6 @@ class _Compiler:
                 return value
             return constant
 
-        slot = _local_slot(expr.payload, scope)
-        if slot is not None:
-            # The constructor's unit and its variable's fall due together.
-            def wrap_local(frame, budget):
-                remaining = budget.remaining - 2
-                if remaining < 0:
-                    _exhaust(budget)
-                budget.remaining = remaining
-                return VCtor(tag, frame[slot])
-            return wrap_local
-
         payload = self.expr(expr.payload, scope)
 
         def wrap(frame, budget):
@@ -323,16 +305,6 @@ class _Compiler:
 
     def tuple_(self, expr: ETuple, scope: _Scope) -> Run:
         items = [self.expr(item, scope) for item in expr.items]
-        if len(items) == 2:
-            first, second = items
-
-            def pair(frame, budget):
-                remaining = budget.remaining - 1
-                budget.remaining = remaining
-                if remaining < 0:
-                    raise FuelExhausted(_OUT_OF_FUEL)
-                return VTuple((first(frame, budget), second(frame, budget)))
-            return pair
 
         def tuple_n(frame, budget):
             remaining = budget.remaining - 1
@@ -369,12 +341,6 @@ class _Compiler:
         args.reverse()
         nodes = len(args)
 
-        if head.__class__ is EVar and head.name not in scope.slots:
-            slots = [_local_slot(arg, scope) for arg in args]
-            if nodes == 1 and slots[0] is not None:
-                return _call_global_local(self.globals, head.name, slots[0])
-            if nodes == 2 and None not in slots:
-                return _call_global_local2(self.globals, head.name, slots[0], slots[1])
         head_run = self.expr(head, scope)
         arg_runs = [self.expr(arg, scope) for arg in args]
 
@@ -450,26 +416,6 @@ class _Compiler:
         }
         scrutinee = self.expr(expr.scrutinee, scope)
 
-        if not others and all(len(entry) == 1 for entry in by_tag.values()):
-            # Distinct constructor tags and no catch-all: one table lookup
-            # picks the only branch that can match.
-            single = {tag: entry[0] for tag, entry in by_tag.items()}
-
-            def match_single(frame, budget):
-                remaining = budget.remaining - 1
-                budget.remaining = remaining
-                if remaining < 0:
-                    raise FuelExhausted(_OUT_OF_FUEL)
-                value = scrutinee(frame, budget)
-                if value.__class__ is VCtor:
-                    arm = single.get(value.ctor)
-                    if arm is not None:
-                        test, body = arm
-                        if test is None or test(value, frame):
-                            return body(frame, budget)
-                raise MatchFailure(f"no branch matched value {value}")
-            return match_single
-
         def match_first(frame, budget):
             remaining = budget.remaining - 1
             budget.remaining = remaining
@@ -494,90 +440,6 @@ _NODE_COMPILERS: Dict[type, Callable[[_Compiler, Expr, _Scope], Run]] = {
     ELet: _Compiler.let,
     EMatch: _Compiler.match,
 }
-
-
-# The two most common application shapes, a global applied to one or two
-# local variables, get their own closures: their fuel units merge into two
-# spends per argument, and the application runs inline rather than through
-# :func:`_apply`, which also keeps the Python stack no deeper per object-level
-# call than a direct interpreter's.
-
-
-def _call_global_local(globals_: Dict[str, Value], name: str, slot: int) -> Run:
-    """``g x``: a global applied to a local variable."""
-    unbound = f"unbound variable at runtime: {name}"
-
-    def call(frame, budget):
-        # The application node's unit and the head's; the lookup may fail.
-        remaining = budget.remaining - 2
-        if remaining < 0:
-            _exhaust(budget)
-        budget.remaining = remaining
-        try:
-            fn = globals_[name]
-        except KeyError:
-            raise EvalError(unbound) from None
-        # The argument variable's unit and the application's.
-        remaining -= 2
-        if remaining < 0:
-            _exhaust(budget)
-        budget.remaining = remaining
-        arg = frame[slot]
-        if fn.__class__ is VClosure:
-            code = fn.code
-            if code.rec:
-                return code.run([*fn.env, arg, fn, *code.pad], budget)
-            return code.run([*fn.env, arg, *code.pad], budget)
-        if fn.__class__ is VNative:
-            return fn.fn(arg)
-        raise EvalError(f"application of non-function value {fn}")
-    return call
-
-
-def _call_global_local2(globals_: Dict[str, Value], name: str, first: int,
-                        second: int) -> Run:
-    """``g x y``: a global applied to two local variables."""
-    unbound = f"unbound variable at runtime: {name}"
-
-    def call(frame, budget):
-        # Both application nodes' units and the head's.
-        remaining = budget.remaining - 3
-        if remaining < 0:
-            _exhaust(budget)
-        budget.remaining = remaining
-        try:
-            fn = globals_[name]
-        except KeyError:
-            raise EvalError(unbound) from None
-        remaining -= 2
-        if remaining < 0:
-            _exhaust(budget)
-        budget.remaining = remaining
-        arg = frame[first]
-        if fn.__class__ is VClosure:
-            code = fn.code
-            if code.rec:
-                fn = code.run([*fn.env, arg, fn, *code.pad], budget)
-            else:
-                fn = code.run([*fn.env, arg, *code.pad], budget)
-        elif fn.__class__ is VNative:
-            fn = fn.fn(arg)
-        else:
-            raise EvalError(f"application of non-function value {fn}")
-        remaining = budget.remaining - 2
-        if remaining < 0:
-            _exhaust(budget)
-        budget.remaining = remaining
-        arg = frame[second]
-        if fn.__class__ is VClosure:
-            code = fn.code
-            if code.rec:
-                return code.run([*fn.env, arg, fn, *code.pad], budget)
-            return code.run([*fn.env, arg, *code.pad], budget)
-        if fn.__class__ is VNative:
-            return fn.fn(arg)
-        raise EvalError(f"application of non-function value {fn}")
-    return call
 
 
 # ---------------------------------------------------------------------------
@@ -644,21 +506,6 @@ def _tuple_pattern(pattern: PTuple, scope: _Scope) -> Tuple[_Scope, Test]:
     for item in pattern.items:
         inner, test = _pattern(item, inner, tag_checked=False)
         tests.append(test)
-
-    if arity == 2 and all(item.__class__ is PVar for item in pattern.items):
-        # The common ``(x, y)``: one arity test, then straight stores (a
-        # repeated name keeps the later item, as a later binding shadows).
-        first, second = [inner.slots[item.name] for item in pattern.items]
-
-        def bind_pair(value, frame):
-            if value.__class__ is not VTuple:
-                return False
-            items = value.items
-            if len(items) != 2:
-                return False
-            frame[first], frame[second] = items
-            return True
-        return inner, bind_pair
 
     checks = [(index, test) for index, test in enumerate(tests) if test is not None]
 

@@ -60,16 +60,17 @@ class Program:
         """
         program = cls(fuel=fuel)
         if include_prelude:
-            program.extend(PRELUDE_SOURCE)
+            program.extend_prelude()
         program.extend(source)
         return program
 
     def extend(self, source: str) -> None:
         """Parse and load additional declarations on top of this program."""
-        if source == PRELUDE_SOURCE:
-            self.extend_declarations(list(_prelude_declarations()))
-        else:
-            self.extend_declarations(parse_program(source))
+        self.extend_declarations(parse_program(source))
+
+    def extend_prelude(self) -> None:
+        """Load the shared prelude, parsed once per process."""
+        self.extend_declarations(list(_prelude_declarations()))
 
     def extend_declarations(self, decls: List[object]) -> None:
         """Type check and install already-parsed declarations.

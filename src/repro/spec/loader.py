@@ -43,7 +43,7 @@ from ..core.module import ModuleDefinition, Operation
 from ..lang.errors import LangError, LexError, ParseError
 from ..lang.lexer import tokenize
 from ..lang.parser import Parser
-from ..lang.prelude import DEFAULT_SYNTHESIS_COMPONENTS, PRELUDE_SOURCE
+from ..lang.prelude import DEFAULT_SYNTHESIS_COMPONENTS
 from ..lang.program import Program
 from ..lang.types import (
     TData,
@@ -332,7 +332,7 @@ def _check_program(parser: _SpecParser) -> Program:
     block (which is never loaded into the runnable module).
     """
     program = Program()
-    program.extend(PRELUDE_SOURCE)
+    program.extend_prelude()
     _extend_checked(program, parser, parser.module_decls)
     return program
 

@@ -14,7 +14,7 @@ from repro.core.predicate import Predicate
 from repro.lang.errors import EvalDepthExceeded, EvalError, LangError
 from repro.lang.parser import parse_expression
 from repro.lang.program import Program
-from repro.lang.values import int_of_nat, nat_of_int
+from repro.lang.values import VCtor, int_of_nat, nat_of_int
 
 
 # Before 3.11 every Python call also takes C stack, and at the evaluator's
@@ -53,3 +53,20 @@ def test_predicate_records_depth_failure_as_rejection(program):
         "let inv (x : nat) : bool = nat_leq x (plus x x)", program)
     assert predicate(nat_of_int(3)) is True
     assert predicate(nat_of_int(8000)) is False
+
+
+class _TooDeepToHash(VCtor):
+    """A payload whose hash overflows, as hashing a deep value does on Python
+    3.12, where the C recursion limit is far below the evaluator's."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        raise RecursionError("maximum recursion depth exceeded")
+
+
+def test_predicate_evaluates_value_too_deep_to_hash(program):
+    predicate = Predicate.from_source(
+        "let inv (x : nat) : bool = match x with | O -> False | S y -> True",
+        program)
+    assert predicate(VCtor("S", _TooDeepToHash("O"))) is True
