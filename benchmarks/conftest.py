@@ -30,9 +30,8 @@ def pytest_configure(config):
         "(deselect with `-m 'not fuzz'`; deep sweeps gate on FUZZ_FULL=1)")
     config.addinivalue_line(
         "markers",
-        "absint: abstract-interpretation verifier cross-checks "
-        "(deselect with `-m 'not absint'`; the full differential sweep "
-        "gates on ABSINT_FULL=1)")
+        "absint: abstract-interpreter soundness across hash seeds "
+        "(deselect with `-m 'not absint'`)")
 
 
 @pytest.fixture(scope="session")

@@ -24,9 +24,8 @@ Submodules
     ``alpha``/``join``/``widen``/``leq``.
 ``absint``
     The abstract interpreter over those domains (widening fixpoint for
-    recursion) and the obligation verdicts (PROVEN/REFUTED/UNKNOWN)
-    consumed by the linter's HAN006 pass and the verification ladder
-    (``repro.verify.backend``; see ``docs/verification.md``).
+    recursion) and the per-operation inductiveness verdicts
+    (PROVEN/REFUTED/UNKNOWN) consumed by the linter's HAN006 pass.
 ``lint``
     The driver that runs every pass over one module and collects an
     :class:`~repro.analysis.lint.AnalysisReport`.

@@ -1,18 +1,18 @@
 """An abstract interpreter for the object language, and the static verdicts
 built on it.
 
-This is the proof tier of the verification ladder (docs/verification.md):
-where the paper's ``Verify`` tests candidate obligations by bounded
-enumeration (Section 4.3, "unsound but effective"), this module *evaluates
-the obligation abstractly* over the domains of :mod:`repro.analysis.domains`
-and reports one of three verdicts:
+The HAN006 lint (docs/analysis.md) uses it to find operations that cannot
+preserve a module's expected invariant.  Where the paper's ``Verify`` tests
+an inductiveness obligation by bounded enumeration (Section 4.3, "unsound
+but effective"), this module *evaluates the obligation abstractly* over the
+domains of :mod:`repro.analysis.domains` and reports one of three verdicts:
 
 * ``PROVEN`` - the abstract post-state entails the predicate on every
   completing execution, so enumeration cannot find a counterexample;
 * ``REFUTED`` - every completing execution violates the predicate, so
   enumeration will find a counterexample as soon as one application
-  completes (callers confirm with a concrete evaluation);
-* ``UNKNOWN`` - the abstraction is too coarse to decide; fall through.
+  completes;
+* ``UNKNOWN`` - the abstraction is too coarse to decide.
 
 Design notes
 ------------
@@ -88,7 +88,6 @@ from .domains import (
     PARITY_EVEN,
     abs_data,
     abs_nat,
-    alpha,
     definitely_false,
     definitely_true,
     interval_meet,
@@ -586,32 +585,19 @@ def _irrefutable(pattern: Pattern) -> bool:
 
 
 class AbstractChecker:
-    """Static PROVEN / REFUTED / UNKNOWN verdicts on the two obligation
-    families of the Hanoi loop (sufficiency, per-operation conditional
-    inductiveness), for one module instance."""
+    """Static PROVEN / REFUTED / UNKNOWN verdicts on the per-operation
+    conditional-inductiveness obligations of one loaded module."""
 
-    def __init__(self, instance,
+    def __init__(self, program, definition,
                  extra_decls: Sequence[FunDecl] = ()) -> None:
-        self.instance = instance
-        self.interpreter = AbstractInterpreter(instance.program,
-                                               extra_decls=extra_decls)
-        self.types = instance.program.types
+        self.definition = definition
+        self.interpreter = AbstractInterpreter(program, extra_decls=extra_decls)
+        self.types = program.types
 
-    # -- abstract inputs --------------------------------------------------------
-
-    def abstract_input(self, p_pool: Optional[Sequence] = None) -> AbsValue:
-        """The abstraction of the values assumed to satisfy ``P``.
-
-        The visible check supplies V+ explicitly (an exact finite join);
-        the full check quantifies over every value satisfying the candidate,
-        which the top of the concrete type over-approximates soundly."""
-        if p_pool is None:
-            return top_of(self.instance.concrete_type, self.types)
-        value: Optional[AbsValue] = None
-        for concrete in p_pool:
-            value = join(value, alpha(concrete, self.types))
-        return value if value is not None else top_of(
-            self.instance.concrete_type, self.types)
+    def abstract_input(self) -> AbsValue:
+        """The abstraction of every value of the concrete type: a sound
+        over-approximation of the values satisfying any candidate."""
+        return top_of(self.definition.concrete_type, self.types)
 
     # -- predicate application --------------------------------------------------
 
@@ -665,35 +651,9 @@ class AbstractChecker:
         if verdicts == {PROVEN}:
             return PROVEN
         if verdicts == {REFUTED} and not result.may_fail:
-            # Every completing application definitely violates; refutation
-            # still needs a concrete witness (the abstraction cannot show an
-            # application *exists*), which the caller confirms by evaluation.
+            # Every completing application definitely violates (the
+            # abstraction cannot show that an application *exists*).
             return REFUTED
-        return UNKNOWN
-
-    def inductiveness_verdicts(self, q_decl: FunDecl,
-                               p_pool: Optional[Sequence] = None,
-                               ) -> Dict[str, str]:
-        """Per-operation verdicts for one inductiveness check."""
-        abstract_abs = self.abstract_input(p_pool)
-        return {
-            operation.name: self.operation_verdict(operation, q_decl, abstract_abs)
-            for operation in self.instance.operations
-        }
-
-    def sufficiency_verdict(self, q_decl: Optional[FunDecl] = None) -> str:
-        """The sufficiency obligation ``forall v. I(v) => phi(v)``.
-
-        The specification's quantifiers are abstracted by their type tops -
-        a sound over-approximation of the invariant-filtered enumeration -
-        so only PROVEN and UNKNOWN are reachable (a refutation would need a
-        witness *satisfying* the invariant, which tops cannot exhibit)."""
-        definition = self.instance.definition
-        signature = self.instance.spec_concrete_signature()
-        args = tuple(top_of(ty, self.types) for ty in signature)
-        result = self.interpreter.call_function(definition.spec_name, args)
-        if not result.may_fail and definitely_true(result.value):
-            return PROVEN
         return UNKNOWN
 
 

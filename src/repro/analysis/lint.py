@@ -33,7 +33,7 @@ from ..obs import NULL_EMITTER
 from .absint import REFUTED, AbstractChecker
 from .callgraph import scan_module_declarations
 from .canon import canonical_hash
-from .diagnostics import Diagnostic, WARNING, worst_severity
+from .diagnostics import Diagnostic, worst_severity
 from .matches import scan_declaration
 from .reachability import split_components
 
@@ -186,24 +186,6 @@ def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
     return _report(definition, path, diagnostics, content_hash, pruned)
 
 
-@dataclass(frozen=True)
-class _InstanceView:
-    """The slice of :class:`~repro.core.module.ModuleInstance` the abstract
-    checker reads, over the analyzer's already-loaded program (lint never
-    instantiates the module)."""
-
-    program: Program
-    definition: ModuleDefinition
-
-    @property
-    def operations(self):
-        return self.definition.operations
-
-    @property
-    def concrete_type(self):
-        return self.definition.concrete_type
-
-
 def _static_violations(definition: ModuleDefinition, program: Program,
                        decls: List[object]) -> List[Diagnostic]:
     """HAN006: operations the abstract interpreter proves cannot preserve
@@ -220,9 +202,8 @@ def _static_violations(definition: ModuleDefinition, program: Program,
         return []
     findings: List[Diagnostic] = []
     try:
-        checker = AbstractChecker(_InstanceView(program, definition),
-                                  extra_decls=oracle_decls)
-        abstract_top = checker.abstract_input(None)
+        checker = AbstractChecker(program, definition, extra_decls=oracle_decls)
+        abstract_top = checker.abstract_input()
         decl_lines = {d.name: d.line for d in decls if isinstance(d, FunDecl)}
         for operation in definition.operations:
             verdict = checker.operation_verdict(
@@ -237,7 +218,10 @@ def _static_violations(definition: ModuleDefinition, program: Program,
                     decl=operation.name))
     except Exception:
         # The static tier is advisory here; a failure inside it must never
-        # break linting (the verifier-diff harness covers its soundness).
+        # break linting.  Its soundness is covered by the transfer-soundness
+        # test (test_transfers_over_approximate_concrete_eval), the absint
+        # hash-seed property, the verdict-vs-enumeration sweep in
+        # test_absint_soundness.py, and the clean-lint sweep over every module.
         pass
     return findings
 

@@ -1,6 +1,6 @@
 """The ``python -m repro`` command-line interface.
 
-Twelve subcommands drive the reproduction:
+Nine subcommands drive the reproduction:
 
 ``run``
     Execute a benchmark sweep - by default the fast subset under the Hanoi
@@ -39,31 +39,14 @@ Twelve subcommands drive the reproduction:
     cross-check that per-mode outcomes are identical across cache
     configurations and that inferred invariants imply the ground truth.
     Mismatching modules are shrunk to minimal ``.hanoi`` reproducers (see
-    docs/fuzzing.md).  ``--check-verifier`` additionally cross-checks the
-    abstract proof tier against the bounded tester on every module
-    (docs/verification.md); ``--check-persistence`` additionally re-runs
-    every module against cold, warm, and corrupted persistent disk-cache
-    stores and requires identical outcomes (docs/service.md).
+    docs/fuzzing.md).  ``--check-persistence`` additionally re-runs every
+    module against cold, warm, and corrupted persistent disk-cache stores
+    and requires identical outcomes (docs/service.md).
 
-The ``run``, ``infer``, ``figure8``, and ``fuzz`` subcommands accept
-``--verifier {enumerative,abstract,ladder}`` to select the verification
-backend of the Hanoi loop (docs/verification.md).  ``run`` and ``infer``
-also accept ``--cache-dir DIR``: a persistent content-addressed disk cache
-that replays unchanged declarations' verification and synthesis work across
-processes (docs/service.md).
-
-``serve``
-    Run the inference service daemon: a stdlib-only HTTP/JSON API over a job
-    queue and worker pool, with the persistent disk-cache tier enabled by
-    default, so edited modules re-infer incrementally (docs/service.md).
-
-``submit``
-    Submit ``.hanoi`` module files to a running daemon and (by default) wait
-    for and print their results.
-
-``jobs``
-    List a daemon's jobs, or inspect one job's record, result row, or
-    buffered trace events.
+The ``run``, ``infer``, and ``figure8`` subcommands accept ``--cache-dir
+DIR``: a persistent content-addressed disk cache that replays unchanged
+declarations' verification and synthesis work across processes
+(docs/service.md).
 
 ``lint``
     Run the static analyzer over ``.hanoi`` module files (or registered
@@ -92,7 +75,6 @@ Examples::
     python -m repro run --pack my-modules/ --output pack-results.jsonl
     python -m repro run --trace trace.jsonl --live
     python -m repro infer examples/modules/bounded-stack.hanoi
-    python -m repro run --verifier ladder --profile quick
     python -m repro lint examples/modules/ --format json --werror
     python -m repro export --out exported/
     python -m repro report results.jsonl --csv results.csv
@@ -102,9 +84,6 @@ Examples::
     python -m repro fuzz --lint --count 50 --out fuzz-out/
     python -m repro fuzz --check-persistence --count 10 --out fuzz-out/
     python -m repro infer examples/modules/bounded-stack.hanoi --cache-dir .hanoi-cache
-    python -m repro serve --port 8764 --state-dir serve-state
-    python -m repro submit examples/modules/bounded-stack.hanoi --url http://127.0.0.1:8764
-    python -m repro jobs --url http://127.0.0.1:8764
     python -m repro lint examples/modules/ --hash
     python -m repro lint --all-builtins
     python -m repro trace trace.jsonl --chrome chrome.json
@@ -151,7 +130,6 @@ from .suite.registry import (
     PAPER_RESULTS,
     all_benchmark_names,
 )
-from .verify.backend import BACKEND_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -221,14 +199,6 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser, default_output: str) -
                         help="disable cross-iteration synthesis term-pool "
                              "caching (the ablation; candidate streams are "
                              "identical, synthesis-heavy runs are slower)")
-    parser.add_argument("--verifier", choices=BACKEND_NAMES,
-                        default="enumerative",
-                        help="verification backend for Hanoi-loop modes: the "
-                             "paper's bounded enumerative tester (default), "
-                             "the static abstract-interpretation tier alone "
-                             "(unsound diagnostic mode), or the ladder "
-                             "(abstract proofs first, enumeration for the "
-                             "rest; see docs/verification.md)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent content-addressed disk cache: "
                              "snapshot the evaluation and pool caches per "
@@ -287,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable cross-iteration verification evaluation caching")
     infer.add_argument("--no-pool-cache", action="store_true",
                        help="disable cross-iteration synthesis term-pool caching")
-    infer.add_argument("--verifier", choices=BACKEND_NAMES,
-                       default="enumerative",
-                       help="verification backend (default: enumerative; "
-                            "see docs/verification.md)")
     infer.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent content-addressed disk cache: a "
                             "second run (or a run after an edit) replays "
@@ -353,16 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "differential sweep: generated modules must be "
                            "lint-clean; dirty ones are shrunk to minimal "
                            ".hanoi reproducers")
-    fuzz.add_argument("--verifier", choices=BACKEND_NAMES,
-                      default="enumerative",
-                      help="verification backend for the sweep's Hanoi-loop "
-                           "modes (default: enumerative)")
-    fuzz.add_argument("--check-verifier", action="store_true",
-                      help="additionally cross-check the abstract proof tier "
-                           "on every module: ladder outcomes must equal "
-                           "enumerative ones, and no statically proven "
-                           "obligation may admit an enumerated "
-                           "counterexample (docs/verification.md)")
     fuzz.add_argument("--check-persistence", action="store_true",
                       help="additionally re-run every module's Hanoi modes "
                            "against cold, warm, and corrupted persistent "
@@ -380,69 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "the output store")
     _add_trace_arguments(fuzz)
     fuzz.set_defaults(func=_cmd_fuzz)
-
-    serve = subparsers.add_parser(
-        "serve", help="run the inference service daemon: HTTP/JSON job queue "
-                      "with a persistent disk-cache tier (docs/service.md)")
-    serve.add_argument("--host", default="127.0.0.1", metavar="HOST",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8764, metavar="PORT",
-                       help="bind port (default: 8764; 0 = ephemeral)")
-    serve.add_argument("--state-dir", default="serve-state", metavar="DIR",
-                       help="service state: results.jsonl, modules/, cache/ "
-                            "(default: serve-state)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="persistent disk-cache location (default: "
-                            "STATE_DIR/cache)")
-    serve.add_argument("--no-persistence", action="store_true",
-                       help="disable the persistent disk-cache tier")
-    serve.add_argument("--jobs", type=int, default=2, metavar="N",
-                       help="concurrent worker processes (default: 2)")
-    serve.add_argument("--max-retries", type=int, default=1, metavar="N",
-                       help="re-queue a job whose worker crashed up to N "
-                            "times (default: 1)")
-    serve.add_argument("--profile", choices=sorted(PROFILES), default="quick",
-                       help="verifier bounds / timeout profile (default: quick)")
-    serve.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="per-job timeout in seconds (overrides the profile's)")
-    serve.add_argument("--verifier", choices=BACKEND_NAMES,
-                       default="enumerative",
-                       help="verification backend (default: enumerative)")
-    serve.set_defaults(func=_cmd_serve)
-
-    submit = subparsers.add_parser(
-        "submit", help="submit .hanoi modules to a running daemon and wait "
-                       "for results")
-    submit.add_argument("files", nargs="+", metavar="FILE.hanoi",
-                        help=".hanoi module definition files")
-    submit.add_argument("--url", default="http://127.0.0.1:8764", metavar="URL",
-                        help="daemon base URL (default: http://127.0.0.1:8764)")
-    submit.add_argument("--mode", choices=sorted(MODES), default="hanoi",
-                        help="inference mode (default: hanoi)")
-    submit.add_argument("--force", action="store_true",
-                        help="re-run even when the store already has a result "
-                             "for this exact module content")
-    submit.add_argument("--no-wait", dest="wait", action="store_false",
-                        default=True,
-                        help="enqueue and print job ids without waiting")
-    submit.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="max seconds to wait per job (default: forever)")
-    submit.set_defaults(func=_cmd_submit)
-
-    jobs = subparsers.add_parser(
-        "jobs", help="list a daemon's jobs, or inspect one job")
-    jobs.add_argument("job_id", nargs="?", default=None, metavar="JOB",
-                      help="job id; omitted = list all jobs")
-    jobs.add_argument("--url", default="http://127.0.0.1:8764", metavar="URL",
-                      help="daemon base URL (default: http://127.0.0.1:8764)")
-    jobs.add_argument("--result", action="store_true",
-                      help="print the job's stored result row (JSON)")
-    jobs.add_argument("--events", action="store_true",
-                      help="print the job's buffered trace events (JSONL)")
-    jobs.add_argument("--health", action="store_true",
-                      help="print the daemon's health record instead")
-    jobs.set_defaults(func=_cmd_jobs)
 
     lint = subparsers.add_parser(
         "lint", help="run the static analyzer over .hanoi files or "
@@ -534,7 +427,6 @@ def _run_sweep(args: argparse.Namespace, modes: Sequence[str]) -> List[Inference
         config = config.without_evaluation_caching()
     if args.no_pool_cache:
         config = config.without_synthesis_evaluation_caching()
-    config = config.with_verifier_backend(args.verifier)
     if args.cache_dir:
         config = config.with_cache_dir(args.cache_dir)
     tasks = expand_tasks(names, modes=list(modes), config=config,
@@ -660,7 +552,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         config = config.without_evaluation_caching()
     if args.no_pool_cache:
         config = config.without_synthesis_evaluation_caching()
-    config = config.with_verifier_backend(args.verifier)
     if args.cache_dir:
         config = config.with_cache_dir(args.cache_dir)
     operations = ", ".join(op.name for op in definition.operations)
@@ -862,7 +753,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     profile = PROFILES[args.profile]
     config = profile() if args.timeout is None else profile(args.timeout)
-    config = config.with_verifier_backend(args.verifier)
     tasks = [ExperimentTask(benchmark=name, mode=mode,
                             config=variant_config(config, variant),
                             pack=pack.path, pack_name=pack.name, variant=variant)
@@ -902,19 +792,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                in sweep_keys]
     report = compare_stored(results, definitions, modes=modes,
                             check_oracle=not args.no_oracle, config=config)
-    if args.check_verifier:
-        from .gen.diff import (verifier_backend_mismatches,
-                               verifier_soundness_mismatches)
-
-        print("cross-checking the abstract proof tier "
-              f"({len(definitions)} module(s)) ...")
-        for definition in definitions.values():
-            backend = verifier_backend_mismatches(definition, modes=modes,
-                                                  config=config)
-            report.mismatches.extend(backend)
-            report.runs += 2 * sum(1 for m in modes if m.startswith("hanoi"))
-            report.mismatches.extend(
-                verifier_soundness_mismatches(definition, config=config))
     if args.check_persistence:
         from .gen.diff import persistent_cache_mismatches
 
@@ -961,132 +838,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                   f"{len(minimal.source.strip().splitlines())} source line(s))")
 
     return 0 if report.ok else 1
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve.api import make_server
-    from .serve.jobs import JobScheduler
-
-    profile = PROFILES[args.profile]
-    config = profile() if args.timeout is None else profile(args.timeout)
-    config = config.with_verifier_backend(args.verifier)
-    # None -> the scheduler's default (STATE_DIR/cache); "" -> disabled.
-    cache_dir = "" if args.no_persistence else args.cache_dir
-    scheduler = JobScheduler(args.state_dir, config=config, jobs=args.jobs,
-                             max_retries=args.max_retries, cache_dir=cache_dir)
-    server = make_server(args.host, args.port, scheduler)
-    host, port = server.server_address[:2]
-    persistence = scheduler.config.cache_dir or "disabled"
-    print(f"serving on http://{host}:{port} "
-          f"(state: {scheduler.state_dir}; persistent cache: {persistence})",
-          flush=True)
-    try:
-        server.serve_forever(poll_interval=0.2)
-    except KeyboardInterrupt:  # pragma: no cover - interactive interrupt
-        print("\nshutting down ...", file=sys.stderr)
-    finally:
-        server.server_close()
-        scheduler.close()
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from .serve.api import (ServiceError, fetch_result, submit_module,
-                            wait_for_job)
-
-    exit_code = 0
-    submitted = []
-    for path in args.files:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise SystemExit(f"error reading {path}: {exc}")
-        try:
-            job = submit_module(args.url, text, mode=args.mode,
-                                force=args.force)
-        except ServiceError as exc:
-            print(f"{path}: rejected: {exc}")
-            exit_code = 1
-            continue
-        except OSError as exc:
-            raise SystemExit(f"error contacting {args.url}: {exc} "
-                             f"(is `python -m repro serve` running?)")
-        dedup = " [deduplicated]" if job.get("deduplicated") else ""
-        print(f"{path}: job {job['id']} "
-              f"({job['benchmark']}, mode {job['mode']}){dedup}")
-        submitted.append((path, job))
-    if not args.wait:
-        return exit_code
-
-    for path, job in submitted:
-        try:
-            if job["state"] not in ("done", "failed"):
-                job = wait_for_job(args.url, job["id"], timeout=args.timeout)
-            if job["state"] == "failed":
-                print(f"{path}: failed: {job.get('message') or '(no message)'}")
-                exit_code = 1
-                continue
-            row = fetch_result(args.url, job["id"])
-        except ServiceError as exc:
-            print(f"{path}: {exc}")
-            exit_code = 1
-            continue
-        stats = row.get("stats") or {}
-        invariant = row.get("invariant") or {}
-        size = invariant.get("size")
-        print(f"{path}: {row.get('status')} "
-              f"size={size if size is not None else '-'} "
-              f"iterations={row.get('iterations')} "
-              f"disk-cache hits={stats.get('disk_cache_hits', 0)} "
-              f"misses={stats.get('disk_cache_misses', 0)}")
-        if invariant.get("rendered"):
-            print(invariant["rendered"])
-        elif row.get("message"):
-            print(f"  {row['message']}")
-        if row.get("status") != "success":
-            exit_code = 1
-    return exit_code
-
-
-def _cmd_jobs(args: argparse.Namespace) -> int:
-    from .experiments.report import format_table
-    from .serve.api import (ServiceError, fetch_events, fetch_health,
-                            fetch_job, fetch_jobs, fetch_result)
-
-    try:
-        if args.health:
-            print(json.dumps(fetch_health(args.url), indent=2, sort_keys=True))
-            return 0
-        if args.job_id is None:
-            rows = fetch_jobs(args.url)
-            if not rows:
-                print("no jobs")
-                return 0
-            print(format_table(
-                ["Job", "Benchmark", "Mode", "State", "Status", "Dedup"],
-                [[job["id"], job["benchmark"], job["mode"], job["state"],
-                  job.get("status") or "-",
-                  "yes" if job.get("deduplicated") else ""]
-                 for job in rows]))
-            return 0
-        if args.result:
-            print(json.dumps(fetch_result(args.url, args.job_id),
-                             indent=2, sort_keys=True))
-            return 0
-        if args.events:
-            payload = fetch_events(args.url, args.job_id)
-            for record in payload["records"]:
-                print(json.dumps(record, sort_keys=True))
-            return 0
-        print(json.dumps(fetch_job(args.url, args.job_id),
-                         indent=2, sort_keys=True))
-        return 0
-    except ServiceError as exc:
-        raise SystemExit(f"error: {exc}")
-    except OSError as exc:
-        raise SystemExit(f"error contacting {args.url}: {exc} "
-                         f"(is `python -m repro serve` running?)")
 
 
 def _fuzz_lint(corpus, args: argparse.Namespace) -> int:

@@ -167,12 +167,6 @@ class HanoiConfig:
     max_iterations: int = 400
     #: Evaluation fuel for a single object-language run.
     eval_fuel: int = 500_000
-    #: Which verification ladder rungs answer the loop's obligations:
-    #: ``enumerative`` (the paper's bounded tester, the default),
-    #: ``abstract`` (static tier only; unsound diagnostic mode), or
-    #: ``ladder`` (abstract proofs first, enumeration for the rest).
-    #: See docs/verification.md.
-    verifier_backend: str = "enumerative"
     #: Root directory of the persistent content-addressed cache tier
     #: (docs/service.md).  ``None`` (the default) disables persistence
     #: entirely: no disk I/O, no content hashing beyond what tracing already
@@ -183,10 +177,6 @@ class HanoiConfig:
 
     def deadline(self) -> Deadline:
         return Deadline(self.timeout_seconds)
-
-    def with_verifier_backend(self, name: str) -> "HanoiConfig":
-        """Select a verifier backend (CLI ``--verifier``)."""
-        return replace(self, verifier_backend=name)
 
     def with_cache_dir(self, path: Optional[str]) -> "HanoiConfig":
         """Enable the persistent cache tier rooted at ``path``

@@ -42,7 +42,6 @@ from ..synth.base import SynthesisFailure
 from ..synth.cache import SynthesisResultCache
 from ..synth.myth import MythSynthesizer
 from ..synth.poolcache import SynthesisEvaluationCache
-from ..verify.backend import make_backend
 from ..verify.evalcache import EvaluationCache
 from ..verify.result import InductivenessCounterexample, SufficiencyCounterexample
 from ..verify.tester import Verifier
@@ -118,17 +117,6 @@ class HanoiInference:
             self.stats,
             self.deadline,
             eval_cache=self.eval_cache,
-            emitter=self.emitter,
-        )
-        # All sufficiency / inductiveness obligations of the loop go through
-        # the configured backend (docs/verification.md); ``enumerative``
-        # reproduces the seed's direct verifier/checker calls exactly.
-        self.backend = make_backend(
-            self.config.verifier_backend,
-            instance=self.instance,
-            verifier=self.verifier,
-            checker=self.checker,
-            stats=self.stats,
             emitter=self.emitter,
         )
         self.pool_cache: Optional[SynthesisEvaluationCache] = (
@@ -290,7 +278,7 @@ class HanoiInference:
         self.stats.candidates_proposed += 1
 
         # -- ClosedPositives: weaken until visibly inductive ------------------
-        visible = self.backend.check_inductiveness(
+        visible = self.checker.check(
             p=lambda v: v in positives, q=candidate, p_pool=positives
         )
         if isinstance(visible, InductivenessCounterexample):
@@ -304,7 +292,7 @@ class HanoiInference:
             return None
 
         # -- NoNegatives: sufficiency, then full inductiveness ------------------
-        sufficiency = self.backend.check_sufficiency(candidate)
+        sufficiency = self.verifier.check_sufficiency(candidate)
         if isinstance(sufficiency, SufficiencyCounterexample):
             witnesses = set(sufficiency.witnesses)
             new_negatives = witnesses - positives
@@ -325,8 +313,7 @@ class HanoiInference:
                 self.trace.record(candidate, new_negatives)
             return None
 
-        inductive = self.backend.check_inductiveness(
-            p=candidate, q=candidate, p_pool=None)
+        inductive = self.checker.check(p=candidate, q=candidate, p_pool=None)
         if isinstance(inductive, InductivenessCounterexample):
             witnesses = set(inductive.inputs)
             new_negatives = witnesses - positives

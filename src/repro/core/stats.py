@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Dict, Iterator, Optional, Tuple
 
 __all__ = ["InferenceStats"]
 
@@ -59,16 +59,6 @@ class InferenceStats:
     candidates_proposed: int = 0
     #: Values evaluated by the enumerative verifier.
     structures_tested: int = 0
-    #: Obligations the static tier discharged without enumeration (abstract
-    #: interpretation proved no counterexample exists; 0 under the
-    #: enumerative backend).
-    static_proofs: int = 0
-    #: Obligations the static tier refuted, confirmed by a concrete
-    #: counterexample on the enumerative rung.
-    static_refutations: int = 0
-    #: Obligations the static tier could not decide (fell through to
-    #: bounded enumeration).
-    static_unknowns: int = 0
     #: Persistent cache sections restored from disk at run start (one per
     #: spec stream / operation memo / component memo found under the run's
     #: content keys; 0 when persistence is disabled).
@@ -78,6 +68,14 @@ class InferenceStats:
     disk_cache_misses: int = 0
     started_at: float = field(default_factory=time.perf_counter)
     finished_at: Optional[float] = None
+
+    #: Every field but the two perf-counter anchors, in declaration order:
+    #: the counters persisted verbatim by :meth:`to_dict` / :meth:`from_dict`.
+    COUNTER_FIELDS: ClassVar[Tuple[str, ...]]
+    #: The deterministic subset of :data:`COUNTER_FIELDS` - integer counters
+    #: only, no timers.  These are what the tracing layer stamps on ``run-end``
+    #: events, so traces of deterministic runs stay byte-identical.
+    INT_COUNTER_FIELDS: ClassVar[Tuple[str, ...]]
 
     # -- timers ---------------------------------------------------------------
 
@@ -130,7 +128,7 @@ class InferenceStats:
 
     def as_dict(self) -> Dict[str, object]:
         """A flat dictionary of every reported statistic."""
-        return {
+        report: Dict[str, object] = {
             "time": self.total_time,
             "tvt": self.verification_time,
             "tvc": self.verification_calls,
@@ -138,56 +136,12 @@ class InferenceStats:
             "tst": self.synthesis_time,
             "tsc": self.synthesis_calls,
             "mst": self.mean_synthesis_time,
-            "synthesis_cache_hits": self.synthesis_cache_hits,
-            "trace_replays": self.trace_replays,
-            "eval_cache_hits": self.eval_cache_hits,
-            "eval_cache_misses": self.eval_cache_misses,
-            "pool_cache_hits": self.pool_cache_hits,
-            "pool_cache_misses": self.pool_cache_misses,
-            "components_pruned": self.components_pruned,
-            "positives_added": self.positives_added,
-            "negatives_added": self.negatives_added,
-            "candidates_proposed": self.candidates_proposed,
-            "structures_tested": self.structures_tested,
-            "static_proofs": self.static_proofs,
-            "static_refutations": self.static_refutations,
-            "static_unknowns": self.static_unknowns,
-            "disk_cache_hits": self.disk_cache_hits,
-            "disk_cache_misses": self.disk_cache_misses,
         }
+        report.update((name, getattr(self, name)) for name in self.COUNTER_FIELDS
+                      if name not in _FIGURE7_FIELDS)
+        return report
 
     # -- serialization ----------------------------------------------------------
-
-    #: Counter fields persisted verbatim by :meth:`to_dict` / :meth:`from_dict`.
-    COUNTER_FIELDS = (
-        "verification_calls",
-        "verification_time",
-        "synthesis_calls",
-        "synthesis_time",
-        "synthesis_cache_hits",
-        "trace_replays",
-        "eval_cache_hits",
-        "eval_cache_misses",
-        "pool_cache_hits",
-        "pool_cache_misses",
-        "components_pruned",
-        "positives_added",
-        "negatives_added",
-        "candidates_proposed",
-        "structures_tested",
-        "static_proofs",
-        "static_refutations",
-        "static_unknowns",
-        "disk_cache_hits",
-        "disk_cache_misses",
-    )
-
-    #: The deterministic subset of :data:`COUNTER_FIELDS` - integer counters
-    #: only, no timers.  These are what the tracing layer stamps on ``run-end``
-    #: events, so traces of deterministic runs stay byte-identical.
-    INT_COUNTER_FIELDS = tuple(
-        name for name in COUNTER_FIELDS if not name.endswith("_time")
-    )
 
     def counters(self) -> Dict[str, int]:
         """The integer counters only (no wall-clock timers).
@@ -220,3 +174,16 @@ class InferenceStats:
         stats.started_at = 0.0
         stats.finished_at = float(data.get("total_time", 0.0))
         return stats
+
+
+#: Counters :meth:`InferenceStats.as_dict` reports under Figure 7's names.
+_FIGURE7_FIELDS = ("verification_calls", "verification_time",
+                   "synthesis_calls", "synthesis_time")
+
+InferenceStats.COUNTER_FIELDS = tuple(
+    spec.name for spec in fields(InferenceStats)
+    if spec.name not in ("started_at", "finished_at")
+)
+InferenceStats.INT_COUNTER_FIELDS = tuple(
+    name for name in InferenceStats.COUNTER_FIELDS if not name.endswith("_time")
+)

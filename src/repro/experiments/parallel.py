@@ -141,11 +141,8 @@ class WorkerHandle:
     """One spawned worker process executing a single :class:`ExperimentTask`.
 
     Owns the process, the result pipe, and the start timestamp, and
-    centralizes the delicate lifecycle steps every pool needs - last-chance
-    payload polling, termination, reaping.  Shared by the sweep-level
-    :class:`ParallelRunner` and the service's job scheduler
-    (:mod:`repro.serve.jobs`), so both enforce timeouts and detect dead
-    workers with identical semantics.
+    centralizes the delicate lifecycle steps of :class:`ParallelRunner` -
+    last-chance payload polling, termination, reaping.
     """
 
     def __init__(self, process, conn, started: float) -> None:

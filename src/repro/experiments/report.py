@@ -32,12 +32,10 @@ __all__ = [
 
 #: Column headers of the per-benchmark results table (the paper's Figure 7,
 #: extended with the evaluation-cache and pool-cache hit/miss counters of
-#: this reproduction, plus the static-tier verdict counters of the
-#: verification ladder (StP/StR/StU: proofs, refutations, unknowns; all
-#: zero under the default enumerative backend).
+#: this reproduction.
 FIGURE7_HEADERS = ["Name", "Paper", "Status", "Size", "Time (s)", "TVT (s)", "TVC", "MVT (s)",
                    "TST (s)", "TSC", "MST (s)", "EvC hit", "EvC miss",
-                   "PoC hit", "PoC miss", "StP", "StR", "StU"]
+                   "PoC hit", "PoC miss"]
 
 #: Column headers of the per-mode summary table (the shape of Figure 8).
 MODE_SUMMARY_HEADERS = ["Mode", "Solved", "Benchmarks", "Mean solve time (s)", "Total time (s)"]
@@ -109,9 +107,6 @@ def figure7_rows(results: Iterable[InferenceResult]) -> List[List[object]]:
             stats.eval_cache_misses,
             stats.pool_cache_hits,
             stats.pool_cache_misses,
-            stats.static_proofs,
-            stats.static_refutations,
-            stats.static_unknowns,
         ])
     return rows
 

@@ -19,12 +19,7 @@ term-pool cache (``--no-pool-cache``).  Three properties are checked:
    ``hanoi``) must solve every generated module: the invariant is a single
    application of a helper the synthesizer is handed as a component, so a
    failure is a real regression, not an unlucky search.
-4. **Verifier-backend soundness** (``check_verifier``) - the abstract
-   proof tier (:mod:`repro.analysis.absint`) must be transparent: ladder
-   runs reproduce enumerative outcomes byte-for-byte, and no statically
-   PROVEN obligation may admit an enumerated counterexample (see
-   docs/verification.md).
-5. **Persistent-cache transparency** (``check_persistence``) - the disk
+4. **Persistent-cache transparency** (``check_persistence``) - the disk
    cache tier (:mod:`repro.serve.diskcache`) must replay identically:
    no-persistence, cold-store, warm-store, and corrupted-store runs all
    produce the same fingerprint (see docs/service.md).
@@ -42,12 +37,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import HanoiConfig
 from ..core.module import ModuleDefinition
-from ..core.predicate import Predicate, always_true
+from ..core.predicate import Predicate
 from ..core.result import InferenceResult
 from ..inductive.relation import ConditionalInductivenessChecker
-from ..lang.ast import Branch, ECtor, EMatch, EVar, PCtor, PWild
-from ..lang.types import TData
-from ..verify.result import InductivenessCounterexample, VALID, Valid
+from ..verify.result import Valid
 from ..verify.tester import Verifier
 
 __all__ = [
@@ -60,8 +53,6 @@ __all__ = [
     "OracleFailure",
     "FuzzReport",
     "canonicalization_mismatches",
-    "verifier_backend_mismatches",
-    "verifier_soundness_mismatches",
     "persistent_cache_mismatches",
     "fuzz_module",
     "fuzz_corpus",
@@ -249,44 +240,6 @@ def canonicalization_mismatches(definition: ModuleDefinition,
     return mismatches
 
 
-# -- verifier-backend transparency and soundness ----------------------------------
-
-
-def verifier_backend_mismatches(definition: ModuleDefinition,
-                                modes: Sequence[str] = DEFAULT_FUZZ_MODES,
-                                config: Optional[HanoiConfig] = None,
-                                ) -> List[DifferentialMismatch]:
-    """Run each Hanoi mode under the enumerative and the ladder backend.
-
-    The verification ladder (docs/verification.md) advertises trajectory
-    identity: static proofs only discharge obligations the bounded tester
-    would have passed anyway, so the loop visits the same candidates and
-    returns the same invariant.  This is the harness that holds it to it.
-    Baseline modes never consult the verifier backend, so only modes built
-    on the Hanoi loop are compared.
-    """
-    from ..experiments.runner import quick_config, run_module
-
-    base = (config or quick_config()).with_verifier_backend("enumerative")
-    ladder = base.with_verifier_backend("ladder")
-    mismatches: List[DifferentialMismatch] = []
-    for mode in modes:
-        if not mode.startswith("hanoi"):
-            continue
-        fingerprints = {
-            "enumerative": outcome_fingerprint(
-                run_module(definition, mode=mode, config=base)),
-            "ladder": outcome_fingerprint(
-                run_module(definition, mode=mode, config=ladder)),
-        }
-        rendered = {_fingerprint_bytes(fp) for fp in fingerprints.values()}
-        if len(rendered) != 1:
-            mismatches.append(DifferentialMismatch(
-                benchmark=definition.name, mode=mode,
-                fingerprints=fingerprints, kind="verifier backends"))
-    return mismatches
-
-
 def _corrupt_store(directory: str) -> int:
     """Flip one mid-payload byte in every disk-cache entry; returns count."""
     flipped = 0
@@ -357,102 +310,6 @@ def persistent_cache_mismatches(definition: ModuleDefinition,
         finally:
             if owns_dir:
                 shutil.rmtree(directory, ignore_errors=True)
-    return mismatches
-
-
-def _soundness_candidates(instance) -> List[Tuple[str, Predicate]]:
-    """Candidate invariants spanning the verdict space.
-
-    Trivially true and trivially false bracket the lattice; the module's
-    expected invariant (when present) is a realistic candidate; and for a
-    data-typed concrete representation, one single-constructor discriminator
-    per constructor exercises the ctor-set refinement of the match transfer.
-    """
-    program = instance.program
-    concrete = instance.concrete_type
-    candidates: List[Tuple[str, Predicate]] = [
-        ("always-true", always_true(concrete, program)),
-        ("always-false", Predicate.from_body(
-            ECtor("False"), "x", concrete, program, recursive=False)),
-    ]
-    if instance.definition.expected_invariant:
-        try:
-            candidates.append(("oracle", Predicate.from_source(
-                instance.definition.expected_invariant, program)))
-        except Exception:
-            pass
-    if isinstance(concrete, TData) and program.types.is_datatype(concrete):
-        for info in program.types.datatype_ctors(concrete.name):
-            body = EMatch(EVar("x"), (
-                Branch(PCtor(info.name,
-                             PWild() if info.payload is not None else None),
-                       ECtor("True")),
-                Branch(PWild(), ECtor("False")),
-            ))
-            candidates.append((f"is-{info.name}", Predicate.from_body(
-                body, "x", concrete, program, recursive=False)))
-    return candidates
-
-
-def verifier_soundness_mismatches(definition: ModuleDefinition,
-                                  config: Optional[HanoiConfig] = None,
-                                  ) -> List[DifferentialMismatch]:
-    """Obligation-level soundness check of the abstract tier.
-
-    The abstract interpreter claims over-approximation: a statically PROVEN
-    obligation can never have a concrete counterexample within any bound.
-    For a spread of candidate invariants (:func:`_soundness_candidates`),
-    every operation the abstract checker proves is re-checked by the bounded
-    enumerative tester; an enumerated counterexample landing on a proven
-    operation - or on a proven sufficiency obligation - is reported as a
-    ``verifier soundness`` mismatch (a real bug in the static tier, never
-    an unlucky search).
-    """
-    from ..analysis.absint import PROVEN, AbstractChecker
-    from ..experiments.runner import quick_config
-
-    bounds = (config or quick_config()).verifier_bounds
-    instance = definition.instantiate()
-    abstract = AbstractChecker(instance)
-    verifier = Verifier(instance, bounds=bounds)
-    checker = ConditionalInductivenessChecker(instance, bounds=bounds)
-    mismatches: List[DifferentialMismatch] = []
-
-    candidates = _soundness_candidates(instance)
-    # Sufficiency is candidate-independent on the abstract side (the spec is
-    # evaluated over type tops), so one PROVEN verdict promises enumerative
-    # validity for *every* candidate.
-    sufficiency_proven = abstract.sufficiency_verdict() == PROVEN
-    for tag, predicate in candidates:
-        if sufficiency_proven:
-            try:
-                verdict = verifier.check_sufficiency(predicate)
-            except Exception:
-                # A crashing specification aborts the enumerative check but
-                # never reaches the abstract PROVEN verdict (may_fail blocks
-                # it), so there is nothing to compare.
-                verdict = VALID
-            if not isinstance(verdict, Valid):
-                mismatches.append(DifferentialMismatch(
-                    benchmark=definition.name, mode=f"sufficiency/{tag}",
-                    fingerprints={
-                        "abstract": {"verdict": "proven"},
-                        "enumerative": {"verdict": "counterexample"},
-                    },
-                    kind="verifier soundness"))
-        verdicts = abstract.inductiveness_verdicts(predicate.decl, None)
-        result = checker.check(predicate, predicate)
-        if (isinstance(result, InductivenessCounterexample)
-                and verdicts.get(result.operation) == PROVEN):
-            mismatches.append(DifferentialMismatch(
-                benchmark=definition.name, mode=f"inductiveness/{tag}",
-                fingerprints={
-                    "abstract": {"verdict": "proven",
-                                 "operation": result.operation},
-                    "enumerative": {"verdict": "counterexample",
-                                    "operation": result.operation},
-                },
-                kind="verifier soundness"))
     return mismatches
 
 
@@ -528,20 +385,15 @@ def fuzz_module(definition: ModuleDefinition,
                 fault: Optional[FaultHook] = None,
                 check_oracle: bool = True,
                 check_canonical: bool = False,
-                check_verifier: bool = False,
                 check_persistence: bool = False) -> FuzzReport:
     """Run one module through ``modes`` x cache variants, in process.
 
     With ``check_canonical``, additionally re-run each mode on the
     canonicalized module and require byte-identical outcomes (doubles the
-    per-mode work, so off by default).  With ``check_verifier``, re-run the
-    Hanoi modes under the ladder backend and cross-check the abstract
-    tier's proofs against the bounded tester (see
-    :func:`verifier_backend_mismatches` and
-    :func:`verifier_soundness_mismatches`).  With ``check_persistence``,
-    re-run the Hanoi modes against a cold, a warm, and a corrupted
-    persistent disk-cache store and require all four outcomes identical
-    (see :func:`persistent_cache_mismatches`)."""
+    per-mode work, so off by default).  With ``check_persistence``, re-run
+    the Hanoi modes against a cold, a warm, and a corrupted persistent
+    disk-cache store and require all four outcomes identical (see
+    :func:`persistent_cache_mismatches`)."""
     from ..experiments.runner import quick_config, run_module
 
     base = config or quick_config()
@@ -581,12 +433,6 @@ def fuzz_module(definition: ModuleDefinition,
         report.mismatches.extend(
             canonicalization_mismatches(definition, modes=modes, config=base))
         report.runs += 2 * len(modes)
-    if check_verifier:
-        report.mismatches.extend(
-            verifier_backend_mismatches(definition, modes=modes, config=base))
-        report.runs += 2 * sum(1 for m in modes if m.startswith("hanoi"))
-        report.mismatches.extend(
-            verifier_soundness_mismatches(definition, config=base))
     if check_persistence:
         report.mismatches.extend(
             persistent_cache_mismatches(definition, modes=modes, config=base))
@@ -600,7 +446,6 @@ def fuzz_corpus(definitions: Sequence[ModuleDefinition],
                 require_success: Sequence[str] = ("hanoi",),
                 fault: Optional[FaultHook] = None,
                 check_oracle: bool = True,
-                check_verifier: bool = False,
                 check_persistence: bool = False,
                 progress: Optional[Callable[[str, FuzzReport], None]] = None,
                 ) -> FuzzReport:
@@ -615,7 +460,6 @@ def fuzz_corpus(definitions: Sequence[ModuleDefinition],
         report = fuzz_module(definition, modes=modes, config=config,
                              require_success=require_success, fault=fault,
                              check_oracle=check_oracle,
-                             check_verifier=check_verifier,
                              check_persistence=check_persistence)
         total.merge(report)
         if progress is not None:

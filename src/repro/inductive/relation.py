@@ -85,8 +85,7 @@ class ConditionalInductivenessChecker:
         through ``p`` (the full-inductiveness case).
 
         ``operations`` optionally restricts the check to a subsequence of the
-        module's operations, in their interface order; the verification
-        ladder passes the operations its static tier could not discharge.
+        module's operations, in their interface order.
         """
         emitter = self.emitter
         if not emitter.enabled:

@@ -31,9 +31,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-import threading
 import time
-from collections import deque
 from typing import Dict, Iterator, List, Optional
 
 from .events import NULL_EMITTER, Emitter, legacy_entry
@@ -43,7 +41,6 @@ __all__ = [
     "LegacyEventSink",
     "JsonlTraceSink",
     "QueueSink",
-    "RingBufferSink",
     "LiveRenderer",
     "read_trace",
     "iter_trace",
@@ -160,65 +157,6 @@ class QueueSink:
             pass
 
 
-class RingBufferSink:
-    """Bounded in-memory record buffer with a monotonic cursor, for long-poll.
-
-    The service tier (:mod:`repro.serve`) keeps one per job: the scheduler
-    thread drains the workers' :class:`QueueSink` queue into these, and HTTP
-    handler threads read with :meth:`after`, passing back the cursor of the
-    last record they saw.  Cursors are global positions, not buffer indexes,
-    so a reader that falls behind a full buffer skips the overwritten records
-    (and can tell how many, via the returned next-cursor jump) instead of
-    re-reading shifted entries.  Thread-safe; :meth:`after` optionally blocks
-    until a record past the cursor arrives.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = max(1, capacity)
-        self._records: "deque[dict]" = deque()
-        self._next = 0  # cursor one past the newest buffered record
-        self._closed = False
-        self._new = threading.Condition()
-
-    def handle(self, record: dict) -> None:
-        with self._new:
-            self._records.append(dict(record))
-            self._next += 1
-            while len(self._records) > self.capacity:
-                self._records.popleft()
-            self._new.notify_all()
-
-    def close(self) -> None:
-        """Wake blocked readers; subsequent :meth:`after` calls never block."""
-        with self._new:
-            self._closed = True
-            self._new.notify_all()
-
-    def after(self, cursor: int, wait: Optional[float] = None):
-        """``(records, next_cursor, closed)`` strictly after ``cursor``.
-
-        Blocks up to ``wait`` seconds when nothing newer is buffered (and the
-        buffer is still open); ``wait=None`` returns immediately.  Feed
-        ``next_cursor`` back in to stream.
-        """
-        deadline = None if wait is None else time.monotonic() + wait
-        with self._new:
-            while True:
-                oldest = self._next - len(self._records)
-                if cursor < self._next:
-                    skip = max(cursor, oldest) - oldest
-                    records = list(self._records)[skip:]
-                    return records, self._next, self._closed
-                if self._closed:
-                    return [], self._next, True
-                if deadline is None:
-                    return [], self._next, False
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return [], self._next, False
-                self._new.wait(remaining)
-
-
 class LiveRenderer:
     """Prints compact progress lines from the (parent-side) event stream.
 
@@ -258,7 +196,10 @@ class LiveRenderer:
             return
         if kind == "span-start" and name in self.RENDERED_SPANS:
             now = time.monotonic()
-            if now - self._last_line_at.get(label, 0.0) < self.min_interval:
+            # The monotonic clock may start near zero (a freshly booted
+            # machine), so a run's first line is never throttled.
+            last = self._last_line_at.get(label)
+            if last is not None and now - last < self.min_interval:
                 return
             self._last_line_at[label] = now
             data = record.get("data") or {}

@@ -1,18 +1,11 @@
-"""Inference-as-a-service: persistent caching, job queue, HTTP API.
+"""Persistent caching across processes.
 
-The service tier (docs/service.md) turns per-run inference into a long-lived
-deployment shape:
-
-* :mod:`repro.serve.diskcache` - a versioned, crash-tolerant,
-  content-addressed disk store that persists the evaluation and synthesis
-  caches across processes, keyed by per-declaration dependency hashes so an
-  edited module warm-starts from everything the edit didn't invalidate;
-* :mod:`repro.serve.jobs` - a job queue and worker pool over the
-  experiment-runner task model, with retries and hard timeouts;
-* :mod:`repro.serve.api` - a stdlib-only HTTP/JSON daemon (``repro serve``)
-  plus the ``repro submit`` / ``repro jobs`` client entry points.
+:mod:`repro.serve.diskcache` is a versioned, crash-tolerant,
+content-addressed disk store that persists the evaluation and synthesis
+caches across processes (``--cache-dir``; docs/service.md).  It is keyed by
+per-declaration dependency hashes, so an edited module warm-starts from
+everything the edit did not invalidate.
 
 This package init stays import-light on purpose: the core loop imports
-:mod:`repro.serve.diskcache` for the persistence binding, and must not drag
-the HTTP layer in with it.
+:mod:`repro.serve.diskcache` only when ``HanoiConfig.cache_dir`` is set.
 """

@@ -3,7 +3,7 @@
 Two layers of guarantees are pinned here:
 
 * **Golden verdicts** - on the motivating ListSet benchmark, the static
-  tier's PROVEN / REFUTED / UNKNOWN / TRIVIAL verdicts per obligation are
+  tier's PROVEN / REFUTED / UNKNOWN / TRIVIAL verdicts per operation are
   exact expectations, so any transfer-function regression that changes a
   verdict (even soundly, by losing precision on a previously proven
   obligation) is caught immediately.
@@ -77,13 +77,13 @@ SOUNDNESS_SCRIPT = textwrap.dedent("""
                     continue
                 if not leq(alpha(concrete, env), abstract.value):
                     violations += 1
-        checker = AbstractChecker(instance)
+        checker = AbstractChecker(instance.program, module.definition)
         q = always_true(instance.concrete_type, instance.program)
-        for name, verdict in sorted(
-                checker.inductiveness_verdicts(q.decl, None).items()):
-            verdict_digest.update(f"{module.name}:{name}={verdict};".encode())
-        verdict_digest.update(
-            f"{module.name}:suf={checker.sufficiency_verdict()};".encode())
+        top = checker.abstract_input()
+        for operation in sorted(instance.operations, key=lambda op: op.name):
+            verdict = checker.operation_verdict(operation, q.decl, top)
+            verdict_digest.update(
+                f"{module.name}:{operation.name}={verdict};".encode())
     print(f"checked={checked} violations={violations}")
     print(verdict_digest.hexdigest())
 """)
@@ -119,19 +119,20 @@ let inv (s : list) : bool =
 
 
 @pytest.fixture(scope="module")
-def listset_checker(listset_instance):
-    return AbstractChecker(listset_instance)
+def listset_checker(listset_definition, listset_instance):
+    return AbstractChecker(listset_instance.program, listset_definition)
 
 
-def test_listset_sufficiency_is_unknown(listset_checker):
-    # The specification quantifies over an enumerated nat; the abstract
-    # spec evaluation cannot decide `lookup (insert s i) i` over tops.
-    assert listset_checker.sufficiency_verdict() == UNKNOWN
+def _verdicts(checker, q):
+    """Each operation's ``operation_verdict`` for candidate ``q``."""
+    top = checker.abstract_input()
+    return {operation.name: checker.operation_verdict(operation, q.decl, top)
+            for operation in checker.definition.operations}
 
 
 def test_listset_always_true_verdicts(listset_checker, listset_instance):
     q = always_true(listset_instance.concrete_type, listset_instance.program)
-    assert listset_checker.inductiveness_verdicts(q.decl, None) == {
+    assert _verdicts(listset_checker, q) == {
         "empty": PROVEN,
         "insert": PROVEN,
         "delete": PROVEN,
@@ -143,7 +144,7 @@ def test_listset_oracle_verdicts(listset_checker, listset_definition,
                                  listset_instance):
     oracle = Predicate.from_source(listset_definition.expected_invariant,
                                    listset_instance.program)
-    assert listset_checker.inductiveness_verdicts(oracle.decl, None) == {
+    assert _verdicts(listset_checker, oracle) == {
         "empty": PROVEN,       # expected Nil = True, statically
         "insert": UNKNOWN,     # needs the no-duplicates relational fact
         "delete": UNKNOWN,
@@ -155,7 +156,7 @@ def test_listset_false_candidate_is_refuted(listset_checker, listset_instance):
     false = Predicate.from_body(ECtor("False"), "x",
                                 listset_instance.concrete_type,
                                 listset_instance.program, recursive=False)
-    verdicts = listset_checker.inductiveness_verdicts(false.decl, None)
+    verdicts = _verdicts(listset_checker, false)
     assert verdicts["empty"] == REFUTED
     assert verdicts["insert"] == REFUTED
     assert verdicts["delete"] == REFUTED

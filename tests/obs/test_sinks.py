@@ -3,7 +3,6 @@
 import io
 import json
 import queue
-import threading
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.obs.sinks import (
     LegacyEventSink,
     LiveRenderer,
     QueueSink,
-    RingBufferSink,
     emitter_for_run,
     install_sink,
     installed_sinks,
@@ -139,66 +137,3 @@ def test_jsonl_sink_records_are_compact_single_lines(tmp_path):
     (line,) = path.read_text().splitlines()
     assert json.loads(line)["data"] == {"x": [1, 2]}
     assert ": " not in line and ", " not in line  # compact separators
-
-
-def test_ring_buffer_cursors_and_close():
-    sink = RingBufferSink(capacity=16)
-    for index in range(3):
-        sink.handle({"seq": index})
-    records, cursor, closed = sink.after(0)
-    assert [r["seq"] for r in records] == [0, 1, 2]
-    assert cursor == 3 and not closed
-    # Nothing new past the cursor: immediate empty return without a wait.
-    assert sink.after(cursor) == ([], 3, False)
-    sink.handle({"seq": 3})
-    records, cursor, _ = sink.after(cursor)
-    assert [r["seq"] for r in records] == [3] and cursor == 4
-    sink.close()
-    assert sink.after(cursor) == ([], 4, True)
-
-
-def test_ring_buffer_overflow_skips_not_shifts():
-    sink = RingBufferSink(capacity=2)
-    for index in range(5):
-        sink.handle({"seq": index})
-    # A reader at cursor 0 fell 3 records behind: it gets the surviving
-    # tail and a next-cursor that reveals the gap, not re-numbered records.
-    records, cursor, _ = sink.after(0)
-    assert [r["seq"] for r in records] == [3, 4]
-    assert cursor == 5
-
-
-def test_ring_buffer_blocking_reader_wakes_on_new_record():
-    sink = RingBufferSink()
-    seen = []
-
-    def reader():
-        seen.append(sink.after(0, wait=30.0))
-
-    thread = threading.Thread(target=reader)
-    thread.start()
-    sink.handle({"seq": 0})
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    records, cursor, closed = seen[0]
-    assert [r["seq"] for r in records] == [0] and cursor == 1 and not closed
-
-
-def test_ring_buffer_blocking_reader_wakes_on_close():
-    sink = RingBufferSink()
-    seen = []
-    thread = threading.Thread(target=lambda: seen.append(sink.after(0, wait=30.0)))
-    thread.start()
-    sink.close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert seen[0] == ([], 0, True)
-
-
-def test_ring_buffer_copies_records():
-    sink = RingBufferSink()
-    record = {"seq": 0}
-    sink.handle(record)
-    record["seq"] = 99  # emitters reuse dicts; the buffer must not alias
-    (stored,), _, _ = sink.after(0)
-    assert stored == {"seq": 0}

@@ -1,15 +1,20 @@
-"""CLI surface of the definition-file subsystem: infer, export, list filters.
+"""CLI surface of the definition-file subsystem: infer, export, list
+filters, and report over stored rows.
 
 The heavier sweep paths (``run --pack`` over the pool) are covered at the
 library level in ``test_pack.py``; here we drive ``repro.cli.main`` the way a
 user would and check output, filters, and diagnostics-not-tracebacks.
 """
 
+import json
 import os
 
 import pytest
 
 from repro.cli import main
+from repro.core.result import InferenceResult, Status
+from repro.core.stats import InferenceStats
+from repro.experiments.store import ResultStore
 from repro.spec import load_module_file
 
 EXAMPLES_DIR = os.path.join(
@@ -23,6 +28,29 @@ def test_infer_example_file(capsys):
     assert "/examples/bounded-stack" in out
     assert "status=success" in out
     assert "within_bound" in out
+
+
+def test_infer_cache_dir_warm_start_replays_every_section(tmp_path, capsys):
+    cache_dir = str(tmp_path / "cache")
+    assert main(["infer", STACK, "--timeout", "60", "--cache-dir", cache_dir]) == 0
+    assert "0 hit(s), 14 miss(es)" in capsys.readouterr().out
+    assert main(["infer", STACK, "--timeout", "60", "--cache-dir", cache_dir]) == 0
+    assert "14 hit(s), 0 miss(es)" in capsys.readouterr().out
+
+
+def test_infer_cache_dir_reinfers_only_the_edited_operation(tmp_path, capsys):
+    cache_dir = str(tmp_path / "cache")
+    assert main(["infer", STACK, "--timeout", "60", "--cache-dir", cache_dir]) == 0
+    capsys.readouterr()
+    with open(STACK) as handle:
+        text = handle.read()
+    edited_text = text.replace("| Nil -> Nil", "| Nil -> empty", 1)
+    assert edited_text != text
+    edited = tmp_path / "edited-stack.hanoi"
+    edited.write_text(edited_text)
+    assert main(["infer", str(edited), "--timeout", "60",
+                 "--cache-dir", cache_dir]) == 0
+    assert "13 hit(s), 1 miss(es)" in capsys.readouterr().out
 
 
 def test_infer_malformed_file_prints_diagnostic(tmp_path, capsys):
@@ -93,3 +121,23 @@ def test_list_pack_adds_column(capsys):
     out = capsys.readouterr().out
     assert "/examples/bounded-stack" in out
     assert "Pack" in out and "modules" in out
+
+
+def test_report_renders_row_with_retired_stats_keys(tmp_path, capsys):
+    # Rows stored before the static verifier tier was removed still carry
+    # its three counters; loading ignores stats keys it does not know.
+    path = tmp_path / "old.jsonl"
+    ResultStore(str(path)).append(InferenceResult(
+        benchmark="/coq/unique-list-::-set", mode="hanoi",
+        status=Status.FAILURE, invariant=None,
+        stats=InferenceStats(verification_calls=7), message="old row"))
+    row = json.loads(path.read_text())
+    row["stats"].update(static_proofs=3, static_refutations=1,
+                        static_unknowns=5)
+    path.write_text(json.dumps(row) + "\n")
+
+    assert main(["report", str(path), "--csv", str(tmp_path / "old.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "/coq/unique-list-::-set" in out
+    assert "solved 0 / 1" in out
+    assert (tmp_path / "old.csv").exists()
