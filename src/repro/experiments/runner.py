@@ -35,6 +35,7 @@ from ..core.config import FAST_VERIFIER_BOUNDS, HanoiConfig, PAPER_VERIFIER_BOUN
 from ..core.hanoi import HanoiInference
 from ..core.module import ModuleDefinition
 from ..core.result import InferenceResult
+from ..lang.eval import memo_table
 from ..suite.registry import all_benchmark_names, get_benchmark
 from ..synth.folds import FoldSynthesizer
 
@@ -134,11 +135,14 @@ def run_module(definition: ModuleDefinition, mode: str = "hanoi",
 
     This is the single dispatch point every harness goes through: the serial
     runner, the parallel runner's workers, the pytest-benchmark harnesses, and
-    the examples all end up here.
+    the examples all end up here.  Every mode runs with a memo table open
+    (:func:`repro.lang.eval.memo_table`); it is dropped on return, because the
+    result keeps the module's program alive.
     """
     if mode not in MODES:
         raise KeyError(f"unknown mode {mode!r}; known: {sorted(MODES)}")
-    return MODES[mode](definition, config or quick_config())
+    with memo_table():
+        return MODES[mode](definition, config or quick_config())
 
 
 # -- the shared task model ------------------------------------------------------

@@ -35,17 +35,34 @@ Native function values (:class:`~repro.lang.values.VNative`) are applied by
 calling their Python callable; this is how the synthesizer's example oracle
 and the higher-order contract wrappers take part in evaluation.
 
+Applications of first-order top-level functions are memoized while a memo
+table is open (:func:`memo_table`; ``runner.run_module`` opens one per run),
+after Michie's memo functions (*Nature*, 1968).  The program marks the code of
+the innermost body of such a function's curried chain; its parameter and
+result types admit no function values, so the key ``(code, captured values,
+argument)`` hashes structurally.  An entry stores the call's value and the
+fuel its body spent.  A hit replays that fuel when it fits the remaining
+budget, and otherwise the call runs, so fuel runs out exactly where it would
+without the table; only calls that return are stored.  The body is pure and
+deterministic given its globals: a global added later was unbound when an
+entry was stored (the call raised, so nothing was), and rebinding a global
+empties the table (:func:`forget_memo`).
+
 Evaluation recurses on the Python stack, so a deep enough input overflows it;
 :meth:`Evaluator.eval` and :meth:`Evaluator.apply` report that as
-:class:`~repro.lang.errors.EvalDepthExceeded`.
+:class:`~repro.lang.errors.EvalDepthExceeded`.  A memo hit skips the
+recursion of the call it answers, so a call too deep to run can succeed
+from the table.  Hashing a value also recurses once per level; a key too
+deep to hash is a miss and is not stored.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .ast import (
     EApp,
@@ -68,9 +85,18 @@ from .errors import EvalDepthExceeded, EvalError, FuelExhausted, MatchFailure
 from .types import Type
 from .values import Code, Value, VClosure, VCtor, VNative, VTuple
 
-__all__ = ["Evaluator", "EvalBudget", "DEFAULT_FUEL"]
+__all__ = ["Evaluator", "EvalBudget", "DEFAULT_FUEL", "MEMO_MAX_ENTRIES", "memo_table",
+           "forget_memo"]
 
 DEFAULT_FUEL = 500_000
+
+#: The most entries one memo table stores; a full table still answers
+#: lookups but stores nothing more, which costs speed, never correctness.
+MEMO_MAX_ENTRIES = 200_000
+
+#: ``(code, captured values, argument) -> (value, fuel spent)`` while a
+#: :func:`memo_table` block is open, else ``None``.
+_memo: Optional[Dict[tuple, Tuple[Value, int]]] = None
 
 # Evaluation recurses on expression and data depth; benchmark values are
 # small, but deep Peano naturals in stress tests need head-room.
@@ -98,6 +124,31 @@ class EvalBudget:
         self.remaining -= amount
         if self.remaining < 0:
             raise FuelExhausted(_OUT_OF_FUEL)
+
+
+@contextmanager
+def memo_table() -> Iterator[Dict[tuple, Tuple[Value, int]]]:
+    """Memoize applications of marked code until the block ends.
+
+    Yields the table; a block opened inside another shares the outer one.
+    The table is dropped when the outermost block ends, so it holds nothing
+    alive beyond it.
+    """
+    global _memo
+    outer = _memo
+    if outer is None:
+        _memo = {}
+    try:
+        yield _memo
+    finally:
+        _memo = outer
+
+
+def forget_memo() -> None:
+    """Empty the open memo table: a rebound global may change what stored
+    calls would return."""
+    if _memo is not None:
+        _memo.clear()
 
 
 def _exhaust(budget: EvalBudget) -> None:
@@ -149,17 +200,21 @@ class Evaluator:
         return result
 
     def closure(self, param: str, param_type: Optional[Type], body: Expr,
-                rec_name: Optional[str] = None) -> VClosure:
+                rec_name: Optional[str] = None,
+                memo_body: Optional[Expr] = None) -> VClosure:
         """A closure over this evaluator's globals whose body is compiled
         once, when it is first applied.
 
         ``rec_name``, when given, is bound to the closure itself inside the
-        body (it shadows ``param`` if the two coincide).  Compiling on first
-        use keeps loading a program (and linting one) free of compilation.
+        body (it shadows ``param`` if the two coincide).  ``memo_body``, when
+        given, is ``body`` or the body of a ``fun`` nested in it: the code
+        compiled from it is marked for memoization (see :func:`memo_table`).
+        Compiling on first use keeps loading a program (and linting one)
+        free of compilation.
         """
         names = [param] if rec_name is None else [param, rec_name]
-        code = Code(None, (), rec_name is not None)
-        compiler = _Compiler(self.globals)
+        code = Code(None, (), rec_name is not None, body is memo_body)
+        compiler = _Compiler(self.globals, memo_body)
 
         def compile_and_run(frame: list, budget: EvalBudget) -> Value:
             scope = _Scope.fresh(names)
@@ -182,6 +237,21 @@ def _apply(fn: Value, arg: Value, budget: EvalBudget) -> Value:
         code = fn.code
         if code.rec:
             return code.run([*fn.env, arg, fn, *code.pad], budget)
+        if code.memo:
+            table = _memo
+            if table is not None:
+                key = (code, fn.env, arg)
+                try:
+                    hit = table.get(key)
+                except RecursionError:  # too deep to hash: run, store nothing
+                    key = hit = None
+                if hit is not None and hit[1] <= remaining:
+                    budget.remaining = remaining - hit[1]
+                    return hit[0]
+                value = code.run([*fn.env, arg, *code.pad], budget)
+                if key is not None and hit is None and len(table) < MEMO_MAX_ENTRIES:
+                    table[key] = (value, remaining - budget.remaining)
+                return value
         return code.run([*fn.env, arg, *code.pad], budget)
     if fn.__class__ is VNative:
         return fn.fn(arg)
@@ -245,8 +315,9 @@ class _Scope:
 class _Compiler:
     """Compiles expressions whose globals live in one evaluator's table."""
 
-    def __init__(self, globals_: Dict[str, Value]):
+    def __init__(self, globals_: Dict[str, Value], memo_body: Optional[Expr] = None):
         self.globals = globals_
+        self.memo_body = memo_body
 
     def expr(self, expr: Expr, scope: _Scope) -> Run:
         compile_node = _NODE_COMPILERS.get(expr.__class__)
@@ -361,7 +432,8 @@ class _Compiler:
         # first slots of the body's own frame.
         captured = sorted(name for name in free_vars(expr) if name in scope.slots)
         body_scope = _Scope.fresh(captured + [expr.param])
-        code = Code(self.expr(expr.body, body_scope), body_scope.pad(), False)
+        code = Code(self.expr(expr.body, body_scope), body_scope.pad(), False,
+                    expr.body is self.memo_body)
         param, param_type, body = expr.param, expr.param_type, expr.body
         sources = [scope.slots[name] for name in captured]
         if len(sources) > 1:

@@ -21,11 +21,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .ast import EFun, Expr, FunDecl, TypeDecl, expr_size
 from .errors import TypeError_
-from .eval import DEFAULT_FUEL, EvalBudget, Evaluator
+from .eval import DEFAULT_FUEL, EvalBudget, Evaluator, forget_memo
 from .parser import parse_program
 from .prelude import PRELUDE_SOURCE
 from .typecheck import TypeChecker, TypeEnvironment
-from .types import Type
+from .types import TData, TProd, Type
 from .values import Value
 
 __all__ = ["Program"]
@@ -36,6 +36,21 @@ def _prelude_declarations() -> Tuple[object, ...]:
     """The parsed prelude; declarations are immutable, so every program
     loading the prelude shares one parse."""
     return tuple(parse_program(PRELUDE_SOURCE))
+
+
+def _first_order(ty: Type, datatypes: Dict[str, TypeDecl],
+                 seen: frozenset = frozenset()) -> bool:
+    """Whether no value of ``ty`` can hold a function: ``ty`` is a data type
+    whose constructors carry only such types, or a product of them."""
+    if isinstance(ty, TProd):
+        return all(_first_order(item, datatypes, seen) for item in ty.items)
+    if not isinstance(ty, TData):
+        return False  # an arrow, or the abstract type
+    if ty.name in seen:
+        return True
+    seen = seen | {ty.name}
+    return all(ctor.payload is None or _first_order(ctor.payload, datatypes, seen)
+               for ctor in datatypes[ty.name].ctors)
 
 
 class Program:
@@ -83,15 +98,20 @@ class Program:
         for decl in decls:
             self.declarations.append(decl)
             if isinstance(decl, FunDecl):
-                self.evaluator.globals[decl.name] = self._compile_fun(decl)
+                self._install(decl.name, self._compile_fun(decl))
 
     def define_function(self, decl: FunDecl) -> Value:
         """Type check and install a programmatically-built function declaration."""
         self._checker.check_declarations([decl])
         self.declarations.append(decl)
         value = self._compile_fun(decl)
-        self.evaluator.globals[decl.name] = value
+        self._install(decl.name, value)
         return value
+
+    def _install(self, name: str, value: Value) -> None:
+        if name in self.evaluator.globals:
+            forget_memo()  # stored calls may have read the old binding
+        self.evaluator.globals[name] = value
 
     def _compile_fun(self, decl: FunDecl) -> Value:
         """Turn a top-level definition into a runtime value.
@@ -100,7 +120,9 @@ class Program:
         compiled once, on first application; recursion is resolved through
         the global environment (names not bound locally are looked up in the
         globals when they run), so mutually recursive top-level functions
-        work without extra machinery.
+        work without extra machinery.  When every parameter and the result
+        have first-order types, the code of the innermost body is marked for
+        memoization (see :func:`repro.lang.eval.memo_table`).
         """
         if not decl.params:
             return self.evaluator.eval(decl.body)
@@ -108,7 +130,14 @@ class Program:
         for name, ty in reversed(decl.params[1:]):
             body = EFun(name, ty, body)
         first_name, first_type = decl.params[0]
-        return self.evaluator.closure(first_name, first_type, body)
+        result = self.types.globals[decl.name]
+        for _ in decl.params:
+            result = result.result
+        datatypes = self.types.datatypes
+        first_order = _first_order(result, datatypes) and all(
+            _first_order(ty, datatypes) for _, ty in decl.params)
+        return self.evaluator.closure(first_name, first_type, body,
+                                      memo_body=decl.body if first_order else None)
 
     # -- queries ------------------------------------------------------------------
 

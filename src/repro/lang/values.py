@@ -127,17 +127,19 @@ class Code:
     ``run(frame, budget)`` evaluates the body in ``frame``, a list of slots
     laid out as: the closure's captured values, the argument, the closure
     itself when ``rec`` is set, then ``pad`` (one ``None`` per slot the
-    body's ``let`` and ``match`` binders use).  The evaluator builds it; see
-    :mod:`repro.lang.eval`.
+    body's ``let`` and ``match`` binders use).  ``memo`` marks the innermost
+    body of a first-order top-level function, whose applications an open
+    memo table answers.  The evaluator builds it; see :mod:`repro.lang.eval`.
     """
 
-    __slots__ = ("run", "pad", "rec")
+    __slots__ = ("run", "pad", "rec", "memo")
 
     def __init__(self, run: Callable[[list, object], "Value"], pad: Tuple[None, ...],
-                 rec: bool):
+                 rec: bool, memo: bool = False):
         self.run = run
         self.pad = pad
         self.rec = rec
+        self.memo = memo
 
 
 def _uncompiled(frame: list, budget: object) -> "Value":

@@ -182,7 +182,9 @@ class OperationMemo:
     :class:`~repro.enumeration.functions.FunctionEnumerator` memoizes its
     pools, so the same function objects recur across checks).  ``max_entries``
     bounds memory: a full memo keeps answering lookups but stops storing new
-    records, which only costs speed, never correctness.
+    records, which only costs speed, never correctness.  An assignment too
+    deep to hash (hashing recurses once per level of a value) is a miss and
+    is never stored.
     """
 
     def __init__(self, max_entries: int = 200_000) -> None:
@@ -193,12 +195,18 @@ class OperationMemo:
         return len(self._records)
 
     def get(self, operation: str, assignment: Tuple[Value, ...]) -> Optional[OperationRecord]:
-        return self._records.get((operation, assignment))
+        try:
+            return self._records.get((operation, assignment))
+        except RecursionError:
+            return None
 
     def put(self, operation: str, assignment: Tuple[Value, ...],
             record: OperationRecord) -> None:
         if len(self._records) < self.max_entries:
-            self._records[(operation, assignment)] = record
+            try:
+                self._records[(operation, assignment)] = record
+            except RecursionError:
+                pass
 
     def export_records(self) -> List[Tuple[Tuple[str, Tuple[Value, ...]], OperationRecord]]:
         """Picklable ``(key, record)`` pairs in a hash-seed-independent order.
