@@ -34,6 +34,7 @@ from typing import Callable, List, Optional, Set
 from ..enumeration.functions import FunctionEnumerator
 from ..enumeration.values import ValueEnumerator
 from ..inductive.relation import ConditionalInductivenessChecker
+from ..lang.errors import LangError
 from ..lang.values import Value, value_size
 from ..obs.events import Emitter, LegacyRecorder
 from ..obs.sinks import LegacyEventSink, installed_sinks
@@ -93,12 +94,17 @@ class HanoiInference:
         # Caches are keyed by the module's canonical content hash: two
         # alpha-equivalent spellings of the same module share a key, so any
         # future cross-run reuse (or trace comparison) identifies cached work
-        # by behaviour rather than source text.
+        # by behaviour rather than source text.  The source was already
+        # parsed and checked when the module was instantiated.  Hashing
+        # loads it again, evaluating its constants at the default fuel,
+        # which can fail (LangError) where the run's fuel sufficed; the
+        # canonical renderer raises TypeError/ValueError for a node it
+        # cannot render.
         content_key = ""
         if self.config.evaluation_caching or self.config.synthesis_evaluation_caching:
             try:
                 content_key = canonical_hash(module)
-            except Exception:
+            except (LangError, TypeError, ValueError):
                 content_key = ""
         self.content_key = content_key
         self.eval_cache: Optional[EvaluationCache] = (

@@ -48,6 +48,20 @@ deterministic given its globals: a global added later was unbound when an
 entry was stored (the call raised, so nothing was), and rebinding a global
 empties the table (:func:`forget_memo`).
 
+A saturated call of a curried closure builds none of its partial
+applications (the eval/apply treatment of known-arity calls, Marlow & Peyton
+Jones, "Making a fast curry", 2004).  When a body is itself a ``fun``, its
+:class:`~repro.lang.values.Code` records that ``fun``'s code as ``inner``; a
+call that has another argument for the closure the body would build steps
+into ``inner`` directly (:func:`_call`).  Fuel is spent in the curried
+order: the application's unit, then the ``fun`` node's unit, then the next
+argument is evaluated; running out leaves ``remaining`` where the curried
+path would.  The step that finally runs a body goes through the memo table
+with the key the curried path would use, ``(code, captured values,
+argument)``, where the captured values are gathered from the same slots the
+``fun`` node gathers them from, so both paths store and hit the same
+entries.
+
 Evaluation recurses on the Python stack, so a deep enough input overflows it;
 :meth:`Evaluator.eval` and :meth:`Evaluator.apply` report that as
 :class:`~repro.lang.errors.EvalDepthExceeded`.  A memo hit skips the
@@ -61,6 +75,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -188,16 +203,22 @@ class Evaluator:
             raise EvalDepthExceeded(_TOO_DEEP) from None
 
     def apply(self, fn: Value, *args: Value, budget: Optional[EvalBudget] = None) -> Value:
-        """Apply a function value to arguments, left to right."""
+        """Apply a function value to arguments, left to right.
+
+        Two or more arguments go through the fused stepping of a call node
+        (see :func:`_call`), so a curried closure given all its arguments
+        builds none of its partial applications.
+        """
         if budget is None:
             budget = EvalBudget(self.default_fuel)
-        result = fn
         try:
-            for arg in args:
-                result = _apply(result, arg, budget)
+            if len(args) > 1:
+                return _applier(len(args))([fn, *args], budget)
+            if args:
+                return _apply(fn, args[0], budget)
         except RecursionError:
             raise EvalDepthExceeded(_TOO_DEEP) from None
-        return result
+        return fn
 
     def closure(self, param: str, param_type: Optional[Type], body: Expr,
                 rec_name: Optional[str] = None,
@@ -218,7 +239,8 @@ class Evaluator:
 
         def compile_and_run(frame: list, budget: EvalBudget) -> Value:
             scope = _Scope.fresh(names)
-            code.run = run = compiler.expr(body, scope)
+            run, code.inner, code.gather = compiler.body(body, scope)
+            code.run = run
             code.pad = scope.pad()
             frame.extend(code.pad)
             return run(frame, budget)
@@ -237,25 +259,99 @@ def _apply(fn: Value, arg: Value, budget: EvalBudget) -> Value:
         code = fn.code
         if code.rec:
             return code.run([*fn.env, arg, fn, *code.pad], budget)
-        if code.memo:
-            table = _memo
-            if table is not None:
-                key = (code, fn.env, arg)
-                try:
-                    hit = table.get(key)
-                except RecursionError:  # too deep to hash: run, store nothing
-                    key = hit = None
-                if hit is not None and hit[1] <= remaining:
-                    budget.remaining = remaining - hit[1]
-                    return hit[0]
-                value = code.run([*fn.env, arg, *code.pad], budget)
-                if key is not None and hit is None and len(table) < MEMO_MAX_ENTRIES:
-                    table[key] = (value, remaining - budget.remaining)
-                return value
+        if code.memo and _memo is not None:
+            return _memo_call(code, fn.env, arg, budget, remaining)
         return code.run([*fn.env, arg, *code.pad], budget)
     if fn.__class__ is VNative:
         return fn.fn(arg)
     raise EvalError(f"application of non-function value {fn}")
+
+
+def _memo_call(code: Code, env: Tuple[Value, ...], arg: Value, budget: EvalBudget,
+               remaining: int) -> Value:
+    """Apply memo-marked ``code`` over captured ``env`` to ``arg`` while a
+    memo table is open; the application's unit is spent, leaving
+    ``remaining``."""
+    table = _memo
+    key = (code, env, arg)
+    try:
+        hit = table.get(key)
+    except RecursionError:  # too deep to hash: run, store nothing
+        key = hit = None
+    if hit is not None and hit[1] <= remaining:
+        budget.remaining = remaining - hit[1]
+        return hit[0]
+    value = code.run([*env, arg, *code.pad], budget)
+    if key is not None and hit is None and len(table) < MEMO_MAX_ENTRIES:
+        table[key] = (value, remaining - budget.remaining)
+    return value
+
+
+def _call(head: Run, arg_runs: Sequence[Run], nodes: int) -> Run:
+    """``head`` applied to two or more arguments, after ``nodes`` units.
+
+    The steps are those of applying the head to each argument in turn, but
+    a closure whose code has an ``inner`` fun, applied with another argument
+    still to come, is stepped into without being built: its application's
+    unit and the ``fun`` node's unit are spent, the inner closure's captured
+    values are gathered from ``(*env, arg)`` (with the closure itself after
+    ``arg`` when its code is recursive), and the next argument is evaluated,
+    in the order applying the closure and then its result would go.  The
+    step that runs a body goes through the memo table with the key
+    ``(code, captured values, argument)`` that :func:`_apply` would use.
+    """
+    last = len(arg_runs) - 1
+    steps = tuple((arg_run, index < last) for index, arg_run in enumerate(arg_runs))
+
+    def call(frame, budget):
+        remaining = budget.remaining - nodes
+        if remaining < 0:
+            _exhaust(budget)
+        budget.remaining = remaining
+        fn = head(frame, budget)
+        code = env = None  # the closure stepped into but not built
+        for arg_run, more in steps:
+            arg = arg_run(frame, budget)
+            if code is None:
+                if not more or fn.__class__ is not VClosure or fn.code.inner is None:
+                    fn = _apply(fn, arg, budget)
+                    continue
+                code = fn.code
+                env = (*fn.env, arg, fn) if code.rec else (*fn.env, arg)
+            elif more and code.inner is not None:
+                env = (*env, arg)
+            else:
+                remaining = budget.remaining - 1
+                budget.remaining = remaining
+                if remaining < 0:
+                    raise FuelExhausted(_OUT_OF_FUEL)
+                if code.memo and _memo is not None:
+                    fn = _memo_call(code, env, arg, budget, remaining)
+                else:
+                    fn = code.run([*env, arg, *code.pad], budget)
+                code = None
+                continue
+            remaining = budget.remaining - 2  # the application, then the fun node
+            if remaining < 0:
+                _exhaust(budget)
+            budget.remaining = remaining
+            env = code.gather(env)
+            code = code.inner
+        return fn
+    return call
+
+
+def _slot(index: int) -> Run:
+    def read(frame, budget):
+        return frame[index]
+    return read
+
+
+@lru_cache(maxsize=None)
+def _applier(count: int) -> Run:
+    """Applies ``frame[0]`` to ``frame[1:count + 1]``, spending nothing
+    beyond the applications themselves (:meth:`Evaluator.apply`)."""
+    return _call(_slot(0), [_slot(index) for index in range(1, count + 1)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,26 +510,52 @@ class _Compiler:
 
         head_run = self.expr(head, scope)
         arg_runs = [self.expr(arg, scope) for arg in args]
+        if nodes > 1:
+            return _call(head_run, arg_runs, nodes)
+        arg_run = arg_runs[0]
 
-        def call_n(frame, budget):
-            remaining = budget.remaining - nodes
-            if remaining < 0:
-                _exhaust(budget)
+        def call_1(frame, budget):
+            remaining = budget.remaining - 1
             budget.remaining = remaining
+            if remaining < 0:
+                raise FuelExhausted(_OUT_OF_FUEL)
             fn = head_run(frame, budget)
-            for arg_run in arg_runs:
-                fn = _apply(fn, arg_run(frame, budget), budget)
-            return fn
-        return call_n
+            arg = arg_run(frame, budget)
+            if fn.__class__ is not VClosure or fn.code.rec:
+                return _apply(fn, arg, budget)
+            # ``_apply`` inlined for the common case: one Python frame less
+            # per level of recursion, as in ``_call``.
+            code = fn.code
+            remaining = budget.remaining - 1
+            budget.remaining = remaining
+            if remaining < 0:
+                raise FuelExhausted(_OUT_OF_FUEL)
+            if code.memo and _memo is not None:
+                return _memo_call(code, fn.env, arg, budget, remaining)
+            return code.run([*fn.env, arg, *code.pad], budget)
+        return call_1
+
+    def body(self, expr: Expr, scope: _Scope
+             ) -> Tuple[Run, Optional[Code], Optional[Callable[[Sequence[Value]], tuple]]]:
+        """Compile a function body: its run, and when the body is a ``fun``,
+        that ``fun``'s code and how it gathers what it captures (see
+        :class:`~repro.lang.values.Code`)."""
+        if expr.__class__ is EFun:
+            return self._fun(expr, scope)
+        return self.expr(expr, scope), None, None
 
     def fun(self, expr: EFun, scope: _Scope) -> Run:
+        return self._fun(expr, scope)[0]
+
+    def _fun(self, expr: EFun, scope: _Scope) -> Tuple[Run, Code, Callable]:
         # The body is compiled once, here; each closure the node creates
         # captures the enclosing slots the body reads, which become the
         # first slots of the body's own frame.
         captured = sorted(name for name in free_vars(expr) if name in scope.slots)
         body_scope = _Scope.fresh(captured + [expr.param])
-        code = Code(self.expr(expr.body, body_scope), body_scope.pad(), False,
-                    expr.body is self.memo_body)
+        run, inner, inner_gather = self.body(expr.body, body_scope)
+        code = Code(run, body_scope.pad(), False, expr.body is self.memo_body,
+                    inner, inner_gather)
         param, param_type, body = expr.param, expr.param_type, expr.body
         sources = [scope.slots[name] for name in captured]
         if len(sources) > 1:
@@ -453,7 +575,7 @@ class _Compiler:
             if remaining < 0:
                 raise FuelExhausted(_OUT_OF_FUEL)
             return VClosure(param, param_type, body, gather(frame), None, code)
-        return closure
+        return closure, code, gather
 
     def let(self, expr: ELet, scope: _Scope) -> Run:
         value = self.expr(expr.value, scope)

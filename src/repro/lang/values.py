@@ -19,7 +19,7 @@ example sets V+ and V- as Python sets.  Closures compare by identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .ast import Expr
 from .errors import EvalError
@@ -129,17 +129,24 @@ class Code:
     itself when ``rec`` is set, then ``pad`` (one ``None`` per slot the
     body's ``let`` and ``match`` binders use).  ``memo`` marks the innermost
     body of a first-order top-level function, whose applications an open
-    memo table answers.  The evaluator builds it; see :mod:`repro.lang.eval`.
+    memo table answers.  When the body is itself a ``fun`` (the next
+    parameter of a curried chain), ``inner`` is that ``fun``'s code and
+    ``gather`` picks the values it captures out of the frame's leading
+    slots, so a saturated call can step into ``inner`` without building the
+    closure.  The evaluator builds it; see :mod:`repro.lang.eval`.
     """
 
-    __slots__ = ("run", "pad", "rec", "memo")
+    __slots__ = ("run", "pad", "rec", "memo", "inner", "gather")
 
     def __init__(self, run: Callable[[list, object], "Value"], pad: Tuple[None, ...],
-                 rec: bool, memo: bool = False):
+                 rec: bool, memo: bool = False, inner: Optional["Code"] = None,
+                 gather: Optional[Callable[[Sequence["Value"]], tuple]] = None):
         self.run = run
         self.pad = pad
         self.rec = rec
         self.memo = memo
+        self.inner = inner
+        self.gather = gather
 
 
 def _uncompiled(frame: list, budget: object) -> "Value":

@@ -61,6 +61,7 @@ from ..core.config import HanoiConfig
 from ..core.module import ModuleDefinition, ModuleInstance
 from ..core.stats import InferenceStats
 from ..lang.pretty import pretty_type
+from ..lang.program import _prelude_declarations
 from ..synth.poolcache import SynthesisEvaluationCache
 from ..verify.evalcache import EvaluationCache
 
@@ -206,8 +207,12 @@ class PersistentCacheBinding:
         # Per-declaration dependency hashes are the invalidation unit; the
         # whole-module canonical hash backstops names the analysis cannot
         # see (it only ever over-invalidates, never under-invalidates).
-        self._dep = declaration_dependency_hashes(definition)
-        self._fallback = canonical_hash(definition)
+        # Both hash the declarations the instance already checked, rather
+        # than parsing and checking the source again.
+        program = instance.program
+        decls = program.declarations[len(_prelude_declarations()):]
+        self._dep = declaration_dependency_hashes(definition, program, decls)
+        self._fallback = canonical_hash(definition, program, decls)
         self._bounds = repr(astuple(config.verifier_bounds))
         self._fuel = str(config.eval_fuel)
 

@@ -7,11 +7,22 @@ hash must also be the content key actually stamped on the evaluation and
 synthesis caches.
 """
 
-from repro.analysis.canon import canonical_hash
+import dataclasses
+import glob
+import os
+
+import pytest
+
+from repro.analysis.canon import canonical_hash, declaration_dependency_hashes
 from repro.core.hanoi import HanoiInference
 from repro.gen.diff import canonicalization_mismatches, fuzz_module
 from repro.gen.modgen import generate_module
-from repro.suite.registry import get_benchmark
+from repro.lang.program import _prelude_declarations
+from repro.spec.loader import load_module_file
+from repro.suite.registry import all_benchmark_names, get_benchmark
+
+EXAMPLE_MODULES = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), "..", "..", "examples", "modules", "*.hanoi")))
 
 
 def test_canonicalization_transparent_on_benchmark(fast_config):
@@ -46,6 +57,41 @@ def test_caches_stamped_with_canonical_hash(fast_config):
     assert inference.eval_cache.content_key == expected
     assert inference.pool_cache is not None
     assert inference.pool_cache.content_key == expected
+
+
+@pytest.mark.parametrize(
+    "load",
+    [lambda name=name: get_benchmark(name) for name in all_benchmark_names()]
+    + [lambda path=path: load_module_file(path) for path in EXAMPLE_MODULES],
+    ids=all_benchmark_names() + [os.path.basename(path) for path in EXAMPLE_MODULES])
+def test_hashes_of_instantiated_declarations_match_reparse(load):
+    # Hashing the declarations an instance already checked, as the linter
+    # and the persistent cache do, gives the keys of parsing the source
+    # afresh.
+    definition = load()
+    program = definition.instantiate().program
+    module_decls = program.declarations[len(_prelude_declarations()):]
+    assert canonical_hash(definition, program, module_decls) == \
+        canonical_hash(definition)
+    assert declaration_dependency_hashes(definition, program, module_decls) == \
+        declaration_dependency_hashes(definition)
+
+
+def test_constant_too_costly_for_default_fuel_leaves_content_key_empty(fast_config):
+    # Hashing loads the source again at the default fuel; a constant that
+    # needs more than that, but fits the run's fuel, must not end the run.
+    costly = """
+let rec burn (n : nat) : bool =
+  match n with
+  | O -> True
+  | S m -> andb (burn m) (burn m)
+
+let burnt : bool = burn 15
+"""
+    definition = get_benchmark("/other/sized-list")
+    definition = dataclasses.replace(definition, source=definition.source + costly)
+    config = dataclasses.replace(fast_config, eval_fuel=1_000_000)
+    assert HanoiInference(definition, config=config).content_key == ""
 
 
 def test_cache_snapshot_carries_content_key(fast_config):

@@ -62,7 +62,7 @@ def test_values_are_hashable_and_comparable():
 
 def test_is_first_order():
     assert is_first_order(v_list([nat_of_int(1)]))
-    closure = VClosure("x", None, parse_expression("x"), {})
+    closure = VClosure("x", None, parse_expression("x"), ())
     assert not is_first_order(closure)
     assert not is_first_order(VTuple((nat_of_int(1), closure)))
 
