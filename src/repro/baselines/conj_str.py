@@ -90,7 +90,6 @@ class ConjunctiveStrengtheningInference:
         self.checker = ConditionalInductivenessChecker(
             self.instance, enumerator, FunctionEnumerator(self.instance),
             self.config.verifier_bounds, self.stats, self.deadline,
-            eval_cache=eval_cache,
             emitter=self.emitter,
         )
         self.pool_cache = (

@@ -66,7 +66,6 @@ class LinearArbitraryInference:
         self.checker = ConditionalInductivenessChecker(
             self.instance, enumerator, FunctionEnumerator(self.instance),
             self.config.verifier_bounds, self.stats, self.deadline,
-            eval_cache=eval_cache,
             emitter=self.emitter,
         )
         self.pool_cache = (

@@ -69,7 +69,6 @@ class OneShotInference:
         self.checker = ConditionalInductivenessChecker(
             self.instance, self.enumerator, FunctionEnumerator(self.instance),
             self.config.verifier_bounds, self.stats, self.deadline,
-            eval_cache=eval_cache,
             emitter=self.emitter,
         )
         self.pool_cache = (

@@ -192,9 +192,9 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser, default_output: str) -
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                         help="per-task timeout in seconds (overrides the profile's)")
     parser.add_argument("--no-eval-cache", action="store_true",
-                        help="disable cross-iteration verification evaluation "
-                             "caching (the ablation; outcomes are identical, "
-                             "Hanoi-mode runs are slower)")
+                        help="disable the cross-iteration spec-verdict cache "
+                             "of sufficiency checks (the ablation; outcomes "
+                             "are identical, Hanoi-mode runs are slower)")
     parser.add_argument("--no-pool-cache", action="store_true",
                         help="disable cross-iteration synthesis term-pool "
                              "caching (the ablation; candidate streams are "
@@ -202,7 +202,7 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser, default_output: str) -
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent content-addressed disk cache: "
                              "snapshot the evaluation and pool caches per "
-                             "declaration so unchanged operations replay "
+                             "declaration so unchanged declarations replay "
                              "across processes (docs/service.md)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: all CPUs; 1 = serial in-process)")
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                        help="timeout in seconds (overrides the profile's)")
     infer.add_argument("--no-eval-cache", action="store_true",
-                       help="disable cross-iteration verification evaluation caching")
+                       help="disable the cross-iteration spec-verdict cache")
     infer.add_argument("--no-pool-cache", action="store_true",
                        help="disable cross-iteration synthesis term-pool caching")
     infer.add_argument("--cache-dir", default=None, metavar="DIR",

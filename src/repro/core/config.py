@@ -153,10 +153,10 @@ class HanoiConfig:
     #: Section 4.4: replay the synthesis/verification trace when V+ grows
     #: instead of resetting V- to the empty set.
     counterexample_list_caching: bool = True
-    #: The same principle applied to Verify: cache candidate-independent
-    #: evaluation work (spec verdicts per assignment, module-operation
-    #: applications) across refinement iterations.  Off switch for the
-    #: ablation; verdicts are identical either way.
+    #: The same principle applied to Verify: cache the candidate-independent
+    #: spec verdict of every sufficiency assignment across refinement
+    #: iterations.  Off switch for the ablation; verdicts are identical
+    #: either way.
     evaluation_caching: bool = True
     #: And applied to Synth's enumeration: memoize component applications and
     #: replay whole term-pool skeletons across synthesis calls
@@ -172,7 +172,7 @@ class HanoiConfig:
     #: entirely: no disk I/O, no content hashing beyond what tracing already
     #: does.  When set, the eval-cache and pool-cache are restored from and
     #: snapshotted to ``cache_dir`` keyed by per-declaration dependency
-    #: hashes, so unchanged operations replay across processes.
+    #: hashes, so unchanged declarations replay across processes.
     cache_dir: Optional[str] = None
 
     def deadline(self) -> Deadline:

@@ -34,11 +34,11 @@ from typing import Callable, List, Optional, Set
 from ..enumeration.functions import FunctionEnumerator
 from ..enumeration.values import ValueEnumerator
 from ..inductive.relation import ConditionalInductivenessChecker
-from ..lang.errors import LangError
 from ..lang.values import Value, value_size
 from ..obs.events import Emitter, LegacyRecorder
 from ..obs.sinks import LegacyEventSink, installed_sinks
-from ..analysis.canon import canonical_hash
+# Re-exported only because perfbench/layers.py wraps canonical_hash here.
+from ..analysis.canon import canonical_hash  # noqa: F401
 from ..synth.base import SynthesisFailure
 from ..synth.cache import SynthesisResultCache
 from ..synth.myth import MythSynthesizer
@@ -91,25 +91,8 @@ class HanoiInference:
         self.stats = InferenceStats()
         self.deadline: Deadline = self.config.deadline()
         self.enumerator = ValueEnumerator(self.instance.program.types)
-        # Caches are keyed by the module's canonical content hash: two
-        # alpha-equivalent spellings of the same module share a key, so any
-        # future cross-run reuse (or trace comparison) identifies cached work
-        # by behaviour rather than source text.  The source was already
-        # parsed and checked when the module was instantiated.  Hashing
-        # loads it again, evaluating its constants at the default fuel,
-        # which can fail (LangError) where the run's fuel sufficed; the
-        # canonical renderer raises TypeError/ValueError for a node it
-        # cannot render.
-        content_key = ""
-        if self.config.evaluation_caching or self.config.synthesis_evaluation_caching:
-            try:
-                content_key = canonical_hash(module)
-            except (LangError, TypeError, ValueError):
-                content_key = ""
-        self.content_key = content_key
         self.eval_cache: Optional[EvaluationCache] = (
-            EvaluationCache(content_key=content_key)
-            if self.config.evaluation_caching else None
+            EvaluationCache() if self.config.evaluation_caching else None
         )
         self.verifier = Verifier(
             self.instance, self.enumerator, self.config.verifier_bounds, self.stats,
@@ -122,11 +105,10 @@ class HanoiInference:
             self.config.verifier_bounds,
             self.stats,
             self.deadline,
-            eval_cache=self.eval_cache,
             emitter=self.emitter,
         )
         self.pool_cache: Optional[SynthesisEvaluationCache] = (
-            SynthesisEvaluationCache(content_key=content_key)
+            SynthesisEvaluationCache()
             if self.config.synthesis_evaluation_caching else None
         )
         # Persistent cache tier (docs/service.md): warm the freshly created

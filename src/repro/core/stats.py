@@ -36,11 +36,11 @@ class InferenceStats:
     synthesis_cache_hits: int = 0
     #: Verification/synthesis rounds skipped thanks to counterexample list caching.
     trace_replays: int = 0
-    #: Verification evaluations replayed from the evaluation cache (cached spec
-    #: verdicts and memoized module-operation applications).
+    #: Sufficiency assignments whose spec verdict the evaluation cache
+    #: replayed.  Inductiveness checks keep no cache and count nothing here.
     eval_cache_hits: int = 0
-    #: Verification evaluations computed fresh while the evaluation cache was
-    #: active (each one seeds a future hit; 0/0 when the cache is disabled).
+    #: Spec verdicts computed fresh while the evaluation cache was active
+    #: (each one seeds a future hit; 0/0 when the cache is disabled).
     eval_cache_misses: int = 0
     #: Synthesis component applications served by the pool cache (memoized
     #: applications plus the applications a whole-pool replay avoided).

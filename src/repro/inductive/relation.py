@@ -42,12 +42,14 @@ from ..lang.errors import LangError
 from ..lang.types import TAbstract, TArrow, Type, mentions_abstract
 from ..lang.values import Value, value_size
 from ..obs.events import NULL_EMITTER
-from ..verify.evalcache import EvaluationCache, OperationRecord
 from ..verify.result import VALID, CheckResult, InductivenessCounterexample
 
 __all__ = ["ConditionalInductivenessChecker"]
 
 PredicateFn = Callable[[Value], bool]
+#: What one operation application supplied, produced and received back
+#: across higher-order boundaries (see :meth:`_apply_operation`).
+Application = Tuple[Tuple[Value, ...], Tuple[Value, ...], Tuple[Value, ...]]
 
 
 class ConditionalInductivenessChecker:
@@ -60,7 +62,6 @@ class ConditionalInductivenessChecker:
                  bounds: VerifierBounds = VerifierBounds(),
                  stats: Optional[InferenceStats] = None,
                  deadline: Optional[Deadline] = None,
-                 eval_cache: Optional[EvaluationCache] = None,
                  emitter: object = NULL_EMITTER):
         self.instance = instance
         self.enumerator = enumerator or ValueEnumerator(instance.program.types)
@@ -68,7 +69,6 @@ class ConditionalInductivenessChecker:
         self.bounds = bounds
         self.stats = stats or InferenceStats()
         self.deadline = deadline or Deadline(None)
-        self.eval_cache = eval_cache
         self.emitter = emitter
 
     # -- public API -------------------------------------------------------------
@@ -85,27 +85,17 @@ class ConditionalInductivenessChecker:
         through ``p`` (the full-inductiveness case).
 
         ``operations`` optionally restricts the check to a subsequence of the
-        module's operations, in their interface order.
+        module's operations, in their interface order.  Nothing in the
+        package passes it; ``perfbench/layers.py`` forwards it positionally.
         """
         emitter = self.emitter
         if not emitter.enabled:
             with self.stats.verification():
                 return self._check(p, q, p_pool, operations)
-        hits_before = self.stats.eval_cache_hits
-        misses_before = self.stats.eval_cache_misses
-        try:
-            with emitter.span("inductiveness-check",
-                              {"mode": "visible" if p_pool is not None else "full"}):
-                with self.stats.verification():
-                    return self._check(p, q, p_pool, operations)
-        finally:
-            # Emitted even when the deadline fires mid-check, so the
-            # analyzer's cross-check against run-end counters stays exact.
-            if self.eval_cache is not None:
-                emitter.emit("eval-cache",
-                             {"hits": self.stats.eval_cache_hits - hits_before,
-                              "misses": self.stats.eval_cache_misses - misses_before},
-                             cat="cache")
+        with emitter.span("inductiveness-check",
+                          {"mode": "visible" if p_pool is not None else "full"}):
+            with self.stats.verification():
+                return self._check(p, q, p_pool, operations)
 
     def _check(self, p: PredicateFn, q: PredicateFn,
                p_pool: Optional[Iterable[Value]],
@@ -207,38 +197,30 @@ class ConditionalInductivenessChecker:
         # supply enumerated closures, not structures.
         structures_per_assignment = sum(
             1 for t in argument_types if not isinstance(t, TArrow))
-        memo = self.eval_cache.operations if self.eval_cache is not None else None
 
         for assignment in diagonal_product(pools, self.bounds.max_applications_per_operation):
             applications += 1
             if applications % 128 == 0:
                 self.deadline.check()
 
-            record = memo.get(operation.name, assignment) if memo is not None else None
-            if record is None:
-                record = self._apply_operation(
-                    operation_value, assignment, argument_types, wrapped_positions, result_type)
-                self.stats.structures_tested += structures_per_assignment
-                if memo is not None:
-                    self.stats.eval_cache_misses += 1
-                    memo.put(operation.name, assignment, record)
-            else:
-                self.stats.eval_cache_hits += 1
-
-            if record.crashed:
+            outcome = self._apply_operation(
+                operation_value, assignment, argument_types, wrapped_positions, result_type)
+            self.stats.structures_tested += structures_per_assignment
+            if outcome is None:
                 # A crashing application of an enumerated (possibly nonsensical)
                 # functional argument is not evidence about the invariant.
                 continue
+            supplied, produced, client_to_module = outcome
 
             # Client-to-module crossings are assumed to satisfy P; runs where
             # the assumption fails are not counterexamples (the functional
             # argument fell outside the relation).
-            if any(not p(v) for v in record.client_to_module):
+            if any(not p(v) for v in client_to_module):
                 continue
 
-            violations = tuple(v for v in record.produced if not q(v))
+            violations = tuple(v for v in produced if not q(v))
             if violations:
-                witness_inputs = record.supplied + record.client_to_module
+                witness_inputs = supplied + client_to_module
                 return InductivenessCounterexample(operation.name, witness_inputs, violations)
 
         return VALID
@@ -246,11 +228,13 @@ class ConditionalInductivenessChecker:
     def _apply_operation(self, operation_value: Value, assignment: Tuple[object, ...],
                          argument_types: Tuple[Type, ...],
                          wrapped_positions: List[bool],
-                         result_type: Type) -> OperationRecord:
-        """Run one operation application and reduce it to its
-        candidate-independent :class:`OperationRecord` (what was supplied,
-        what was produced, the contract-log crossings, and whether the
-        application crashed)."""
+                         result_type: Type) -> Optional[Application]:
+        """Run one operation application.
+
+        Returns the abstract values it was ``supplied`` (argument positions),
+        the abstract values it ``produced`` (its result plus module-to-client
+        contract crossings) and the abstract values client-supplied functions
+        returned into the module, or ``None`` if the application crashed."""
         log = ContractLog()
         call_args: List[Value] = []
         supplied: List[Value] = []
@@ -265,8 +249,7 @@ class ConditionalInductivenessChecker:
         try:
             result = self.instance.program.apply(operation_value, *call_args)
         except LangError:
-            return OperationRecord(tuple(supplied), (), tuple(log.client_to_module), True)
+            return None
 
         produced = tuple(collect_abstract(result, result_type)) + tuple(log.module_to_client)
-        return OperationRecord(
-            tuple(supplied), produced, tuple(log.client_to_module), False)
+        return tuple(supplied), produced, tuple(log.client_to_module)

@@ -21,22 +21,20 @@ The in-memory caches (:mod:`repro.verify.evalcache`,
   ======= ============================== ===================================
   $spec$  module (spec stream)           spec dep-hash, concrete signature,
                                          verifier bounds, eval fuel
-  $op$    operation (operation memo)     operation dep-hash, concrete
-                                         signature, eval fuel
   $apps$  synthesis component (app memo) component dep-hash, eval fuel
   ======= ============================== ===================================
 
   The file name *is* the hash of everything its content depends on, so
-  incremental invalidation needs no diffing: editing one operation changes
-  only the keys of the declarations that transitively call it, and every
-  other section warm-starts.  A stale entry is simply never looked up again
+  incremental invalidation needs no diffing: editing one declaration changes
+  only the keys of the sections whose declaration transitively calls it,
+  and every other section warm-starts.  A stale entry is simply never looked up again
   (and is eventually re-written under its new key).
 
 Only first-order data is persisted.  Entries keyed by identity-hashed
 function values are re-bound by module-global *name* where possible
-(synthesis components) and skipped otherwise (the synthesizer's per-call
-oracle, enumerated function arguments); see the ``export_*`` seams on the
-cache classes.  Restores change no verdict: the memos are pure replay
+(synthesis components) and dropped otherwise (the synthesizer's per-call
+oracle, spec assignments holding functions); see the ``export_*`` seams on
+the cache classes.  Restores change no verdict: the memos are pure replay
 stores and every semantic input is part of the key, so a warm run's outcome
 fingerprint is byte-identical to a cold run's
 (``tests/serve/test_diskcache.py``).
@@ -240,15 +238,6 @@ class PersistentCacheBinding:
                          self._hash_of(self.definition.spec_name),
                          signature, self._bounds, self._fuel)
 
-    def operation_keys(self) -> Dict[str, str]:
-        keys: Dict[str, str] = {}
-        for op in self.definition.operations:
-            signature = pretty_type(self.instance.operation_concrete_signature(op))
-            keys[op.name] = self._key(ENTRY_FORMAT, "op",
-                                      self._hash_of(op.name),
-                                      signature, self._fuel)
-        return keys
-
     def component_keys(self) -> Dict[str, str]:
         return {
             name: self._key(ENTRY_FORMAT, "apps", self._hash_of(name), self._fuel)
@@ -270,18 +259,11 @@ class PersistentCacheBinding:
         if eval_cache is not None:
             payload = self.store.get("spec", self.spec_key())
             if isinstance(payload, dict) and "entries" in payload:
-                eval_cache.spec.restore_entries(payload["entries"],
-                                                payload.get("exhausted", False))
+                eval_cache.restore_entries(payload["entries"],
+                                           payload.get("exhausted", False))
                 stats.disk_cache_hits += 1
             else:
                 stats.disk_cache_misses += 1
-            for key in self.operation_keys().values():
-                records = self.store.get("op", key)
-                if isinstance(records, list):
-                    eval_cache.operations.restore_records(records)
-                    stats.disk_cache_hits += 1
-                else:
-                    stats.disk_cache_misses += 1
         if pool_cache is not None:
             values = self._component_values()
             for name, key in sorted(self.component_keys().items()):
@@ -302,14 +284,9 @@ class PersistentCacheBinding:
         """
         written = 0
         if eval_cache is not None:
-            entries, exhausted = eval_cache.spec.export_entries()
+            entries, exhausted = eval_cache.export_entries()
             written += self.store.put("spec", self.spec_key(),
                                       {"entries": entries, "exhausted": exhausted})
-            grouped: Dict[str, List[Tuple[tuple, object]]] = {}
-            for key_pair, record in eval_cache.operations.export_records():
-                grouped.setdefault(key_pair[0], []).append((key_pair, record))
-            for name, key in sorted(self.operation_keys().items()):
-                written += self.store.put("op", key, grouped.get(name, []))
         if pool_cache is not None:
             names = {id(value): name
                      for name, value in sorted(self._component_values().items())}

@@ -83,10 +83,9 @@ class ApplicationMemo:
     Keys pair the component's function value with the tuple of first-order
     argument values.  Function values hash by identity (module globals are
     one object per run; a fresh oracle ``VNative`` per synthesis call keys
-    its own applications) and argument values hash structurally, exactly the
-    discipline of the verification-side ``OperationMemo``.  ``max_entries``
-    bounds memory: a full memo keeps answering lookups but stops storing new
-    outcomes, which only costs speed, never correctness.
+    its own applications) and argument values hash structurally.
+    ``max_entries`` bounds memory: a full memo keeps answering lookups but
+    stops storing new outcomes, which only costs speed, never correctness.
     """
 
     def __init__(self, max_entries: int = 500_000) -> None:
@@ -201,23 +200,12 @@ class SynthesisEvaluationCache:
     """
 
     def __init__(self, max_application_entries: int = 500_000,
-                 max_pool_entries: int = 4096,
-                 content_key: str = "") -> None:
+                 max_pool_entries: int = 4096) -> None:
         self.applications = ApplicationMemo(max_application_entries)
         self.pools = PoolMemo(max_pool_entries)
-        #: Canonical content hash of the module the cached work belongs to
-        #: (``repro.analysis.canon.canonical_hash``).  Alpha-equivalent
-        #: modules share a key, so persisted or cross-run reuse is keyed by
-        #: behaviour rather than source spelling.  Empty when unknown.
-        self.content_key = content_key
 
     def snapshot(self) -> Dict[str, object]:
         """Deterministic occupancy counts, stamped on ``cache-snapshot`` trace
         events so ``repro trace`` can report cache growth per run."""
-        snapshot: Dict[str, object] = {
-            "application_entries": len(self.applications),
-            "pool_entries": len(self.pools),
-        }
-        if self.content_key:
-            snapshot["content_key"] = self.content_key
-        return snapshot
+        return {"application_entries": len(self.applications),
+                "pool_entries": len(self.pools)}

@@ -162,10 +162,10 @@ class Verifier:
         the first falsifying assignment whose witnesses the candidate
         accepts.
         """
-        stream = self.eval_cache.spec
+        cache = self.eval_cache
 
         scanned = 0
-        for entry in stream.entries:
+        for entry in cache.entries:
             scanned += 1
             if scanned % 256 == 0:
                 self.deadline.check()
@@ -189,22 +189,22 @@ class Verifier:
             outcome = self._resolve_spec_entry(entry)
             if outcome is not None:
                 return outcome
-        if stream.exhausted:
+        if cache.exhausted:
             return VALID
 
-        if stream.iterator is None:
+        if cache.iterator is None:
             pools = [self._pool(t, quantifiers) for t in concrete_signature]
-            stream.iterator = diagonal_product(pools, self._assignment_budget(quantifiers))
+            cache.iterator = diagonal_product(pools, self._assignment_budget(quantifiers))
             # Entries restored from a persistent snapshot (serve/diskcache)
             # occupy the first positions of this fresh enumeration; fast-
             # forward past them so the frontier resumes where the snapshot
             # stopped.  The enumeration is deterministic, so position i of a
             # fresh iterator is exactly the assignment entry i recorded.  In
             # a cold run entries is empty here and nothing is skipped.
-            for _ in range(len(stream.entries)):
-                next(stream.iterator, None)
+            for _ in range(len(cache.entries)):
+                next(cache.iterator, None)
 
-        for assignment in stream.iterator:
+        for assignment in cache.iterator:
             scanned += 1
             self.stats.structures_tested += len(assignment)
             if scanned % 256 == 0:
@@ -212,14 +212,14 @@ class Verifier:
 
             witnesses = tuple(assignment[i] for i in abstract_positions)
             entry = SpecEntry(assignment, witnesses)
-            stream.entries.append(entry)
+            cache.entries.append(entry)
             if not all(invariant(w) for w in witnesses):
                 continue
             outcome = self._resolve_spec_entry(entry)
             if outcome is not None:
                 return outcome
-        stream.exhausted = True
-        stream.iterator = None
+        cache.exhausted = True
+        cache.iterator = None
         return VALID
 
     def _resolve_spec_entry(self, entry: SpecEntry) -> Optional[CheckResult]:

@@ -2,9 +2,9 @@
 
 The dead-branch rewriter (and the other canonicalizing passes) must be
 *inference-transparent*: running the canonicalized module through every
-fuzz mode yields byte-identical outcome fingerprints.  The canonical
-hash must also be the content key actually stamped on the evaluation and
-synthesis caches.
+fuzz mode yields byte-identical outcome fingerprints.  Hashing the
+declarations an instance already checked must give the keys of hashing
+the source afresh.
 """
 
 import dataclasses
@@ -13,11 +13,14 @@ import os
 
 import pytest
 
+from repro.analysis import canon
 from repro.analysis.canon import canonical_hash, declaration_dependency_hashes
+from repro.core import hanoi
 from repro.core.hanoi import HanoiInference
 from repro.gen.diff import canonicalization_mismatches, fuzz_module
 from repro.gen.modgen import generate_module
 from repro.lang.program import _prelude_declarations
+from repro.lang.values import VCtor
 from repro.spec.loader import load_module_file
 from repro.suite.registry import all_benchmark_names, get_benchmark
 
@@ -48,15 +51,35 @@ def test_fuzz_module_check_canonical_counts_runs(fast_config):
     assert checked.runs == plain.runs + 2
 
 
-def test_caches_stamped_with_canonical_hash(fast_config):
-    definition = get_benchmark("/coq/unique-list-::-set")
-    inference = HanoiInference(definition, config=fast_config)
-    expected = canonical_hash(definition)
-    assert inference.content_key == expected
-    assert inference.eval_cache is not None
-    assert inference.eval_cache.content_key == expected
-    assert inference.pool_cache is not None
-    assert inference.pool_cache.content_key == expected
+def test_inference_without_a_store_never_hashes_the_module(fast_config, monkeypatch):
+    # Only the persistent store keys its sections by content; a run without
+    # one must not pay for hashing the module.
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_hash called")
+
+    monkeypatch.setattr(canon, "canonical_hash", refuse)
+    monkeypatch.setattr(hanoi, "canonical_hash", refuse)
+    result = HanoiInference(get_benchmark("/coq/unique-list-::-set"),
+                            config=fast_config).infer()
+    assert result.succeeded
+
+
+def test_constant_too_costly_for_default_fuel_loads_at_the_run_fuel(fast_config):
+    # The module is loaded once, at the run's fuel; a constant that needs
+    # more than the default fuel, but fits the run's, must not end the run.
+    costly = """
+let rec burn (n : nat) : bool =
+  match n with
+  | O -> True
+  | S m -> andb (burn m) (burn m)
+
+let burnt : bool = burn 15
+"""
+    definition = get_benchmark("/other/sized-list")
+    definition = dataclasses.replace(definition, source=definition.source + costly)
+    config = dataclasses.replace(fast_config, eval_fuel=1_000_000)
+    inference = HanoiInference(definition, config=config)
+    assert inference.instance.program.global_value("burnt") == VCtor("True")
 
 
 @pytest.mark.parametrize(
@@ -75,30 +98,3 @@ def test_hashes_of_instantiated_declarations_match_reparse(load):
         canonical_hash(definition)
     assert declaration_dependency_hashes(definition, program, module_decls) == \
         declaration_dependency_hashes(definition)
-
-
-def test_constant_too_costly_for_default_fuel_leaves_content_key_empty(fast_config):
-    # Hashing loads the source again at the default fuel; a constant that
-    # needs more than that, but fits the run's fuel, must not end the run.
-    costly = """
-let rec burn (n : nat) : bool =
-  match n with
-  | O -> True
-  | S m -> andb (burn m) (burn m)
-
-let burnt : bool = burn 15
-"""
-    definition = get_benchmark("/other/sized-list")
-    definition = dataclasses.replace(definition, source=definition.source + costly)
-    config = dataclasses.replace(fast_config, eval_fuel=1_000_000)
-    assert HanoiInference(definition, config=config).content_key == ""
-
-
-def test_cache_snapshot_carries_content_key(fast_config):
-    definition = get_benchmark("/coq/unique-list-::-set")
-    inference = HanoiInference(definition, config=fast_config)
-    inference.infer()
-    assert inference.eval_cache.snapshot()["content_key"] == \
-        inference.content_key
-    assert inference.pool_cache.snapshot()["content_key"] == \
-        inference.content_key

@@ -25,7 +25,6 @@ from repro.lang.eval import EvalBudget, memo_table
 from repro.lang.program import Program
 from repro.lang.values import VClosure, VCtor, int_of_nat, nat_of_int, v_list
 from repro.suite.registry import all_benchmark_names, get_benchmark
-from repro.verify.evalcache import OperationMemo, OperationRecord
 from repro.verify.tester import Verifier
 
 MARKING_SOURCE = """
@@ -149,14 +148,6 @@ def test_value_too_deep_to_hash_is_a_miss_and_not_stored(program):
         assert program.call("is_zero", VCtor("S", _TooDeepToHash("O"))) == VCtor("False")
         assert program.call("is_zero", VCtor("S", _TooDeepToHash("O"))) == VCtor("False")
         assert not table
-
-
-def test_operation_memo_survives_assignment_too_deep_to_hash():
-    memo = OperationMemo()
-    assignment = (VCtor("S", _TooDeepToHash("O")),)
-    memo.put("op", assignment, OperationRecord((), (), (), False))
-    assert len(memo) == 0
-    assert memo.get("op", assignment) is None
 
 
 def test_rebinding_a_global_empties_the_table():

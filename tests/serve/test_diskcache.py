@@ -12,6 +12,7 @@ from repro.serve.diskcache import (
     DiskCacheStore,
     PersistentCacheBinding,
 )
+from repro.experiments.runner import run_module
 from repro.spec.loader import load_module_file
 
 CONFIG = HanoiConfig(verifier_bounds=FAST_VERIFIER_BOUNDS, timeout_seconds=60)
@@ -43,9 +44,9 @@ def test_missing_entry_is_a_silent_miss(tmp_path):
 def test_stats_counts_entries_per_section(tmp_path):
     store, _ = _store(tmp_path)
     store.put("spec", "aa" * 32, 1)
-    store.put("op", "bb" * 32, 2)
-    store.put("op", "cc" * 32, 3)
-    assert store.stats() == {"op": 2, "spec": 1}
+    store.put("apps", "bb" * 32, 2)
+    store.put("apps", "cc" * 32, 3)
+    assert store.stats() == {"apps": 2, "spec": 1}
 
 
 # -- corruption tolerance: every kind of damage is a warned miss, never a
@@ -53,8 +54,8 @@ def test_stats_counts_entries_per_section(tmp_path):
 
 
 def _entry_path(store):
-    store.put("op", "ee" * 32, ["payload"])
-    return store.entry_path("op", "ee" * 32)
+    store.put("apps", "ee" * 32, ["payload"])
+    return store.entry_path("apps", "ee" * 32)
 
 
 def test_truncated_entry_skipped_with_warning(tmp_path):
@@ -62,7 +63,7 @@ def test_truncated_entry_skipped_with_warning(tmp_path):
     path = _entry_path(store)
     with open(path, "r+b") as handle:
         handle.truncate(5)
-    assert store.get("op", "ee" * 32) is None
+    assert store.get("apps", "ee" * 32) is None
     assert any("truncated" in msg for msg, _ in warnings)
 
 
@@ -71,7 +72,7 @@ def test_garbage_entry_skipped_with_warning(tmp_path):
     path = _entry_path(store)
     with open(path, "wb") as handle:
         handle.write(os.urandom(256))
-    assert store.get("op", "ee" * 32) is None
+    assert store.get("apps", "ee" * 32) is None
     assert any("foreign" in msg or "corrupt" in msg for msg, _ in warnings)
 
 
@@ -83,7 +84,7 @@ def test_wrong_version_entry_skipped_with_warning(tmp_path):
         blob[:8] = struct.pack(">4sI", MAGIC, STORE_VERSION + 1)
         handle.seek(0)
         handle.write(blob)
-    assert store.get("op", "ee" * 32) is None
+    assert store.get("apps", "ee" * 32) is None
     assert any("wrong-version" in msg for msg, _ in warnings)
 
 
@@ -97,7 +98,7 @@ def test_flipped_byte_fails_checksum(tmp_path, offset):
         blob[offset] ^= 0xFF
         handle.seek(0)
         handle.write(blob)
-    assert store.get("op", "ee" * 32) is None
+    assert store.get("apps", "ee" * 32) is None
     assert warnings, "damage must be reported"
 
 
@@ -123,10 +124,10 @@ def binding():
 
 
 def test_section_keys_are_hex_and_per_declaration(binding):
-    keys = binding.operation_keys()
-    assert set(keys) == {"empty", "push", "pop", "peek", "size"}
-    all_keys = [binding.spec_key(), *keys.values(),
-                *binding.component_keys().values()]
+    keys = binding.component_keys()
+    assert set(keys) == {"notb", "andb", "orb", "nat_eq", "nat_leq", "nat_lt",
+                         "size", "within_bound"}
+    all_keys = [binding.spec_key(), *keys.values()]
     assert len(set(all_keys)) == len(all_keys)
     assert all(len(k) == 64 and int(k, 16) >= 0 for k in all_keys)
 
@@ -136,27 +137,43 @@ def test_keys_are_deterministic(binding):
     other = PersistentCacheBinding(DiskCacheStore("/nonexistent"),
                                    definition, definition.instantiate(), CONFIG)
     assert other.spec_key() == binding.spec_key()
-    assert other.operation_keys() == binding.operation_keys()
     assert other.component_keys() == binding.component_keys()
 
 
-def test_editing_one_operation_invalidates_only_its_key(binding):
-    text = open(EXAMPLE, encoding="utf-8").read()
-    edited_text = text.replace("| Nil -> Nil", "| Nil -> empty", 1)
-    assert edited_text != text
+def _edited_binding(old, new):
     from repro.spec.loader import load_module_text
 
+    text = open(EXAMPLE, encoding="utf-8").read()
+    edited_text = text.replace(old, new, 1)
+    assert edited_text != text
     definition = load_module_text(edited_text, path=EXAMPLE)
-    edited_binding = PersistentCacheBinding(
-        DiskCacheStore("/nonexistent"), definition,
-        definition.instantiate(), CONFIG)
+    return PersistentCacheBinding(DiskCacheStore("/nonexistent"), definition,
+                                  definition.instantiate(), CONFIG)
 
-    before, after = binding.operation_keys(), edited_binding.operation_keys()
-    assert after["pop"] != before["pop"]  # the edited operation
-    for name in ("empty", "push", "peek", "size"):
-        assert after[name] == before[name]  # untouched ones keep their keys
-    assert edited_binding.spec_key() == binding.spec_key()
-    assert edited_binding.component_keys() == binding.component_keys()
+
+def test_editing_an_operation_nothing_stored_calls_keeps_every_key(binding):
+    # Neither the spec nor any synthesis component calls ``pop``.
+    edited = _edited_binding("| Nil -> Nil", "| Nil -> empty")
+    assert edited.spec_key() == binding.spec_key()
+    assert edited.component_keys() == binding.component_keys()
+
+
+def test_editing_an_operation_the_spec_calls_invalidates_only_the_spec_key(binding):
+    # The spec calls ``peek``; no synthesis component does.
+    edited = _edited_binding(
+        "| Nil -> NoneN",
+        "| Nil -> (match s with | Nil -> NoneN | Cons (a, b) -> NoneN)")
+    assert edited.spec_key() != binding.spec_key()
+    assert edited.component_keys() == binding.component_keys()
+
+
+def test_a_run_stores_one_spec_section_and_one_per_component(tmp_path, binding):
+    root = str(tmp_path / "cache")
+    result = run_module(load_module_file(EXAMPLE), config=CONFIG.with_cache_dir(root))
+    assert result.succeeded
+    stats = DiskCacheStore(root).stats()
+    assert stats == {"spec": 1, "apps": len(binding.component_keys())}
+    assert result.stats.disk_cache_misses == sum(stats.values())
 
 
 def test_bounds_and_fuel_are_part_of_every_key(binding):
@@ -168,7 +185,5 @@ def test_bounds_and_fuel_are_part_of_every_key(binding):
                                    definition, definition.instantiate(),
                                    other_config)
     assert other.spec_key() != binding.spec_key()
-    assert set(other.operation_keys().values()).isdisjoint(
-        binding.operation_keys().values())
     assert set(other.component_keys().values()).isdisjoint(
         binding.component_keys().values())

@@ -18,6 +18,7 @@ from repro.core.stats import InferenceStats
 from repro.enumeration.functions import FunctionEnumerator
 from repro.enumeration.values import ValueEnumerator
 from repro.inductive.relation import ConditionalInductivenessChecker
+from repro.lang.eval import memo_table
 from repro.spec.loader import load_module_file
 from repro.suite.registry import get_benchmark
 from repro.verify.evalcache import EvaluationCache
@@ -91,13 +92,20 @@ def test_multi_iteration_runs_hit_the_cache():
     assert restored.eval_cache_misses == result.stats.eval_cache_misses
 
 
+def test_snapshot_counts_spec_entries_only():
+    engine = HanoiInference(get_benchmark("/coq/unique-list-::-set"), config=CONFIG)
+    assert engine.infer().succeeded
+    snapshot = engine.eval_cache.snapshot()
+    assert set(snapshot) == {"spec_entries", "spec_exhausted"}
+    assert snapshot["spec_entries"] == len(engine.eval_cache.entries) > 0
+
+
 def test_config_toggle_disables_the_cache():
     engine = HanoiInference(
         get_benchmark("/coq/unique-list-::-set"),
         config=CONFIG.without_evaluation_caching())
     assert engine.eval_cache is None
     assert engine.verifier.eval_cache is None
-    assert engine.checker.eval_cache is None
 
 
 # -- verifier-level behaviour ---------------------------------------------------
@@ -141,37 +149,24 @@ def test_repeated_sufficiency_checks_replay_verdicts(listset, nodup):
     assert baseline.witnesses == first.witnesses
 
 
-def test_inductiveness_checks_memoize_operation_applications(listset, nodup):
-    stats = InferenceStats()
-    cache = EvaluationCache()
-    checker = ConditionalInductivenessChecker(
-        listset, ValueEnumerator(listset.program.types), FunctionEnumerator(listset),
-        FAST_VERIFIER_BOUNDS, stats, eval_cache=cache)
-
-    first = checker.check(nodup, nodup)
-    assert isinstance(first, Valid)
-    assert len(cache.operations) > 0
-    misses_after_first = stats.eval_cache_misses
-
-    second = checker.check(nodup, nodup)
-    assert isinstance(second, Valid)
-    assert stats.eval_cache_misses == misses_after_first
-    assert stats.eval_cache_hits > 0
-
-    # Same verdict as an uncached checker.
+def test_repeated_inductiveness_checks_answer_calls_from_the_memo_table(listset, nodup):
+    """The checker re-applies every operation; the evaluator's memo table
+    answers the first-order calls a repeated check makes, and the verdict is
+    the one a check without the table gives."""
     plain = ConditionalInductivenessChecker(
         listset, ValueEnumerator(listset.program.types), FunctionEnumerator(listset),
-        FAST_VERIFIER_BOUNDS)
-    assert isinstance(plain.check(nodup, nodup), Valid)
+        FAST_VERIFIER_BOUNDS).check(nodup, nodup)
+    assert isinstance(plain, Valid)
 
-
-def test_operation_memo_respects_its_entry_cap(listset, nodup):
-    cache = EvaluationCache(max_operation_entries=5)
     checker = ConditionalInductivenessChecker(
         listset, ValueEnumerator(listset.program.types), FunctionEnumerator(listset),
-        FAST_VERIFIER_BOUNDS, eval_cache=cache)
-    assert isinstance(checker.check(nodup, nodup), Valid)
-    assert len(cache.operations) == 5
+        FAST_VERIFIER_BOUNDS)
+    with memo_table() as table:
+        assert checker.check(nodup, nodup) == plain
+        stored = dict(table)
+        assert stored
+        assert checker.check(nodup, nodup) == plain
+        assert table == stored
 
 
 # -- Section 4.3 accounting ------------------------------------------------------
@@ -189,3 +184,18 @@ def test_structures_tested_counts_structures_not_assignments(listset, nodup):
         assert stats.structures_tested > 0
         assert stats.structures_tested % 2 == 0
         assert stats.structures_tested <= FAST_VERIFIER_BOUNDS.max_total
+
+
+def test_every_inductiveness_check_counts_its_structures(listset, nodup):
+    """Inductiveness checks keep no cache of their own, so a repeated check
+    applies every operation again and counts every structure again."""
+    stats = InferenceStats()
+    checker = ConditionalInductivenessChecker(
+        listset, ValueEnumerator(listset.program.types), FunctionEnumerator(listset),
+        FAST_VERIFIER_BOUNDS, stats)
+
+    assert isinstance(checker.check(nodup, nodup), Valid)
+    first = stats.structures_tested
+    assert first > 0
+    assert isinstance(checker.check(nodup, nodup), Valid)
+    assert stats.structures_tested == 2 * first
