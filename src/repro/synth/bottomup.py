@@ -14,27 +14,29 @@ example environment.  Applications are evaluated *semantically* (component
 function values applied to previously computed argument values) rather than
 by re-interpreting whole expressions, so pool construction stays cheap.
 
-Construction separates two concerns:
+Term structure is enumerated size by size (``_build_leaves`` /
+``_build_size``); ``_build_applications`` tries every combination of
+smaller entries as arguments of one component.  It works column-wise: a
+combination's per-environment argument tuples are the columns of its
+argument vectors, looked up in the component's outcome table and applied
+only when the table has no outcome, stopping at the first crash.  The term
+itself is built only when the resulting vector is new to the pool, so the
+combinations that observational equivalence discards cost no AST.
 
-* *term-structure enumeration* - which applications are attempted at which
-  size, driven by the surviving entries of smaller sizes (``_build_leaves``
-  / ``_build_size`` / ``_build_applications``);
-* *vector evaluation* - running one component application over one tuple of
-  argument values (``_apply``), the only place object-language code runs.
-
-The split is what the cross-iteration
-:class:`~repro.synth.poolcache.SynthesisEvaluationCache` hooks into: with a
-cache attached, ``_apply`` is answered by the application memo whenever the
-``(function, arguments)`` pair was evaluated by any earlier pool of the run
-(crash outcomes included), and a pool whose construction key matches a
-previously built pool replays the stored term structure without evaluating
-anything at all.  Cached or not, the entries produced - and their order -
-are identical.
+With a :class:`~repro.synth.poolcache.SynthesisEvaluationCache` attached,
+the outcome table is the component's table in the run's application memo,
+so any ``(function, arguments)`` pair an earlier pool of the run evaluated
+(crash outcomes included) is answered without running object-language code,
+and a pool whose construction key matches a previously built pool replays
+the stored term structure without evaluating anything at all.  Cached or
+not, the entries produced - and their order - are identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import Deadline
@@ -65,11 +67,11 @@ class TypedComponent:
     fn: Value
     argument_restrictions: Tuple[Optional[frozenset], ...] = ()
 
-    @property
+    @cached_property
     def argument_types(self) -> Tuple[Type, ...]:
         return tuple(arrow_args(self.signature))
 
-    @property
+    @cached_property
     def result_type(self) -> Type:
         return arrow_result(self.signature)
 
@@ -281,51 +283,50 @@ class TermPool:
                 return
             pools.append(pool)
 
-        for combo in _product(pools):
-            if self._applications >= self.max_applications:
-                return
-            self._applications += 1
-            if self._applications % 512 == 0:
-                self.deadline.check()
-            vector = self._apply_vector(component, combo)
-            if vector is None:
-                continue
-            expr = app(EVar(component.name), *[entry.expr for entry in combo])
-            self._add(component.result_type, TermEntry(expr, size, vector))
-
-    # -- vector evaluation ----------------------------------------------------------
-
-    def _apply_vector(self, component: TypedComponent,
-                      combo: Sequence[TermEntry]) -> Optional[Tuple[Value, ...]]:
-        results: List[Value] = []
-        for index in range(len(self.environments)):
-            args = tuple(entry.vector[index] for entry in combo)
-            outcome = self._apply(component, args)
-            if outcome is CRASHED:
-                return None
-            results.append(outcome)
-        return tuple(results)
-
-    def _apply(self, component: TypedComponent, args: Tuple[Value, ...]) -> object:
-        """One component application: a result value or :data:`CRASHED`."""
-        self._evaluations += 1
-        if self.cache is None:
-            return self._evaluate(component, args)
-        outcome = self.cache.applications.get(component.fn, args)
-        if outcome is None:
-            outcome = self._evaluate(component, args)
-            self.cache.applications.put(component.fn, args, outcome)
-            if self.stats is not None:
-                self.stats.pool_cache_misses += 1
-        elif self.stats is not None:
-            self.stats.pool_cache_hits += 1
-        return outcome
-
-    def _evaluate(self, component: TypedComponent, args: Tuple[Value, ...]) -> object:
+        result_type = component.result_type
+        fn = component.fn
+        apply = self.program.apply
+        seen = self._seen
+        memo = self.cache.applications if self.cache is not None else None
+        outcomes = memo.table(fn) if memo is not None else {}
+        applications = self._applications
+        evaluations = misses = 0
         try:
-            return self.program.apply(component.fn, *args)
-        except (LangError, KeyError, ValueError):
-            return CRASHED
+            # ``product`` varies its last pool fastest; the reversed pools and
+            # combinations make the first argument vary fastest instead.
+            for combo in product(*reversed(pools)):
+                if applications >= self.max_applications:
+                    return
+                applications += 1
+                if applications % 512 == 0:
+                    self.deadline.check()
+                results: List[Value] = []
+                for args in zip(*[entry.vector for entry in reversed(combo)]):
+                    evaluations += 1
+                    outcome = outcomes.get(args)
+                    if outcome is None:
+                        misses += 1
+                        try:
+                            outcome = apply(fn, *args)
+                        except (LangError, KeyError, ValueError):
+                            outcome = CRASHED
+                        if memo is not None:
+                            memo.put(fn, args, outcome)
+                    if outcome is CRASHED:
+                        break
+                    results.append(outcome)
+                else:
+                    vector = tuple(results)
+                    if (result_type, vector) not in seen:
+                        expr = app(EVar(component.name),
+                                   *[entry.expr for entry in reversed(combo)])
+                        self._add(result_type, TermEntry(expr, size, vector))
+        finally:
+            self._applications = applications
+            self._evaluations += evaluations
+            if memo is not None and self.stats is not None:
+                self.stats.pool_cache_hits += evaluations - misses
+                self.stats.pool_cache_misses += misses
 
 
 def _partitions(total: int, parts: int):
@@ -336,13 +337,3 @@ def _partitions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _partitions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _product(pools: Sequence[List[TermEntry]]):
-    if not pools:
-        yield ()
-        return
-    head, rest = pools[0], pools[1:]
-    for tail in _product(rest):
-        for item in head:
-            yield (item,) + tail

@@ -11,12 +11,14 @@ grow between iterations.  Two stores exploit that:
 * :class:`ApplicationMemo` memoizes ``program.apply(component.fn, *args)``
   per ``(component function, argument values)`` across **all** pools of a
   run - crash outcomes included, which the uncached path re-raises and
-  re-catches on every iteration.  Keys hash the component's function value
-  itself: first-order module globals are one stable object per run (so their
-  applications replay across iterations), while the synthesizer's
-  oracle-interpreted recursive call is a fresh ``VNative`` per synthesis
-  call (so its applications replay only within one call, never against a
-  stale oracle - the oracle's expected values change as examples grow).
+  re-catches on every iteration.  It keeps one ``args -> outcome`` table per
+  component function value: first-order module globals are one stable
+  object per run (so their applications replay across iterations), while
+  the synthesizer's oracle-interpreted recursive call is a fresh
+  ``VNative`` per synthesis call (so its applications replay only within
+  one call, never against a stale oracle - the oracle's expected values
+  change as examples grow).  A pool fetches a component's table once and
+  then looks up argument tuples only.
 
 * :class:`PoolMemo` reuses whole pool skeletons: when a later synthesis call
   reaches a branch whose ``(context, components, example environments,
@@ -80,28 +82,43 @@ def _restore_crashed() -> "_Crashed":
 class ApplicationMemo:
     """Memoizes component-application outcomes per ``(function, arguments)``.
 
-    Keys pair the component's function value with the tuple of first-order
-    argument values.  Function values hash by identity (module globals are
-    one object per run; a fresh oracle ``VNative`` per synthesis call keys
-    its own applications) and argument values hash structurally.
-    ``max_entries`` bounds memory: a full memo keeps answering lookups but
-    stops storing new outcomes, which only costs speed, never correctness.
+    Outcomes live in one table per function value, keyed by the tuple of
+    first-order argument values.  Function values hash by identity (module
+    globals are one object per run; a fresh oracle ``VNative`` per synthesis
+    call keys its own table) and argument values hash structurally, so a
+    pool that fetches a component's :meth:`table` once hashes only argument
+    tuples afterwards.  ``max_entries`` bounds the entries of all tables
+    together: a full memo keeps answering lookups but stops storing new
+    outcomes, which only costs speed, never correctness.
     """
 
     def __init__(self, max_entries: int = 500_000) -> None:
         self.max_entries = max_entries
-        self._outcomes: Dict[Tuple[Value, Tuple[Value, ...]], object] = {}
+        self._tables: Dict[Value, Dict[Tuple[Value, ...], object]] = {}
+        self._entries = 0
 
     def __len__(self) -> int:
-        return len(self._outcomes)
+        return self._entries
+
+    def table(self, fn: Value) -> Dict[Tuple[Value, ...], object]:
+        """The ``args -> outcome`` table of ``fn``, for lookups only: add
+        outcomes through :meth:`put`, which keeps the entry count."""
+        table = self._tables.get(fn)
+        if table is None:
+            table = self._tables[fn] = {}
+        return table
 
     def get(self, fn: Value, args: Tuple[Value, ...]) -> Optional[object]:
         """The stored outcome (a value or :data:`CRASHED`), or None if unseen."""
-        return self._outcomes.get((fn, args))
+        table = self._tables.get(fn)
+        return None if table is None else table.get(args)
 
     def put(self, fn: Value, args: Tuple[Value, ...], outcome: object) -> None:
-        if len(self._outcomes) < self.max_entries:
-            self._outcomes[(fn, args)] = outcome
+        if self._entries < self.max_entries:
+            table = self.table(fn)
+            if args not in table:
+                self._entries += 1
+            table[args] = outcome
 
     def export_outcomes(self, names: Dict[int, str]
                         ) -> List[Tuple[str, Tuple[Value, ...], object]]:
@@ -109,16 +126,17 @@ class ApplicationMemo:
 
         ``names`` maps ``id(fn)`` to the module-global name bound to that
         function value, so identity-hashed keys can be re-bound to the fresh
-        function objects of another process.  Entries keyed by anything else
+        function objects of another process.  Tables keyed by anything else
         (the synthesizer's per-call oracle ``VNative``, enumerated function
         arguments) are skipped - their identities are meaningless outside
         this run.  Output order is hash-seed-independent.
         """
         exported = [
             (names[id(fn)], args, outcome)
-            for (fn, args), outcome in self._outcomes.items()
+            for fn, table in self._tables.items()
             if id(fn) in names
-            and all(is_first_order(v) for v in args)
+            for args, outcome in table.items()
+            if all(is_first_order(v) for v in args)
             and (outcome is CRASHED or is_first_order(outcome))
         ]
         exported.sort(key=lambda item: (item[0],
@@ -137,11 +155,12 @@ class ApplicationMemo:
             fn = values.get(name)
             if fn is None:
                 continue
-            if len(self._outcomes) >= self.max_entries:
+            if self._entries >= self.max_entries:
                 break
-            key = (fn, args)
-            if key not in self._outcomes:
-                self._outcomes[key] = outcome
+            table = self.table(fn)
+            if args not in table:
+                table[args] = outcome
+                self._entries += 1
                 adopted += 1
         return adopted
 
@@ -156,8 +175,9 @@ class PoolSnapshot:
     ``applications`` is the number of candidate combinations the build
     attempted, so a replay restores the pool's budget accounting; and
     ``evaluations`` is the number of per-environment component applications
-    the build performed (one per ``_apply`` call), so a replay credits the
-    hit counter in the same unit the memo's own hits and misses use.
+    the build looked up (one per argument column, up to the first crash),
+    so a replay credits the hit counter in the same unit the memo's own
+    hits and misses use.
     """
 
     entries: Tuple[Tuple[object, object], ...]

@@ -261,3 +261,111 @@ def test_memo_caps_bound_memory(listset):
     grown = ENVIRONMENTS + [{"x": v_list([]), "n": nat_of_int(2)}]
     _pool(listset, cache, stats, grown)
     assert len(cache.pools) == 1
+
+
+# -- cap cut-off and evaluation accounting ----------------------------------------
+
+THREE_ENVIRONMENTS = ENVIRONMENTS + [{"x": v_list([]), "n": nat_of_int(2)}]
+
+
+def _wide_pool(listset, max_size, max_applications=60_000, cache=None, stats=None,
+               deadline=None):
+    program = listset.program
+    components = [TypedComponent(name, program.global_type(name), program.global_value(name))
+                  for name in ("nat_eq", "lookup", "insert", "andb", "plus")]
+    return TermPool(
+        program, components, context=[("x", TData("list")), ("n", TData("nat"))],
+        environments=THREE_ENVIRONMENTS, max_size=max_size,
+        max_applications=max_applications, deadline=deadline, cache=cache, stats=stats)
+
+
+def _rendered(pool):
+    return {result_type: [(str(e.expr), e.size, e.vector) for e in pool.entries(result_type)]
+            for result_type in (TData("bool"), TData("nat"), TData("list"))}
+
+
+@pytest.mark.parametrize("cap", [1, 7, 37])
+def test_application_cap_cuts_off_identically_cached_or_not(listset, cap):
+    uncapped = _wide_pool(listset, max_size=6)
+    assert uncapped._applications > cap
+    plain = _wide_pool(listset, max_size=6, max_applications=cap)
+    # The pool memo never stores, so the warm build below is a real rebuild
+    # answered by the application memo the cold build filled.
+    cache = SynthesisEvaluationCache(max_pool_entries=0)
+    cold_stats, warm_stats = InferenceStats(), InferenceStats()
+    cold = _wide_pool(listset, 6, cap, cache, cold_stats)
+    warm = _wide_pool(listset, 6, cap, cache, warm_stats)
+    assert len(cache.pools) == 0
+    assert warm_stats.pool_cache_misses == 0
+    assert warm_stats.pool_cache_hits == warm._evaluations
+    for pool in (plain, cold, warm):
+        assert pool._applications == cap
+        assert _rendered(pool) == _rendered(plain)
+    if cap == 7:
+        # The cut falls inside a size: the last size reached keeps some, but
+        # not all, of the entries the uncapped pool has there.
+        last = max(entry.size for _, entry in plain._order)
+        kept = [e for _, e in plain._order if e.size == last]
+        full = [e for _, e in uncapped._order if e.size == last]
+        assert 0 < len(kept) < len(full)
+
+
+def test_a_crash_partway_through_a_vector_counts_the_evaluations_up_to_it(listset):
+    from repro.lang.types import arrow
+    from repro.lang.values import VNative
+
+    calls = []
+
+    def crashy(value):
+        calls.append(value)
+        if value == nat_of_int(2):
+            raise ValueError("component crash")
+        return v_list([value])
+
+    component = TypedComponent("crashy", arrow(TData("nat"), TData("list")),
+                               VNative(crashy, name="crashy"))
+    environments = [{"n": nat_of_int(1)}, {"n": nat_of_int(2)}, {"n": nat_of_int(3)}]
+
+    def build(cache, stats):
+        return TermPool(listset.program, [component], [("n", TData("nat"))],
+                        environments, max_size=3, cache=cache, stats=stats)
+
+    plain = build(None, None)
+    # ``crashy n`` crashes on the second environment and stops there (two
+    # evaluations); ``crashy O`` evaluates on all three.
+    assert calls == [nat_of_int(1), nat_of_int(2), nat_of_int(0),
+                     nat_of_int(0), nat_of_int(0)]
+    assert plain._evaluations == 5
+    terms = [str(e.expr) for e in plain.entries(TData("list"))]
+    assert "(crashy O)" in terms
+    assert "(crashy n)" not in terms
+
+    cache = SynthesisEvaluationCache(max_pool_entries=0)
+    for expected_misses in (3, 0):  # cold, then warm
+        stats = InferenceStats()
+        pool = build(cache, stats)
+        assert stats.pool_cache_hits + stats.pool_cache_misses == pool._evaluations == 5
+        assert stats.pool_cache_misses == expected_misses
+        assert _rendered(pool) == _rendered(plain)
+
+
+def test_an_expired_deadline_leaves_exact_counters(listset):
+    import time
+
+    from repro.core.config import Deadline, InferenceTimeout
+
+    # The deadline is checked at every 512th application, before it is
+    # evaluated, so the build that raises has done exactly the evaluations
+    # of a build capped at 511 applications.
+    assert _wide_pool(listset, max_size=12)._applications > 512
+    expected = _wide_pool(listset, max_size=12, max_applications=511)._evaluations
+    for cache in (None, SynthesisEvaluationCache(max_pool_entries=0)):
+        stats = InferenceStats()
+        expired = Deadline(0.0, started_at=time.perf_counter() - 1.0)
+        with pytest.raises(InferenceTimeout):
+            _wide_pool(listset, 12, cache=cache, stats=stats, deadline=expired)
+        if cache is None:
+            assert stats.pool_cache_hits == stats.pool_cache_misses == 0
+        else:
+            assert stats.pool_cache_hits + stats.pool_cache_misses == expected
+            assert stats.pool_cache_misses == len(cache.applications)
