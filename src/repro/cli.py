@@ -60,8 +60,8 @@ declarations' verification and synthesis work across processes
 
 ``trace``
     Analyze a JSONL trace written with ``--trace``: per-phase time breakdown,
-    cache hit-rate tables cross-checked against the stats counters, the
-    slowest spans, and an optional Chrome trace-event export (see
+    cache hit-rate tables read from each run's ``run-end`` stats counters,
+    the slowest spans, and an optional Chrome trace-event export (see
     docs/observability.md).
 
 The ``run``, ``infer``, ``figure8``, and ``fuzz`` subcommands all accept

@@ -29,88 +29,33 @@ The loop terminates when a candidate passes both phases: that candidate is a
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Optional, Set
 
-from ..enumeration.functions import FunctionEnumerator
-from ..enumeration.values import ValueEnumerator
-from ..inductive.relation import ConditionalInductivenessChecker
 from ..lang.values import Value, value_size
-from ..obs.events import Emitter, LegacyRecorder
-from ..obs.sinks import LegacyEventSink, installed_sinks
 # Re-exported only because perfbench/layers.py wraps canonical_hash here.
 from ..analysis.canon import canonical_hash  # noqa: F401
 from ..synth.base import SynthesisFailure
 from ..synth.cache import SynthesisResultCache
-from ..synth.myth import MythSynthesizer
-from ..synth.poolcache import SynthesisEvaluationCache
-from ..verify.evalcache import EvaluationCache
 from ..verify.result import InductivenessCounterexample, SufficiencyCounterexample
-from ..verify.tester import Verifier
-from .config import Deadline, HanoiConfig, InferenceTimeout
-from .module import ModuleDefinition, ModuleInstance
+from .config import HanoiConfig, InferenceTimeout
+from .module import ModuleDefinition
 from .predicate import Predicate
 from .result import InferenceResult, Status
-from .stats import InferenceStats
+from .run import InferenceRun, SynthesizerFactory
 from .trace import CounterexampleTrace
 
-__all__ = ["HanoiInference", "infer_invariant"]
-
-SynthesizerFactory = Callable[..., object]
+__all__ = ["HanoiInference", "SynthesizerFactory", "infer_invariant"]
 
 
-class HanoiInference:
+class HanoiInference(InferenceRun):
     """One configured inference run over one module."""
+
+    MODE = "hanoi"
 
     def __init__(self, module: ModuleDefinition, config: Optional[HanoiConfig] = None,
                  synthesizer_factory: Optional[SynthesizerFactory] = None,
-                 mode_name: str = "hanoi", emitter: Optional[object] = None):
-        self.config = config or HanoiConfig()
-        self.definition = module
-        self.instance: ModuleInstance = module.instantiate(fuel=self.config.eval_fuel)
-        self.mode_name = mode_name
-
-        # The run always needs its legacy event log (it populates
-        # ``InferenceResult.events``); spans and the rest of the trace stream
-        # exist only when tracing is on.  With no emitter supplied and no sink
-        # installed, the LegacyRecorder keeps the run exactly as cheap as the
-        # seed's ad-hoc ``self.events.append``.
-        if emitter is None:
-            sinks = installed_sinks()
-            if sinks:
-                emitter = Emitter(sinks=sinks, run=f"{module.name}/{mode_name}")
-            else:
-                emitter = LegacyRecorder()
-        if isinstance(emitter, Emitter):
-            self._legacy = LegacyEventSink()
-            emitter.sinks.append(self._legacy)
-            self.events: List[dict] = self._legacy.events
-        else:
-            self.events = getattr(emitter, "events", [])
-        self.emitter = emitter
-
-        self.stats = InferenceStats()
-        self.deadline: Deadline = self.config.deadline()
-        self.enumerator = ValueEnumerator(self.instance.program.types)
-        self.eval_cache: Optional[EvaluationCache] = (
-            EvaluationCache() if self.config.evaluation_caching else None
-        )
-        self.verifier = Verifier(
-            self.instance, self.enumerator, self.config.verifier_bounds, self.stats,
-            self.deadline, eval_cache=self.eval_cache, emitter=self.emitter,
-        )
-        self.checker = ConditionalInductivenessChecker(
-            self.instance,
-            self.enumerator,
-            FunctionEnumerator(self.instance),
-            self.config.verifier_bounds,
-            self.stats,
-            self.deadline,
-            emitter=self.emitter,
-        )
-        self.pool_cache: Optional[SynthesisEvaluationCache] = (
-            SynthesisEvaluationCache()
-            if self.config.synthesis_evaluation_caching else None
-        )
+                 mode_name: Optional[str] = None, emitter: Optional[object] = None):
+        super().__init__(module, config, synthesizer_factory, mode_name, emitter)
         # Persistent cache tier (docs/service.md): warm the freshly created
         # caches from the content-addressed disk store before the loop
         # starts.  Strictly best-effort - any failure here or at write-back
@@ -134,47 +79,24 @@ class HanoiInference:
                 self.persistent = None
                 self._disk_cache_warning("persistent cache disabled for this run",
                                          {"error": repr(error)})
-        factory = synthesizer_factory or MythSynthesizer
-        self.synthesizer = factory(
-            self.instance,
-            bounds=self.config.synthesis_bounds,
-            stats=self.stats,
-            deadline=self.deadline,
-            pool_cache=self.pool_cache,
-        )
         self.cache: Optional[SynthesisResultCache] = (
             SynthesisResultCache() if self.config.synthesis_result_caching else None
         )
         self.trace: Optional[CounterexampleTrace] = (
             CounterexampleTrace() if self.config.counterexample_list_caching else None
         )
-        # Custom factories (tests) may not accept an ``emitter`` kwarg, so the
-        # synthesizer is wired up after construction; objects that cannot take
-        # the attribute simply run untraced.
-        try:
-            self.synthesizer.emitter = self.emitter
-        except AttributeError:
-            pass
 
     # -- public API -------------------------------------------------------------
 
     def infer(self) -> InferenceResult:
         """Run the CEGIS loop of Figure 4 and return the outcome."""
-        emitter = self.emitter
-        if not emitter.enabled:
-            result = self._infer()
-            self._persist_caches()
-            return result
-        with emitter.span("run", {"benchmark": self.definition.name,
-                                  "mode": self.mode_name}, cat="run"):
-            emitter.emit("run-start", {"benchmark": self.definition.name,
-                                       "mode": self.mode_name}, cat="run")
-            result = self._infer()
-            self._persist_caches()
+        return self._traced(self._infer_and_persist)
+
+    def _infer_and_persist(self) -> InferenceResult:
+        result = self._infer()
+        self._persist_caches()
+        if self.emitter.enabled:
             self._emit_cache_snapshot()
-            emitter.emit("run-end", {"status": result.status,
-                                     "iterations": result.iterations,
-                                     "stats": self.stats.counters()}, cat="run")
         return result
 
     def _persist_caches(self) -> None:
@@ -188,9 +110,7 @@ class HanoiInference:
                                      {"error": repr(error)})
 
     def _disk_cache_warning(self, message: str, detail: dict) -> None:
-        data: dict = {"message": message}
-        data.update(detail)
-        self.emitter.emit("disk-cache-warning", data, legacy=True)
+        self._log("disk-cache-warning", None, message=message, **detail)
 
     def _emit_cache_snapshot(self) -> None:
         """Final cache occupancy, for the analyzer's growth reporting."""
@@ -343,8 +263,6 @@ class HanoiInference:
             cached = self.cache.lookup(positives, negatives)
             if cached is not None:
                 self.stats.synthesis_cache_hits += 1
-                if self.emitter.enabled:
-                    self.emitter.emit("synthesis-result-cache", {"hits": 1}, cat="cache")
                 self._log("synthesis-cache-hit", cached)
                 return cached
         candidates = self.synthesizer.synthesize(positives, negatives)
@@ -372,25 +290,15 @@ class HanoiInference:
         negatives.update(replacement)
 
     def _log(self, event: str, candidate: Optional[object], **details: object) -> None:
+        """Append one entry to the loop log, and mirror it as a ``loop``
+        trace record when tracing is on."""
         data: dict = {}
         if candidate is not None:
             data["candidate_size"] = getattr(candidate, "size", None)
         data.update(details)
-        self.emitter.emit(event, data, legacy=True)
-
-    def _result(self, status: str, invariant: Optional[Predicate], iterations: int,
-                message: str = "") -> InferenceResult:
-        self.stats.finish()
-        return InferenceResult(
-            benchmark=self.definition.name,
-            mode=self.mode_name,
-            status=status,
-            invariant=invariant,
-            stats=self.stats,
-            message=message,
-            iterations=iterations,
-            events=self.events,
-        )
+        self.events.append({"event": event, **data})
+        if self.emitter.enabled:
+            self.emitter.emit(event, data, cat="loop")
 
 
 def infer_invariant(module: ModuleDefinition, config: Optional[HanoiConfig] = None,

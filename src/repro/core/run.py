@@ -1,0 +1,126 @@
+"""The scaffold every inference mode runs on.
+
+The paper defines Hanoi as a loop "parameterized by an example-based
+synthesis engine and a verifier", and its Figure-8 baselines (∧Str, LA,
+OneShot; Section 5.5) as other loops over the same two components.
+:class:`InferenceRun` builds that shared stack once - the module instance,
+the value enumerator, the verifier, the conditional-inductiveness checker,
+the optional evaluation and pool caches, the synthesizer, the stats and the
+deadline - and records the run the same way for every mode: one ``run``
+span enclosing ``run-start`` and ``run-end`` (which carries the final
+:meth:`~repro.core.stats.InferenceStats.counters`).  A mode subclasses it
+and supplies only its loop, as ``_infer``.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, List, Optional
+
+from ..enumeration.functions import FunctionEnumerator
+from ..enumeration.values import ValueEnumerator
+from ..inductive.relation import ConditionalInductivenessChecker
+from ..obs.sinks import emitter_for_run
+from ..synth.myth import MythSynthesizer
+from ..synth.poolcache import SynthesisEvaluationCache
+from ..verify.evalcache import EvaluationCache
+from ..verify.tester import Verifier
+from .config import Deadline, HanoiConfig
+from .module import ModuleDefinition, ModuleInstance
+from .result import InferenceResult
+from .stats import InferenceStats
+
+__all__ = ["InferenceRun", "SynthesizerFactory"]
+
+SynthesizerFactory = Callable[..., object]
+
+
+class InferenceRun:
+    """One configured inference run over one module; subclasses add the loop.
+
+    ``emitter`` defaults to a live emitter over the installed trace sinks
+    (or the shared null emitter when none is installed).  ``events`` is the
+    run's loop log, ``InferenceResult.events``; modes that keep no log leave
+    it empty.
+    """
+
+    #: The mode's name in results and trace run labels.
+    MODE = ""
+
+    def __init__(self, module: ModuleDefinition, config: Optional[HanoiConfig] = None,
+                 synthesizer_factory: Optional[SynthesizerFactory] = None,
+                 mode_name: Optional[str] = None, emitter: Optional[object] = None):
+        self.config = config or HanoiConfig()
+        self.definition = module
+        self.instance: ModuleInstance = module.instantiate(fuel=self.config.eval_fuel)
+        self.mode_name = mode_name or self.MODE
+        self.stats = InferenceStats()
+        self.deadline: Deadline = self.config.deadline()
+        self.emitter = emitter if emitter is not None else (
+            emitter_for_run(f"{module.name}/{self.mode_name}"))
+        self.events: List[dict] = []
+
+        self.enumerator = ValueEnumerator(self.instance.program.types)
+        self.eval_cache: Optional[EvaluationCache] = (
+            EvaluationCache() if self.config.evaluation_caching else None
+        )
+        self.verifier = Verifier(
+            self.instance, self.enumerator, self.config.verifier_bounds, self.stats,
+            self.deadline, eval_cache=self.eval_cache, emitter=self.emitter,
+        )
+        self.checker = ConditionalInductivenessChecker(
+            self.instance, self.enumerator, FunctionEnumerator(self.instance),
+            self.config.verifier_bounds, self.stats, self.deadline,
+            emitter=self.emitter,
+        )
+        self.pool_cache: Optional[SynthesisEvaluationCache] = (
+            SynthesisEvaluationCache()
+            if self.config.synthesis_evaluation_caching else None
+        )
+        factory = synthesizer_factory or MythSynthesizer
+        self.synthesizer = factory(
+            self.instance, bounds=self.config.synthesis_bounds,
+            stats=self.stats, deadline=self.deadline, pool_cache=self.pool_cache,
+        )
+        # Custom factories (tests) may not accept an ``emitter`` kwarg, so the
+        # synthesizer is wired up after construction; objects that cannot take
+        # the attribute simply run untraced.
+        try:
+            self.synthesizer.emitter = self.emitter
+        except AttributeError:
+            pass
+
+    def infer(self) -> InferenceResult:
+        """Run the mode's loop and return the outcome."""
+        return self._traced(self._infer)
+
+    def _infer(self) -> InferenceResult:
+        raise NotImplementedError
+
+    def _traced(self, body: Callable[[], InferenceResult]) -> InferenceResult:
+        """Run ``body`` inside the ``run`` span, between ``run-start`` and
+        ``run-end``; with tracing off, just run it."""
+        emitter = self.emitter
+        if not emitter.enabled:
+            return body()
+        identity = {"benchmark": self.definition.name, "mode": self.mode_name}
+        with emitter.span("run", identity, cat="run"):
+            emitter.emit("run-start", identity, cat="run")
+            result = body()
+            emitter.emit("run-end", {"status": result.status,
+                                     "iterations": result.iterations,
+                                     "stats": self.stats.counters()}, cat="run")
+        return result
+
+    def _result(self, status: str, invariant: Optional[object], iterations: int,
+                message: str = "") -> InferenceResult:
+        self.stats.finish()
+        return InferenceResult(
+            benchmark=self.definition.name,
+            mode=self.mode_name,
+            status=status,
+            invariant=invariant,
+            stats=self.stats,
+            message=message,
+            iterations=iterations,
+            events=self.events,
+        )

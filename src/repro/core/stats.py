@@ -146,9 +146,9 @@ class InferenceStats:
     def counters(self) -> Dict[str, int]:
         """The integer counters only (no wall-clock timers).
 
-        Used by the observability layer: ``run-end`` trace events carry these
-        so ``repro trace`` can cross-check cache hit rates derived from the
-        event stream, and golden-trace tests can assert byte-identity.
+        Used by the observability layer: ``run-end`` trace events carry these,
+        they are the only source of the cache hit rates ``repro trace``
+        reports, and golden-trace tests can assert byte-identity.
         """
         return {name: getattr(self, name) for name in self.INT_COUNTER_FIELDS}
 

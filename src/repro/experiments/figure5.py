@@ -68,6 +68,8 @@ def trace_lines(result: InferenceResult) -> List[str]:
             lines.append(f"{index:3d}.   trace replay kept {event.get('kept')} negative example(s)")
         elif kind == "success":
             lines.append(f"{index:3d}. success: invariant of size {size}")
+        elif kind == "disk-cache-warning":
+            lines.append(f"{index:3d}. (disk cache: {event.get('message')})")
     return lines
 
 

@@ -12,9 +12,10 @@ The observability layer has three pieces:
   flag), a live CLI progress renderer, and a cross-process queue sink the
   parallel runner uses to stream worker events back to the parent.
 * :mod:`repro.obs.analyze` - the ``repro trace`` subcommand: per-phase time
-  breakdowns, cache hit-rate tables cross-checked against the stored
-  :class:`~repro.core.stats.InferenceStats`, slowest-span listings, and
-  Chrome trace-event export loadable in ``chrome://tracing`` / Perfetto.
+  breakdowns, cache hit-rate tables read from the
+  :class:`~repro.core.stats.InferenceStats` counters on each ``run-end``
+  record, slowest-span listings, and Chrome trace-event export loadable in
+  ``chrome://tracing`` / Perfetto.
 
 See docs/observability.md for the schema and the span hierarchy.
 """
@@ -23,13 +24,11 @@ from .events import (
     NULL_EMITTER,
     SCHEMA_VERSION,
     Emitter,
-    LegacyRecorder,
     NullEmitter,
 )
 from .sinks import (
     InMemorySink,
     JsonlTraceSink,
-    LegacyEventSink,
     LiveRenderer,
     QueueSink,
     emitter_for_run,
@@ -44,10 +43,8 @@ __all__ = [
     "Emitter",
     "NullEmitter",
     "NULL_EMITTER",
-    "LegacyRecorder",
     "InMemorySink",
     "JsonlTraceSink",
-    "LegacyEventSink",
     "LiveRenderer",
     "QueueSink",
     "install_sink",

@@ -7,10 +7,9 @@ renders:
 * a **per-phase time breakdown** - span durations aggregated by span name
   (synthesis, sufficiency-check, inductiveness checks, iterations), with
   call counts, totals, means, and maxima;
-* **cache hit-rate tables** derived from the ``cache``-category event stream,
-  cross-checked against the final :class:`~repro.core.stats.InferenceStats`
-  counters stamped on each ``run-end`` event - a mismatch means the
-  instrumentation and the stats layer disagree and is flagged loudly;
+* **cache hit-rate tables** read from the final
+  :class:`~repro.core.stats.InferenceStats` counters stamped on each
+  ``run-end`` event;
 * the **slowest spans** of the trace (``--top N``);
 * a **Chrome trace-event export** (``--chrome out.json``) loadable in
   ``chrome://tracing`` or https://ui.perfetto.dev - each run becomes a
@@ -43,9 +42,8 @@ __all__ = [
     "main",
 ]
 
-#: ``(cache event name, stats hit counter, stats miss counter)`` triples the
-#: cross-check knows about.  Cache events carry per-call ``hits``/``misses``
-#: deltas; their sums must reproduce the run's final stats counters.
+#: ``(layer, stats hit counter, stats miss counter)`` triples the cache
+#: tables report; the synthesis result cache counts hits only.
 CACHE_LAYERS: Tuple[Tuple[str, str, Optional[str]], ...] = (
     ("eval-cache", "eval_cache_hits", "eval_cache_misses"),
     ("pool-cache", "pool_cache_hits", "pool_cache_misses"),
@@ -126,47 +124,32 @@ def _runs(records: Sequence[dict]) -> "OrderedDict[str, List[dict]]":
     return by_run
 
 
-def cache_tables(records: Sequence[dict]) -> Tuple[List[List[object]], List[str]]:
-    """Per-run cache hit-rate rows plus cross-check failure messages.
+def cache_tables(records: Sequence[dict]) -> List[List[object]]:
+    """Per-run cache hit-rate rows, ``[run, layer, hits, misses, rate]``.
 
-    Rows are ``[run, layer, hits, misses, rate]`` with hits/misses summed
-    from the event stream; each is compared against the ``run-end`` stats
-    counters (when present) and any disagreement is reported.
+    The counts are the ``stats`` counters of each run's ``run-end`` event;
+    a run without one (interrupted) has no rows, and a layer whose hit
+    counter is absent is skipped.  Misses and rate are ``-`` for a layer
+    that counts hits only.
     """
     rows: List[List[object]] = []
-    mismatches: List[str] = []
     for run, run_records in _runs(records).items():
         stats: Dict[str, object] = {}
         for record in run_records:
             if record.get("name") == "run-end" and record.get("kind") == "event":
                 stats = (record.get("data") or {}).get("stats", {}) or {}
-        for event_name, hits_key, misses_key in CACHE_LAYERS:
-            hits = misses = 0
-            seen = False
-            for record in run_records:
-                if record.get("kind") == "event" and record.get("name") == event_name:
-                    data = record.get("data") or {}
-                    hits += int(data.get("hits", 0))
-                    misses += int(data.get("misses", 0))
-                    seen = True
-            if not seen and not stats:
+        for layer, hits_key, misses_key in CACHE_LAYERS:
+            if hits_key not in stats:
                 continue
+            hits = int(stats[hits_key])
+            if misses_key is None:
+                rows.append([run, layer, hits, "-", "-"])
+                continue
+            misses = int(stats.get(misses_key, 0))
             lookups = hits + misses
-            rate = f"{hits / lookups:.1%}" if lookups else "-"
-            rows.append([run, event_name, hits, misses, rate])
-            if stats:
-                expected_hits = stats.get(hits_key)
-                if expected_hits is not None and int(expected_hits) != hits:
-                    mismatches.append(
-                        f"{run}: {event_name} hits from events ({hits}) != "
-                        f"stats.{hits_key} ({expected_hits})")
-                if misses_key is not None:
-                    expected_misses = stats.get(misses_key)
-                    if expected_misses is not None and int(expected_misses) != misses:
-                        mismatches.append(
-                            f"{run}: {event_name} misses from events ({misses}) != "
-                            f"stats.{misses_key} ({expected_misses})")
-    return rows, mismatches
+            rows.append([run, layer, hits, misses,
+                         f"{hits / lookups:.1%}" if lookups else "-"])
+    return rows
 
 
 def slowest_spans(records: Sequence[dict], top: int = 10) -> List[List[object]]:
@@ -271,14 +254,10 @@ def run(args: argparse.Namespace) -> int:
         print("\nPer-phase time breakdown (span durations, emitter clock units):")
         print(format_table(["Phase", "Calls", "Total", "Mean", "Max"], rows))
 
-    cache_rows, mismatches = cache_tables(records)
+    cache_rows = cache_tables(records)
     if cache_rows:
-        print("\nCache hit rates (derived from the event stream):")
+        print("\nCache hit rates (from the run-end stats counters):")
         print(format_table(["Run", "Layer", "Hits", "Misses", "Hit rate"], cache_rows))
-    if mismatches:
-        print("\nCROSS-CHECK FAILURES (event stream vs InferenceStats):")
-        for mismatch in mismatches:
-            print(f"  {mismatch}")
 
     slow = slowest_spans(records, args.top)
     if slow:
@@ -292,7 +271,7 @@ def run(args: argparse.Namespace) -> int:
         print(f"\nwrote Chrome trace ({len(payload['traceEvents'])} event(s)) "
               f"to {args.chrome}; open in chrome://tracing or ui.perfetto.dev")
 
-    return 1 if mismatches else 0
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -19,7 +19,7 @@ key      meaning
 ``ts``   timestamp from the emitter's clock, relative to emitter creation
 ``run``  run identity (``benchmark``/``mode`` label), same for a whole run
 ``kind`` ``"event"``, ``"span-start"``, or ``"span-end"``
-``cat``  coarse category: ``loop`` (CEGIS decisions, the legacy event log),
+``cat``  coarse category: ``loop`` (CEGIS decisions, mirroring the loop log),
          ``phase`` (timed spans), ``cache`` (cache milestones), ``run``
          (run start/end), ``stream`` (runner-level records)
 ``name`` the event or span name
@@ -39,10 +39,7 @@ trace of a deterministic run is byte-identical across processes and
 Zero-cost-when-off: code that may run with tracing disabled receives
 :data:`NULL_EMITTER`, whose ``emit`` returns immediately and whose ``span``
 returns a shared no-op context manager; hot call sites additionally guard on
-``emitter.enabled`` so no payload dictionary is ever built.  The
-:class:`LegacyRecorder` sits in between: it keeps the byte-compatible
-``InferenceResult.events`` log that consumers (Figure 5, the fuzzer) rely on,
-while behaving like a disabled emitter for every other record.
+``emitter.enabled`` so no payload dictionary is ever built.
 """
 
 from __future__ import annotations
@@ -56,8 +53,6 @@ __all__ = [
     "Emitter",
     "NullEmitter",
     "NULL_EMITTER",
-    "LegacyRecorder",
-    "legacy_entry",
 ]
 
 #: Version stamped on every record; bump when the record shape changes.
@@ -77,19 +72,6 @@ class CountingClock:
     def __call__(self) -> int:
         self._tick += 1
         return self._tick
-
-
-def legacy_entry(name: str, data: Optional[Dict[str, object]]) -> Dict[str, object]:
-    """The ``InferenceResult.events`` dictionary for one loop event.
-
-    Reproduces the seed's ``HanoiInference._log`` layout exactly - ``event``
-    first, then the detail keys in their original order - so stored results
-    and every events consumer stay byte-compatible.
-    """
-    entry: Dict[str, object] = {"event": name}
-    if data:
-        entry.update(data)
-    return entry
 
 
 class _NullSpan:
@@ -119,7 +101,7 @@ class NullEmitter:
     enabled = False
 
     def emit(self, name: str, data: Optional[Dict[str, object]] = None,
-             cat: str = "event", legacy: bool = False) -> None:
+             cat: str = "event") -> None:
         return None
 
     def span(self, name: str, data: Optional[Dict[str, object]] = None,
@@ -129,28 +111,6 @@ class NullEmitter:
 
 #: The shared disabled emitter; components default to it.
 NULL_EMITTER = NullEmitter()
-
-
-class LegacyRecorder(NullEmitter):
-    """A disabled emitter that still keeps the legacy per-run event log.
-
-    :class:`~repro.core.hanoi.HanoiInference` always needs its loop events
-    (they populate ``InferenceResult.events``), but when no trace sink is
-    installed there is no reason to pay for spans or sequence/timestamp
-    bookkeeping.  This recorder appends exactly the dictionaries the seed's
-    ``_log`` built and drops everything else, so a run without tracing does
-    the same work it did before the observability layer existed.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Dict[str, object]] = []
-
-    def emit(self, name: str, data: Optional[Dict[str, object]] = None,
-             cat: str = "event", legacy: bool = False) -> None:
-        if legacy:
-            self.events.append(legacy_entry(name, data))
 
 
 class _Span:
@@ -246,11 +206,9 @@ class Emitter:
     # -- public API --------------------------------------------------------------
 
     def emit(self, name: str, data: Optional[Dict[str, object]] = None,
-             cat: str = "event", legacy: bool = False) -> None:
-        """Record one point event.  ``legacy`` marks records that also belong
-        in the byte-compatible ``InferenceResult.events`` log (the
-        :class:`~repro.obs.sinks.LegacyEventSink` collects them)."""
-        self._record("event", name, "loop" if legacy else cat, data)
+             cat: str = "event") -> None:
+        """Record one point event."""
+        self._record("event", name, cat, data)
 
     def span(self, name: str, data: Optional[Dict[str, object]] = None,
              cat: str = "phase") -> _Span:

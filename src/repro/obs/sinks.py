@@ -4,11 +4,9 @@ A *sink* is any object with a ``handle(record: dict)`` method; an
 :class:`~repro.obs.events.Emitter` fans every record out to its sinks in
 order.  Sinks must treat records as read-only (they are shared).
 
-Four sinks cover the built-in use cases:
+Three sinks cover the built-in use cases:
 
 * :class:`InMemorySink` - collect records in a list (tests, analysis).
-* :class:`LegacyEventSink` - rebuild the byte-compatible
-  ``InferenceResult.events`` dictionaries from ``loop``-category records.
 * :class:`JsonlTraceSink` - append records to a crash-safe JSONL trace file
   (the ``--trace PATH`` flag), one JSON object per line, flushed per record
   the way the :class:`~repro.experiments.store.ResultStore` persists results.
@@ -34,11 +32,10 @@ import sys
 import time
 from typing import Dict, Iterator, List, Optional
 
-from .events import NULL_EMITTER, Emitter, legacy_entry
+from .events import NULL_EMITTER, Emitter
 
 __all__ = [
     "InMemorySink",
-    "LegacyEventSink",
     "JsonlTraceSink",
     "QueueSink",
     "LiveRenderer",
@@ -60,23 +57,6 @@ class InMemorySink:
 
     def handle(self, record: dict) -> None:
         self.records.append(record)
-
-
-class LegacyEventSink:
-    """Rebuilds the seed's ``InferenceResult.events`` log from the stream.
-
-    Only ``loop``-category point events participate; the reconstructed
-    dictionaries are byte-identical to what ``HanoiInference._log`` used to
-    append, so every existing consumer (Figure 5 rendering, the fuzzer's
-    stored rows, the store round-trip) is unchanged.
-    """
-
-    def __init__(self) -> None:
-        self.events: List[Dict[str, object]] = []
-
-    def handle(self, record: dict) -> None:
-        if record.get("cat") == "loop" and record.get("kind") == "event":
-            self.events.append(legacy_entry(record["name"], record.get("data")))
 
 
 class JsonlTraceSink:
@@ -239,9 +219,8 @@ def reset_sinks() -> None:
 def emitter_for_run(run: str):
     """A live emitter over the installed sinks, or the shared null emitter.
 
-    Components that have nothing to feed but the sinks (the baselines) call
-    this; :class:`~repro.core.hanoi.HanoiInference` rolls its own variant
-    because it must keep the legacy event log even with no sinks installed.
+    Every inference run (:class:`~repro.core.run.InferenceRun`) that is not
+    handed an emitter takes its emitter from here.
     """
     if _SINKS:
         return Emitter(sinks=_SINKS, run=run)

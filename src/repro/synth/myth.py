@@ -106,24 +106,13 @@ class MythSynthesizer:
         emitter = self.emitter
         if not emitter.enabled:
             return self._synthesize(positives, negatives)
-        hits_before = misses_before = 0
-        if self.stats is not None:
-            hits_before = self.stats.pool_cache_hits
-            misses_before = self.stats.pool_cache_misses
+        data = {}
         try:
-            data = {}
-            try:
-                data = {"positives": len(positives), "negatives": len(negatives)}
-            except TypeError:
-                pass
-            with emitter.span("synthesis", data or None):
-                return self._synthesize(positives, negatives)
-        finally:
-            if self.stats is not None and self.pool_cache is not None:
-                emitter.emit("pool-cache",
-                             {"hits": self.stats.pool_cache_hits - hits_before,
-                              "misses": self.stats.pool_cache_misses - misses_before},
-                             cat="cache")
+            data = {"positives": len(positives), "negatives": len(negatives)}
+        except TypeError:
+            pass
+        with emitter.span("synthesis", data or None):
+            return self._synthesize(positives, negatives)
 
     def _synthesize(self, positives: Iterable[Value],
                     negatives: Iterable[Value]) -> List[Predicate]:

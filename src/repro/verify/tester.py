@@ -91,25 +91,9 @@ class Verifier:
         what the Hanoi loop adds to V- (or reports as a specification bug when
         they are all known constructible).
         """
-        emitter = self.emitter
-        if not emitter.enabled:
+        with self.emitter.span("sufficiency-check"):
             with self.stats.verification():
                 return self._check_sufficiency(invariant)
-        hits_before = self.stats.eval_cache_hits
-        misses_before = self.stats.eval_cache_misses
-        try:
-            with emitter.span("sufficiency-check"):
-                with self.stats.verification():
-                    return self._check_sufficiency(invariant)
-        finally:
-            # The delta is emitted even when the check raises (a deadline
-            # firing mid-check), so the analyzer's cross-check against the
-            # run-end counters stays exact.
-            if self.eval_cache is not None:
-                emitter.emit("eval-cache",
-                             {"hits": self.stats.eval_cache_hits - hits_before,
-                              "misses": self.stats.eval_cache_misses - misses_before},
-                             cat="cache")
 
     def _check_sufficiency(self, invariant: Callable[[Value], bool]) -> CheckResult:
         definition = self.instance.definition

@@ -88,6 +88,8 @@ def test_figure5_renders_every_event_kind_golden():
          "witnesses": ["(cons 6 (cons 6 nil))"]},
         {"event": "trace-replay", "kept": 7},
         {"event": "success", "candidate_size": 9},
+        {"event": "disk-cache-warning",
+         "message": "persistent cache write failed", "error": "OSError()"},
     ]
     result = InferenceResult(benchmark="/test/golden", mode="hanoi",
                              status="success", invariant=None,
@@ -104,6 +106,7 @@ def test_figure5_renders_every_event_kind_golden():
         "  8. specification violation witnessed by ['(cons 6 (cons 6 nil))']",
         "  9.   trace replay kept 7 negative example(s)",
         " 10. success: invariant of size 9",
+        " 11. (disk cache: persistent cache write failed)",
     ]
 
 

@@ -40,7 +40,6 @@ def test_run_trace_then_analyze_and_export(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Per-phase time breakdown" in out
     assert "Cache hit rates" in out
-    assert "CROSS-CHECK" not in out  # events and stats agree end to end
 
     with open(chrome_path, encoding="utf-8") as handle:
         payload = json.load(handle)

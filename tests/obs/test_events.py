@@ -5,8 +5,6 @@ from repro.obs.events import (
     SCHEMA_VERSION,
     CountingClock,
     Emitter,
-    LegacyRecorder,
-    legacy_entry,
 )
 from repro.obs.sinks import InMemorySink
 
@@ -41,12 +39,6 @@ def test_emit_builds_versioned_records_with_increasing_seq():
     assert [r["seq"] for r in sink.records] == [1, 2]
     # The CountingClock re-bases to the emitter's creation tick.
     assert [r["ts"] for r in sink.records] == [1, 2]
-
-
-def test_legacy_flag_maps_to_loop_category():
-    emitter, sink = traced_emitter()
-    emitter.emit("synthesized", {"candidate_size": 3}, legacy=True)
-    assert sink.records[0]["cat"] == "loop"
 
 
 def test_spans_nest_and_time():
@@ -93,23 +85,3 @@ def test_null_emitter_is_disabled_and_inert():
         pass
     # The no-op span is shared, not allocated per call.
     assert NULL_EMITTER.span("a") is NULL_EMITTER.span("b")
-
-
-def test_legacy_recorder_keeps_only_legacy_events():
-    recorder = LegacyRecorder()
-    assert recorder.enabled is False
-    recorder.emit("synthesized", {"candidate_size": 3}, legacy=True)
-    recorder.emit("pool-built", {"entries": 9}, cat="cache")
-    with recorder.span("iteration"):
-        recorder.emit("success", None, legacy=True)
-    assert recorder.events == [
-        {"event": "synthesized", "candidate_size": 3},
-        {"event": "success"},
-    ]
-
-
-def test_legacy_entry_layout_matches_seed_log():
-    # `event` key first, detail keys after, insertion order preserved.
-    entry = legacy_entry("visible-counterexample", {"operation": "add", "added": ["x"]})
-    assert list(entry) == ["event", "operation", "added"]
-    assert legacy_entry("success", None) == {"event": "success"}

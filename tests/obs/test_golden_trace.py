@@ -2,7 +2,7 @@
 
 Two contracts are pinned here:
 
-* **Legacy byte-compatibility** — a traced run's ``InferenceResult.events``
+* **Loop-log byte-compatibility** — a traced run's ``InferenceResult.events``
   is byte-identical to an untraced run's, so every existing consumer
   (Figure 5 rendering, the fuzzer's stored rows) is unaffected by tracing.
 * **Trace determinism** — under the injectable :class:`CountingClock` the
@@ -62,7 +62,7 @@ def test_traced_events_byte_compatible_with_untraced(fast_config):
 
     assert traced.succeeded and untraced.succeeded
     assert json.dumps(traced.events) == json.dumps(untraced.events)
-    # The trace itself is a strict superset of the legacy log.
+    # The trace itself is a strict superset of the loop log.
     assert len(sink.records) > len(traced.events)
 
 

@@ -10,7 +10,6 @@ from repro.obs.events import NULL_EMITTER, SCHEMA_VERSION, CountingClock, Emitte
 from repro.obs.sinks import (
     InMemorySink,
     JsonlTraceSink,
-    LegacyEventSink,
     LiveRenderer,
     QueueSink,
     emitter_for_run,
@@ -28,20 +27,6 @@ def clean_registry():
     reset_sinks()
     yield
     reset_sinks()
-
-
-def test_legacy_event_sink_rebuilds_seed_event_log():
-    sink = LegacyEventSink()
-    emitter = Emitter(sinks=[sink], run="b/m", clock=CountingClock())
-    emitter.emit("synthesized", {"candidate_size": 2}, legacy=True)
-    with emitter.span("iteration"):
-        emitter.emit("eval-cache", {"hits": 5, "misses": 1}, cat="cache")
-        emitter.emit("success", {"candidate_size": 2}, legacy=True)
-    # Only loop-category point events participate; layout matches the seed's.
-    assert sink.events == [
-        {"event": "synthesized", "candidate_size": 2},
-        {"event": "success", "candidate_size": 2},
-    ]
 
 
 def test_jsonl_sink_round_trips_and_tolerates_truncation(tmp_path):
