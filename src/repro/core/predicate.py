@@ -95,13 +95,7 @@ class Predicate:
         construction, so this only matters for adversarial hand-written
         predicates.
         """
-        try:
-            cached = self._cache.get(value)
-        except RecursionError:
-            # Hashing recurses once per level of the value, and on Python
-            # 3.12 through the C stack, whose limit is lower than the
-            # evaluator's; such a value is evaluated without the cache.
-            return self._evaluate(value)
+        cached = self._cache.get(value)
         if cached is None:
             cached = self._cache[value] = self._evaluate(value)
         return cached

@@ -66,8 +66,9 @@ Evaluation recurses on the Python stack, so a deep enough input overflows it;
 :meth:`Evaluator.eval` and :meth:`Evaluator.apply` report that as
 :class:`~repro.lang.errors.EvalDepthExceeded`.  A memo hit skips the
 recursion of the call it answers, so a call too deep to run can succeed
-from the table.  Hashing a value also recurses once per level; a key too
-deep to hash is a miss and is not stored.
+from the table.  Hashing or comparing a key never recurses: first-order
+values are hash-consed (:mod:`repro.lang.values`), so a key of any depth is
+stored and hit.
 """
 
 from __future__ import annotations
@@ -274,15 +275,12 @@ def _memo_call(code: Code, env: Tuple[Value, ...], arg: Value, budget: EvalBudge
     ``remaining``."""
     table = _memo
     key = (code, env, arg)
-    try:
-        hit = table.get(key)
-    except RecursionError:  # too deep to hash: run, store nothing
-        key = hit = None
+    hit = table.get(key)
     if hit is not None and hit[1] <= remaining:
         budget.remaining = remaining - hit[1]
         return hit[0]
     value = code.run([*env, arg, *code.pad], budget)
-    if key is not None and hit is None and len(table) < MEMO_MAX_ENTRIES:
+    if hit is None and len(table) < MEMO_MAX_ENTRIES:
         table[key] = (value, remaining - budget.remaining)
     return value
 

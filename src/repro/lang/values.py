@@ -11,15 +11,18 @@ Values are the closed normal forms of the call-by-value semantics:
   recursive call against an example oracle), by the higher-order contract
   machinery (Section 4.2), and by the enumerator of functional arguments.
 
-First-order values (constructors and tuples of them) are hashable and
-structurally comparable, which the Hanoi loop relies on to maintain the
-example sets V+ and V- as Python sets.  Closures compare by identity.
+Constructor and tuple values are hash-consed: equal ones are one object, so
+they compare by identity and carry a structural hash computed once, when
+they are built.  The Hanoi loop relies on this to maintain the example sets
+V+ and V- as Python sets, and the evaluator's memo table to key on values
+of any depth.  Closures compare by identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
+from weakref import WeakValueDictionary
 
 from .ast import Expr
 from .errors import EvalError
@@ -54,34 +57,48 @@ class Value:
 
 
 # Constructor and tuple values are the bulk of what the evaluator allocates
-# and of what the caches key on.  They use slots (about two thirds of the
-# memory of a dict-backed instance) and compute their hash once: it is the
-# hash the dataclass would derive, so set iteration orders are unchanged.
-# Pickling goes through the constructor, leaving the cached hash (which
-# depends on the process) behind.
+# and of what the caches key on.  They are hash-consed (Filliatre & Conchon,
+# "Type-Safe Modular Hash-Consing", 2006): construction looks the value up in
+# a weak intern table and returns the one live object equal to it, so
+# equality is the identity test, never recursive.  The hash is computed once,
+# at construction, from the parts' stored hashes; it is the hash the
+# dataclass would derive, so set iteration orders are unchanged.  The table
+# holds its values weakly, so it never keeps a value alive.  The look-up and
+# the store are not one atomic step, so values must be built on one thread
+# (the parallel runner uses processes).  Pickling goes through the
+# constructor, so an unpickled value is the interned object.  Neither class
+# can be subclassed: the intern key ignores the class.
 _set_field = object.__setattr__
+_new_object = object.__new__
+_ctors: "WeakValueDictionary[tuple, VCtor]" = WeakValueDictionary()
+_tuples: "WeakValueDictionary[tuple, VTuple]" = WeakValueDictionary()
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class VCtor(Value):
     """A data constructor value with an optional payload."""
 
-    __slots__ = ("ctor", "payload", "_hash")
+    __slots__ = ("ctor", "payload", "_hash", "__weakref__")
 
     ctor: str
     payload: Optional[Value]
 
-    def __init__(self, ctor: str, payload: Optional[Value] = None):
-        _set_field(self, "ctor", ctor)
-        _set_field(self, "payload", payload)
-        _set_field(self, "_hash", None)
+    def __new__(cls, ctor: str, payload: Optional[Value] = None) -> "VCtor":
+        key = (ctor, payload)
+        value = _ctors.get(key)
+        if value is None:
+            value = _new_object(cls)
+            _set_field(value, "ctor", ctor)
+            _set_field(value, "payload", payload)
+            _set_field(value, "_hash", hash(key))
+            _ctors[key] = value
+        return value
+
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("VCtor cannot be subclassed: its intern table ignores the class")
 
     def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash((self.ctor, self.payload))
-            _set_field(self, "_hash", cached)
-        return cached
+        return self._hash
 
     def __reduce__(self):
         return VCtor, (self.ctor, self.payload)
@@ -95,24 +112,28 @@ class VCtor(Value):
         return f"{self.ctor} ({self.payload})"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class VTuple(Value):
     """A tuple value."""
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ("items", "_hash", "__weakref__")
 
     items: Tuple[Value, ...]
 
-    def __init__(self, items: Tuple[Value, ...]):
-        _set_field(self, "items", items)
-        _set_field(self, "_hash", None)
+    def __new__(cls, items: Tuple[Value, ...]) -> "VTuple":
+        value = _tuples.get(items)
+        if value is None:
+            value = _new_object(cls)
+            _set_field(value, "items", items)
+            _set_field(value, "_hash", hash((items,)))
+            _tuples[items] = value
+        return value
+
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("VTuple cannot be subclassed: its intern table ignores the class")
 
     def __hash__(self) -> int:
-        cached = self._hash
-        if cached is None:
-            cached = hash((self.items,))
-            _set_field(self, "_hash", cached)
-        return cached
+        return self._hash
 
     def __reduce__(self):
         return VTuple, (self.items,)

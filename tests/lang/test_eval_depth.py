@@ -14,7 +14,7 @@ from repro.core.predicate import Predicate
 from repro.lang.errors import EvalDepthExceeded, EvalError, LangError
 from repro.lang.parser import parse_expression
 from repro.lang.program import Program
-from repro.lang.values import VCtor, int_of_nat, nat_of_int
+from repro.lang.values import int_of_nat, nat_of_int
 
 
 # Before 3.11 every Python call also takes C stack, and at the evaluator's
@@ -55,18 +55,13 @@ def test_predicate_records_depth_failure_as_rejection(program):
     assert predicate(nat_of_int(8000)) is False
 
 
-class _TooDeepToHash(VCtor):
-    """A payload whose hash overflows, as hashing a deep value does on Python
-    3.12, where the C recursion limit is far below the evaluator's."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        raise RecursionError("maximum recursion depth exceeded")
-
-
-def test_predicate_evaluates_value_too_deep_to_hash(program):
+def test_predicate_evaluates_and_caches_very_deep_value(program):
+    # Hashing a hash-consed value never recurses, so the predicate's cache
+    # takes a value of any depth.
     predicate = Predicate.from_source(
         "let inv (x : nat) : bool = match x with | O -> False | S y -> True",
         program)
-    assert predicate(VCtor("S", _TooDeepToHash("O"))) is True
+    deep = nat_of_int(100_000)
+    assert predicate(deep) is True
+    assert predicate._cache == {deep: True}
+    assert predicate(nat_of_int(100_000)) is True

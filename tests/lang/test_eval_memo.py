@@ -11,7 +11,6 @@ import sys
 
 import pytest
 
-from test_eval_depth import _TooDeepToHash
 from test_fuel_parity import CASES, SOURCE
 
 from repro.core.config import FAST_VERIFIER_BOUNDS
@@ -143,11 +142,20 @@ def test_functions_that_can_see_function_values_are_never_marked(program):
     assert not _code(marked, "pair_first", (None,)).memo
 
 
-def test_value_too_deep_to_hash_is_a_miss_and_not_stored(program):
+def test_very_deep_argument_is_stored_and_hit(program):
+    # Hashing and comparing a hash-consed value never recurses, so a key of
+    # any depth is stored; ``is_zero`` itself looks at one level only.
+    deep = nat_of_int(100_000)
     with memo_table() as table:
-        assert program.call("is_zero", VCtor("S", _TooDeepToHash("O"))) == VCtor("False")
-        assert program.call("is_zero", VCtor("S", _TooDeepToHash("O"))) == VCtor("False")
-        assert not table
+        first = _spend(program, "is_zero", (deep,), 10_000)
+        assert first[0] is VCtor("False")
+        assert len(table) == 1
+        [(key, (value, fuel))] = table.items()  # the body's fuel, after the call's unit
+        assert (value, 10_000 - 1 - fuel) == first
+        # The same key, built again, is a hit: it replays the recorded fuel.
+        table[key] = (value, fuel + 7)
+        assert _spend(program, "is_zero", (nat_of_int(100_000),), 10_000) == (value, first[1] - 7)
+        assert len(table) == 1
 
 
 def test_rebinding_a_global_empties_the_table():
