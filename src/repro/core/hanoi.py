@@ -29,9 +29,9 @@ The loop terminates when a candidate passes both phases: that candidate is a
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import List, Optional, Set
 
-from ..lang.values import Value, value_size
+from ..lang.values import Value, value_order
 # Re-exported only because perfbench/layers.py wraps canonical_hash here.
 from ..analysis.canon import canonical_hash  # noqa: F401
 from ..synth.base import SynthesisFailure
@@ -177,8 +177,7 @@ class HanoiInference(InferenceRun):
                 raise
             self._log("synthesis-recovery", None,
                       operation=closure.operation,
-                      added=[str(v) for v in
-                             sorted(new_positives, key=value_size)])
+                      added=_shown(new_positives))
             positives |= new_positives
             self.stats.positives_added += len(new_positives)
             self._replace_negatives(negatives, new_positives, positives)
@@ -193,7 +192,7 @@ class HanoiInference(InferenceRun):
             new_positives = set(visible.outputs) - positives
             self._log("visible-counterexample", candidate,
                       operation=visible.operation,
-                      added=[str(v) for v in sorted(new_positives, key=value_size)])
+                      added=_shown(new_positives))
             positives |= new_positives
             self.stats.positives_added += len(new_positives)
             self._replace_negatives(negatives, new_positives, positives)
@@ -208,13 +207,12 @@ class HanoiInference(InferenceRun):
                 # Every witness is known constructible: the module
                 # itself violates the specification (Figure 4's
                 # "Counterexample N" failure).
-                self._log("spec-violation", candidate,
-                          witnesses=[str(v) for v in witnesses])
+                shown = _shown(witnesses)
+                self._log("spec-violation", candidate, witnesses=shown)
                 return (Status.SPEC_VIOLATION, None,
-                        "constructible specification violation: "
-                        + ", ".join(str(v) for v in witnesses))
+                        "constructible specification violation: " + ", ".join(shown))
             self._log("sufficiency-counterexample", candidate,
-                      added=[str(v) for v in sorted(new_negatives, key=value_size)])
+                      added=_shown(new_negatives))
             negatives |= new_negatives
             self.stats.negatives_added += len(new_negatives)
             if self.trace is not None:
@@ -236,14 +234,14 @@ class HanoiInference(InferenceRun):
                             "inductiveness counterexample entirely inside V+")
                 self._log("late-visible-counterexample", candidate,
                           operation=inductive.operation,
-                          added=[str(v) for v in new_positives])
+                          added=_shown(new_positives))
                 positives |= new_positives
                 self.stats.positives_added += len(new_positives)
                 self._replace_negatives(negatives, new_positives, positives)
                 return None
             self._log("inductiveness-counterexample", candidate,
                       operation=inductive.operation,
-                      added=[str(v) for v in sorted(new_negatives, key=value_size)])
+                      added=_shown(new_negatives))
             negatives |= new_negatives
             self.stats.negatives_added += len(new_negatives)
             if self.trace is not None:
@@ -299,6 +297,13 @@ class HanoiInference(InferenceRun):
         self.events.append({"event": event, **data})
         if self.emitter.enabled:
             self.emitter.emit(event, data, cat="loop")
+
+
+def _shown(values: Set[Value]) -> List[str]:
+    """Values as the loop log and messages list them: rendered, in
+    :func:`~repro.lang.values.value_order` (set order follows memory
+    addresses)."""
+    return [str(v) for v in sorted(values, key=value_order)]
 
 
 def infer_invariant(module: ModuleDefinition, config: Optional[HanoiConfig] = None,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Set
 
-from ..lang.values import Value
+from ..lang.values import Value, value_order
 from .predicate import Predicate
 
 __all__ = ["TraceEntry", "CounterexampleTrace"]
@@ -50,9 +50,11 @@ class CounterexampleTrace:
         the longest prefix of candidates that accept every new positive), and
         truncates the trace to that prefix.  This is the computation depicted
         in Figure 6: candidates on which the new positive evaluates to true
-        need not be revisited.
+        need not be revisited.  The positives are tried in
+        :func:`~repro.lang.values.value_order`, so the evaluations a rejected
+        candidate runs before it stops do not follow set order.
         """
-        new_positives = list(new_positives)
+        new_positives = sorted(new_positives, key=value_order)
         kept: Set[Value] = set()
         keep_entries: List[TraceEntry] = []
         for entry in self.entries:

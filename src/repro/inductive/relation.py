@@ -40,7 +40,7 @@ from ..enumeration.ordering import diagonal_product
 from ..enumeration.values import ValueEnumerator
 from ..lang.errors import LangError
 from ..lang.types import TAbstract, TArrow, Type, mentions_abstract
-from ..lang.values import Value, value_size
+from ..lang.values import Value, value_order
 from ..obs.events import NULL_EMITTER
 from ..verify.result import VALID, CheckResult, InductivenessCounterexample
 
@@ -113,7 +113,7 @@ class ConditionalInductivenessChecker:
 
     def _abstract_pool(self, p: PredicateFn, p_pool: Optional[Iterable[Value]]) -> List[Value]:
         if p_pool is not None:
-            pool = sorted(p_pool, key=value_size)
+            pool = sorted(p_pool, key=value_order)
             return pool[: self.bounds.max_abstract_values]
         pool = []
         # Inductiveness checks instantiate several argument positions at

@@ -40,13 +40,14 @@ table is open (:func:`memo_table`; ``runner.run_module`` opens one per run),
 after Michie's memo functions (*Nature*, 1968).  The program marks the code of
 the innermost body of such a function's curried chain; its parameter and
 result types admit no function values, so the key ``(code, captured values,
-argument)`` hashes structurally.  An entry stores the call's value and the
-fuel its body spent.  A hit replays that fuel when it fits the remaining
-budget, and otherwise the call runs, so fuel runs out exactly where it would
-without the table; only calls that return are stored.  The body is pure and
-deterministic given its globals: a global added later was unbound when an
-entry was stored (the call raised, so nothing was), and rebinding a global
-empties the table (:func:`forget_memo`).
+argument)`` holds only hash-consed values, and equal keys hold the same
+objects.  An entry stores the call's value and the fuel its body spent.  A
+hit replays that fuel when it fits the remaining budget, and otherwise the
+call runs, so fuel runs out exactly where it would without the table; only
+calls that return are stored.  The body is pure and deterministic given its
+globals: a global added later was unbound when an entry was stored (the
+call raised, so nothing was), and rebinding a global empties the table
+(:func:`forget_memo`).
 
 A saturated call of a curried closure builds none of its partial
 applications (the eval/apply treatment of known-arity calls, Marlow & Peyton
@@ -60,7 +61,18 @@ path would.  The step that finally runs a body goes through the memo table
 with the key the curried path would use, ``(code, captured values,
 argument)``, where the captured values are gathered from the same slots the
 ``fun`` node gathers them from, so both paths store and hit the same
-entries.
+entries.  When the ``fun`` captures all of the body's leading slots, in
+order, nothing needs gathering: its :class:`~repro.lang.values.Code` has no
+``gather`` and the captured values are kept as they are.
+
+Most calls the Hanoi loop runs are ``g a b`` with ``g`` a top-level
+function, so such a node compiles to one closure of its own
+(:meth:`_Compiler._call_2`).  It spends the units of the two application
+nodes and the head at once, looks ``g`` up, and reads a local-variable
+argument straight from its frame slot instead of calling the variable's
+closure; otherwise it takes the steps of :func:`_call`, in the same order,
+with the same fuel, errors and memo keys.  A local read and the units due
+right after it are spent at once, as nothing observable lies between them.
 
 Evaluation recurses on the Python stack, so a deep enough input overflows it;
 :meth:`Evaluator.eval` and :meth:`Evaluator.apply` report that as
@@ -293,7 +305,8 @@ def _call(head: Run, arg_runs: Sequence[Run], nodes: int) -> Run:
     still to come, is stepped into without being built: its application's
     unit and the ``fun`` node's unit are spent, the inner closure's captured
     values are gathered from ``(*env, arg)`` (with the closure itself after
-    ``arg`` when its code is recursive), and the next argument is evaluated,
+    ``arg`` when its code is recursive; all of it when the code has no
+    ``gather``), and the next argument is evaluated,
     in the order applying the closure and then its result would go.  The
     step that runs a body goes through the memo table with the key
     ``(code, captured values, argument)`` that :func:`_apply` would use.
@@ -333,7 +346,8 @@ def _call(head: Run, arg_runs: Sequence[Run], nodes: int) -> Run:
             if remaining < 0:
                 _exhaust(budget)
             budget.remaining = remaining
-            env = code.gather(env)
+            if code.gather is not None:
+                env = code.gather(env)
             code = code.inner
         return fn
     return call
@@ -505,6 +519,8 @@ class _Compiler:
             head = head.fn
         args.reverse()
         nodes = len(args)
+        if nodes == 2 and head.__class__ is EVar and head.name not in scope.slots:
+            return self._call_2(head.name, args[0], args[1], scope)
 
         head_run = self.expr(head, scope)
         arg_runs = [self.expr(arg, scope) for arg in args]
@@ -533,6 +549,74 @@ class _Compiler:
             return code.run([*fn.env, arg, *code.pad], budget)
         return call_1
 
+    def _call_2(self, name: str, first: Expr, second: Expr, scope: _Scope) -> Run:
+        """``name first second`` for a global ``name``: the steps of
+        :func:`_call` for two arguments in one closure.
+
+        A local-variable argument is read from its slot, without a closure
+        call; units that fall due right after the read are spent with its.
+        """
+        globals_ = self.globals
+        unbound = f"unbound variable at runtime: {name}"
+        first_slot = scope.slots.get(first.name) if first.__class__ is EVar else None
+        second_slot = scope.slots.get(second.name) if second.__class__ is EVar else None
+        first_run = self.expr(first, scope) if first_slot is None else None
+        second_run = self.expr(second, scope) if second_slot is None else None
+
+        def call_2(frame, budget):
+            remaining = budget.remaining - 3  # the two application nodes, the head
+            if remaining < 0:
+                _exhaust(budget)
+            budget.remaining = remaining
+            try:
+                fn = globals_[name]
+            except KeyError:
+                raise EvalError(unbound) from None
+            if fn.__class__ is not VClosure or fn.code.inner is None:
+                if first_run is None:
+                    remaining -= 1
+                    budget.remaining = remaining
+                    if remaining < 0:
+                        raise FuelExhausted(_OUT_OF_FUEL)
+                    fn = _apply(fn, frame[first_slot], budget)
+                else:
+                    fn = _apply(fn, first_run(frame, budget), budget)
+                if second_run is None:
+                    remaining = budget.remaining - 1
+                    budget.remaining = remaining
+                    if remaining < 0:
+                        raise FuelExhausted(_OUT_OF_FUEL)
+                    return _apply(fn, frame[second_slot], budget)
+                return _apply(fn, second_run(frame, budget), budget)
+            # Step into the body's ``fun``, as ``_call`` does.
+            code = fn.code
+            if first_run is None:
+                arg = frame[first_slot]
+                remaining -= 3  # the argument, the application, the fun node
+            else:
+                arg = first_run(frame, budget)
+                remaining = budget.remaining - 2  # the application, the fun node
+            if remaining < 0:
+                _exhaust(budget)
+            budget.remaining = remaining
+            env = (*fn.env, arg, fn) if code.rec else (*fn.env, arg)
+            if code.gather is not None:
+                env = code.gather(env)
+            code = code.inner
+            if second_run is None:
+                arg = frame[second_slot]
+                remaining -= 2  # the argument, then the application
+            else:
+                arg = second_run(frame, budget)
+                remaining = budget.remaining - 1
+            if remaining < 0:
+                _exhaust(budget)
+            budget.remaining = remaining
+            if code.memo and _memo is not None:
+                return _memo_call(code, env, arg, budget, remaining)
+            return code.run([*env, arg, *code.pad], budget)
+        return call_2
+
     def body(self, expr: Expr, scope: _Scope
              ) -> Tuple[Run, Optional[Code], Optional[Callable[[Sequence[Value]], tuple]]]:
         """Compile a function body: its run, and when the body is a ``fun``,
@@ -545,7 +629,7 @@ class _Compiler:
     def fun(self, expr: EFun, scope: _Scope) -> Run:
         return self._fun(expr, scope)[0]
 
-    def _fun(self, expr: EFun, scope: _Scope) -> Tuple[Run, Code, Callable]:
+    def _fun(self, expr: EFun, scope: _Scope) -> Tuple[Run, Code, Optional[Callable]]:
         # The body is compiled once, here; each closure the node creates
         # captures the enclosing slots the body reads, which become the
         # first slots of the body's own frame.
@@ -573,6 +657,10 @@ class _Compiler:
             if remaining < 0:
                 raise FuelExhausted(_OUT_OF_FUEL)
             return VClosure(param, param_type, body, gather(frame), None, code)
+        # A body's leading slots are the values a call steps in with; when
+        # this ``fun`` captures all of them, in order, stepping in keeps them.
+        if sources == list(range(scope.frame.base)):
+            return closure, code, None
         return closure, code, gather
 
     def let(self, expr: ELet, scope: _Scope) -> Run:

@@ -12,10 +12,12 @@ Values are the closed normal forms of the call-by-value semantics:
   machinery (Section 4.2), and by the enumerator of functional arguments.
 
 Constructor and tuple values are hash-consed: equal ones are one object, so
-they compare by identity and carry a structural hash computed once, when
-they are built.  The Hanoi loop relies on this to maintain the example sets
-V+ and V- as Python sets, and the evaluator's memo table to key on values
-of any depth.  Closures compare by identity.
+they compare and hash by identity.  The Hanoi loop relies on this to maintain
+the example sets V+ and V- as Python sets, and the evaluator's memo table to
+key on values of any depth.  Closures compare by identity too.  An identity
+hash differs from run to run, and so does the order in which a set of values
+iterates; code whose outcome, log, messages or evaluation work could follow
+that order sorts the values by :func:`value_order` first.
 """
 
 from __future__ import annotations
@@ -60,14 +62,13 @@ class Value:
 # and of what the caches key on.  They are hash-consed (Filliatre & Conchon,
 # "Type-Safe Modular Hash-Consing", 2006): construction looks the value up in
 # a weak intern table and returns the one live object equal to it, so
-# equality is the identity test, never recursive.  The hash is computed once,
-# at construction, from the parts' stored hashes; it is the hash the
-# dataclass would derive, so set iteration orders are unchanged.  The table
-# holds its values weakly, so it never keeps a value alive.  The look-up and
-# the store are not one atomic step, so values must be built on one thread
-# (the parallel runner uses processes).  Pickling goes through the
-# constructor, so an unpickled value is the interned object.  Neither class
-# can be subclassed: the intern key ignores the class.
+# equality is the identity test, never recursive, and the hash is the
+# C-level identity hash, which agrees with it.  The table holds its values
+# weakly, so it never keeps a value alive.  The look-up and the store are not
+# one atomic step, so values must be built on one thread (the parallel runner
+# uses processes).  Pickling goes through the constructor, so an unpickled
+# value is the interned object.  Neither class can be subclassed: the intern
+# key ignores the class.
 _set_field = object.__setattr__
 _new_object = object.__new__
 _ctors: "WeakValueDictionary[tuple, VCtor]" = WeakValueDictionary()
@@ -78,7 +79,7 @@ _tuples: "WeakValueDictionary[tuple, VTuple]" = WeakValueDictionary()
 class VCtor(Value):
     """A data constructor value with an optional payload."""
 
-    __slots__ = ("ctor", "payload", "_hash", "__weakref__")
+    __slots__ = ("ctor", "payload", "__weakref__")
 
     ctor: str
     payload: Optional[Value]
@@ -90,15 +91,13 @@ class VCtor(Value):
             value = _new_object(cls)
             _set_field(value, "ctor", ctor)
             _set_field(value, "payload", payload)
-            _set_field(value, "_hash", hash(key))
             _ctors[key] = value
         return value
 
     def __init_subclass__(cls, **kwargs):
         raise TypeError("VCtor cannot be subclassed: its intern table ignores the class")
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         return VCtor, (self.ctor, self.payload)
@@ -116,7 +115,7 @@ class VCtor(Value):
 class VTuple(Value):
     """A tuple value."""
 
-    __slots__ = ("items", "_hash", "__weakref__")
+    __slots__ = ("items", "__weakref__")
 
     items: Tuple[Value, ...]
 
@@ -125,15 +124,13 @@ class VTuple(Value):
         if value is None:
             value = _new_object(cls)
             _set_field(value, "items", items)
-            _set_field(value, "_hash", hash((items,)))
             _tuples[items] = value
         return value
 
     def __init_subclass__(cls, **kwargs):
         raise TypeError("VTuple cannot be subclassed: its intern table ignores the class")
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         return VTuple, (self.items,)
@@ -153,8 +150,9 @@ class Code:
     memo table answers.  When the body is itself a ``fun`` (the next
     parameter of a curried chain), ``inner`` is that ``fun``'s code and
     ``gather`` picks the values it captures out of the frame's leading
-    slots, so a saturated call can step into ``inner`` without building the
-    closure.  The evaluator builds it; see :mod:`repro.lang.eval`.
+    slots (``None`` when it captures all of them, in order), so a saturated
+    call can step into ``inner`` without building the closure.  The
+    evaluator builds it; see :mod:`repro.lang.eval`.
     """
 
     __slots__ = ("run", "pad", "rec", "memo", "inner", "gather")
@@ -243,13 +241,15 @@ def value_size(value: Value) -> int:
 
 
 def value_order(value: Value):
-    """A hash-seed-independent total order on first-order values.
+    """A total order on first-order values that is the same in every run.
 
     Sorting by :func:`value_size` alone leaves equal-size values in whatever
-    order the source container iterates - for Python sets, an order that
-    varies with the interpreter's hash seed.  Everything that sorts example
-    values (the synthesizer's oracle, the result cache's example logs) uses
-    this key so runs are reproducible across seeds.
+    order the source container iterates - for Python sets of values, an
+    order that follows memory addresses, since values hash by identity.
+    Everything that orders example values (the synthesizer's oracle, the
+    result cache's example logs, the V+ pool of the inductiveness checker,
+    the loop log and the counterexample trace) uses this key, so runs are
+    reproducible.
     """
     return (value_size(value), str(value))
 

@@ -70,8 +70,8 @@ class _ExampleLog:
         if self.known <= given_set:
             fresh = given_set - self.known
             if fresh:
-                # Deterministic extension order: ``fresh`` is a set, and set
-                # iteration order varies with the interpreter's hash seed.
+                # Deterministic extension order: ``fresh`` is a set, and its
+                # iteration order follows memory addresses.
                 self.values.extend(sorted(fresh, key=value_order))
                 self.known |= fresh
         else:

