@@ -28,10 +28,6 @@ def pytest_configure(config):
         "markers",
         "fuzz: property-based generator / differential-fuzzing tests "
         "(deselect with `-m 'not fuzz'`; deep sweeps gate on FUZZ_FULL=1)")
-    config.addinivalue_line(
-        "markers",
-        "absint: abstract-interpreter soundness across hash seeds "
-        "(deselect with `-m 'not absint'`)")
 
 
 @pytest.fixture(scope="session")

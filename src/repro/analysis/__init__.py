@@ -18,14 +18,6 @@ Submodules
     Canonicalizing rewrites (folding, dead-branch elimination,
     alpha-normalization) and the canonical content hash that keys the
     evaluation/synthesis caches.
-``domains``
-    The abstract domains: intervals x parity for naturals, constructor
-    sets x size intervals for datatypes, products component-wise, with
-    ``alpha``/``join``/``widen``/``leq``.
-``absint``
-    The abstract interpreter over those domains (widening fixpoint for
-    recursion) and the per-operation inductiveness verdicts
-    (PROVEN/REFUTED/UNKNOWN) consumed by the linter's HAN006 pass.
 ``lint``
     The driver that runs every pass over one module and collects an
     :class:`~repro.analysis.lint.AnalysisReport`.

@@ -74,7 +74,6 @@ __all__ = [
     "canonical_hash",
     "canonicalize_definition",
     "declaration_dependency_hashes",
-    "is_pure",
     "render_fun_decl",
     "PRELUDE_HASH",
 ]
@@ -103,11 +102,6 @@ def _pure(expr: Expr) -> bool:
         # Well-typed projection out of a pure tuple value cannot fail.
         return _pure(expr.expr)
     return False
-
-
-#: Public alias: the abstract interpreter uses the same purity facts to skip
-#: its crash/divergence tracking on expressions that cannot need it.
-is_pure = _pure
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,6 @@ HAN004    warning   recursive definition without a provable structural
                     decrease (possible non-termination under evaluation)
 HAN005    info      synthesis component that can never appear in a term
                     of the goal type (pruned before pool construction)
-HAN006    warning   operation statically proven to violate the expected
-                    invariant (abstract interpretation found that every
-                    completing application breaks it)
 ========  ========  ====================================================
 
 Severities: ``error`` (the module is unusable), ``warning`` (runtime
@@ -60,7 +57,6 @@ DIAGNOSTIC_CODES = {
     "HAN003": (WARNING, "unused definition"),
     "HAN004": (WARNING, "unprovable structural termination"),
     "HAN005": (INFO, "synthesis component unusable for the goal type"),
-    "HAN006": (WARNING, "operation statically proven to violate the expected invariant"),
 }
 
 

@@ -7,8 +7,6 @@ checks the module source, then runs:
 * match exhaustiveness / unreachable branches (HAN001, HAN002),
 * call-graph reachability and structural recursion (HAN003, HAN004),
 * component-usefulness reachability for the synthesis goal (HAN005),
-* abstract interpretation of each operation against the expected-invariant
-  oracle, when the definition carries one (HAN006),
 * the canonicalizing passes, whose alpha-normalized hash is reported as
   the module's ``content_hash`` (the cache content key).
 
@@ -30,7 +28,6 @@ from ..lang.program import Program
 from ..lang.typecheck import TypeChecker
 from ..lang.types import TArrow, TData, Type
 from ..obs import NULL_EMITTER
-from .absint import REFUTED, AbstractChecker
 from .callgraph import scan_module_declarations
 from .canon import canonical_hash
 from .diagnostics import Diagnostic, worst_severity
@@ -177,53 +174,10 @@ def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
                     line=decl_lines.get(component.name),
                     decl=component.name))
 
-        with emitter.span("analysis-absint", cat="analysis"):
-            diagnostics.extend(_static_violations(definition, program, decls))
-
         with emitter.span("analysis-canon", cat="analysis"):
             content_hash = canonical_hash(definition, program, decls)
 
     return _report(definition, path, diagnostics, content_hash, pruned)
-
-
-def _static_violations(definition: ModuleDefinition, program: Program,
-                       decls: List[object]) -> List[Diagnostic]:
-    """HAN006: operations the abstract interpreter proves cannot preserve
-    the expected-invariant oracle (every completing application - on *any*
-    arguments - produces a value the invariant rejects)."""
-    if not definition.expected_invariant:
-        return []
-    try:
-        oracle_decls = [d for d in parse_program(definition.expected_invariant)
-                        if isinstance(d, FunDecl)]
-    except LangError:
-        return []
-    if not oracle_decls:
-        return []
-    findings: List[Diagnostic] = []
-    try:
-        checker = AbstractChecker(program, definition, extra_decls=oracle_decls)
-        abstract_top = checker.abstract_input()
-        decl_lines = {d.name: d.line for d in decls if isinstance(d, FunDecl)}
-        for operation in definition.operations:
-            verdict = checker.operation_verdict(
-                operation, oracle_decls[-1], abstract_top)
-            if verdict == REFUTED:
-                findings.append(Diagnostic(
-                    "HAN006",
-                    f"operation {operation.name!r} statically proven to "
-                    f"violate the expected invariant: every completing "
-                    f"application produces a value the invariant rejects",
-                    line=decl_lines.get(operation.name),
-                    decl=operation.name))
-    except Exception:
-        # The static tier is advisory here; a failure inside it must never
-        # break linting.  Its soundness is covered by the transfer-soundness
-        # test (test_transfers_over_approximate_concrete_eval), the absint
-        # hash-seed property, the verdict-vs-enumeration sweep in
-        # test_absint_soundness.py, and the clean-lint sweep over every module.
-        pass
-    return findings
 
 
 def _report(definition: ModuleDefinition, path: str,

@@ -40,6 +40,7 @@ from ..core.module import ModuleDefinition
 from ..core.predicate import Predicate
 from ..core.result import InferenceResult
 from ..inductive.relation import ConditionalInductivenessChecker
+from ..lang.errors import LangError
 from ..verify.result import Valid
 from ..verify.tester import Verifier
 
@@ -364,7 +365,7 @@ def _check_inferred_against_oracle(definition: ModuleDefinition,
     program = oracle.program  # the instantiated module's program
     try:
         inferred = Predicate.from_source(rendered_invariant, program)
-    except Exception as exc:
+    except (LangError, ValueError) as exc:
         report.oracle_failures.append(OracleFailure(
             definition.name, mode, variant,
             f"inferred invariant does not re-parse: {exc}"))

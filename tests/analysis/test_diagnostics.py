@@ -45,10 +45,10 @@ def _codes(report):
 
 def test_code_table_is_stable():
     assert set(DIAGNOSTIC_CODES) == {
-        "HAN000", "HAN001", "HAN002", "HAN003", "HAN004", "HAN005", "HAN006"}
+        "HAN000", "HAN001", "HAN002", "HAN003", "HAN004", "HAN005"}
     assert DIAGNOSTIC_CODES["HAN000"][0] == "error"
     assert DIAGNOSTIC_CODES["HAN005"][0] == "info"
-    for code in ("HAN001", "HAN002", "HAN003", "HAN004", "HAN006"):
+    for code in ("HAN001", "HAN002", "HAN003", "HAN004"):
         assert DIAGNOSTIC_CODES[code][0] == "warning"
 
 

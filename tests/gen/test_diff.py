@@ -24,8 +24,39 @@ from repro.gen.diff import (
     variant_config,
 )
 from repro.gen.modgen import generate_corpus, generate_module
+from repro.spec.loader import load_module_text
 
 pytestmark = pytest.mark.fuzz
+
+
+#: ``dup`` always returns ``Cons (O, s)``, which the expected invariant
+#: (only ``Nil`` is valid) rejects: the invariant is trivially sufficient
+#: for the ``True`` spec but not inductive.
+NON_INDUCTIVE_MODULE = """
+benchmark "/test/non-inductive-dup"
+group testing
+
+abstract type t = list
+
+operation empty : t
+operation dup : t -> t
+
+type list = Nil | Cons of nat * list
+
+let empty : list = Nil
+
+let dup (s : list) : list = Cons (O, s)
+
+spec wf : t -> bool
+
+let wf (s : list) : bool = True
+
+expected invariant
+let inv (s : list) : bool =
+  match s with
+  | Nil -> True
+  | Cons p -> False
+"""
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +135,14 @@ def test_fuzz_corpus_accepts_generated_wrappers(fast_config, module_zero):
     assert seen == [module_zero.name]
 
 
+def test_non_inductive_ground_truth_is_reported(fast_config):
+    definition = load_module_text(NON_INDUCTIVE_MODULE, path="<dup>")
+    report = fuzz_module(definition, modes=(), config=fast_config,
+                         require_success=())
+    assert [f.reason for f in report.oracle_failures] == [
+        "ground-truth invariant is not inductive"]
+
+
 def _stored(benchmark, variant, status=Status.SUCCESS, invariant="valid x"):
     return InferenceResult(
         benchmark=benchmark, mode="hanoi", status=status,
@@ -137,6 +176,23 @@ def test_compare_stored_flags_missing_variant(module_zero):
                             check_oracle=False)
     assert len(report.mismatches) == 1
     assert "(missing)" in report.mismatches[0].describe()
+
+
+@pytest.mark.parametrize("rendered", [
+    "let inv (x : ) : bool =",             # LangError from the parser
+    "type unused = A",                     # ValueError: no definition
+    "let inv (x : nat) (y : nat) : bool = True",  # ValueError: two arguments
+])
+def test_compare_stored_reports_unparsable_invariant(fast_config, module_zero,
+                                                     rendered):
+    rows = [_stored(module_zero.name, v, invariant=rendered)
+            for v in VARIANT_NAMES]
+    report = compare_stored(rows, {module_zero.name: module_zero.definition},
+                            modes=("hanoi",), require_success=(),
+                            config=fast_config)
+    assert not report.mismatches
+    assert len(report.oracle_failures) == 1
+    assert "does not re-parse" in report.oracle_failures[0].reason
 
 
 @pytest.mark.skipif(not os.environ.get("FUZZ_FULL"),
