@@ -183,10 +183,6 @@ class HanoiConfig:
         (CLI ``--cache-dir``)."""
         return replace(self, cache_dir=path)
 
-    def without_persistent_caching(self) -> "HanoiConfig":
-        """The persistence ablation: in-memory caches only."""
-        return replace(self, cache_dir=None)
-
     def without_synthesis_result_caching(self) -> "HanoiConfig":
         """The Hanoi-SRC ablation configuration."""
         return replace(self, synthesis_result_caching=False)
@@ -204,6 +200,6 @@ class HanoiConfig:
         return replace(self, synthesis_evaluation_caching=False)
 
     def without_component_pruning(self) -> "HanoiConfig":
-        """The analysis-pruning ablation configuration (``--no-pruning``)."""
+        """The analysis-pruning ablation configuration (no CLI flag)."""
         return replace(self, synthesis_bounds=replace(
             self.synthesis_bounds, component_pruning=False))

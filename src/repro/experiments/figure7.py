@@ -5,82 +5,22 @@ the end-to-end time, and the verification/synthesis breakdown (TVT, TVC, MVT,
 TST, TSC, MST).  This module regenerates the same table with this
 reproduction's Hanoi implementation and, for context, the paper's reported
 invariant size (or t/o) next to ours.
-
-Run as a module::
-
-    python -m repro.experiments.figure7                    # fast subset, quick profile
-    python -m repro.experiments.figure7 --all              # all 28 benchmarks
-    python -m repro.experiments.figure7 --profile paper    # paper bounds and timeout
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import List, Optional, Sequence
 
 from ..core.config import HanoiConfig
 from ..core.result import InferenceResult
-from ..suite.registry import FAST_BENCHMARKS, all_benchmark_names
-from .report import FIGURE7_HEADERS as HEADERS, figure7_rows, format_table, rows_to_csv
-from .runner import PROFILES, run_many
+from ..suite.registry import FAST_BENCHMARKS
+from .report import FIGURE7_HEADERS as HEADERS, figure7_rows
+from .runner import run_many
 
-__all__ = ["figure7_rows", "run_figure7", "main", "HEADERS"]
+__all__ = ["figure7_rows", "run_figure7", "HEADERS"]
 
 
 def run_figure7(names: Optional[Sequence[str]] = None,
                 config: Optional[HanoiConfig] = None) -> List[InferenceResult]:
     """Run the Hanoi mode over the given benchmarks (fast subset by default)."""
     return run_many(names if names is not None else FAST_BENCHMARKS, mode="hanoi", config=config)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--all", action="store_true",
-                        help="run all 28 benchmarks instead of the fast subset")
-    parser.add_argument("--benchmarks", nargs="*", default=None,
-                        help="explicit benchmark names to run")
-    parser.add_argument("--profile", choices=sorted(PROFILES), default="quick",
-                        help="verifier bounds / timeout profile")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-benchmark timeout in seconds (overrides the profile)")
-    parser.add_argument("--csv", type=str, default=None, help="also write the table as CSV")
-    args = parser.parse_args(argv)
-
-    if args.benchmarks:
-        names = args.benchmarks
-    elif args.all:
-        names = all_benchmark_names()
-    else:
-        names = FAST_BENCHMARKS
-
-    profile = PROFILES[args.profile]
-    config = profile() if args.timeout is None else profile(args.timeout)
-
-    results: List[InferenceResult] = []
-
-    def progress(result: InferenceResult) -> None:
-        results.append(result)
-        size = result.invariant_size if result.invariant_size is not None else "t/o"
-        print(f"  {result.benchmark:45s} {result.status:18s} size={size} "
-              f"time={result.stats.total_time:.1f}s", flush=True)
-
-    print(f"Figure 7: running {len(list(names))} benchmarks with profile {args.profile!r}")
-    run_many(names, mode="hanoi", config=config, progress=progress)
-
-    rows = figure7_rows(results)
-    print()
-    print(format_table(HEADERS, rows))
-    if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(rows_to_csv(HEADERS, rows))
-        print(f"\nwrote {args.csv}")
-
-    solved = sum(1 for r in results if r.succeeded)
-    print(f"\nSolved {solved} / {len(results)} benchmarks "
-          f"(paper: 22 / 28 within a 30-minute timeout).")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the CLI
-    raise SystemExit(main())

@@ -3,30 +3,24 @@
 Figure 8 plots, for each of six modes (Hanoi, Hanoi-SRC, Hanoi-CLC, ∧Str, LA,
 OneShot), how many benchmarks terminate within a given time.  This module
 runs the modes over a benchmark set, collects the per-benchmark completion
-times, and prints both the cumulative-completion series (the plotted curves)
-and a per-mode summary (benchmarks solved, total time) so the ordering
-reported in the paper - Hanoi solves the most, ∧Str and LA solve fewer, and
-OneShot solves almost none - can be checked directly.
-
-Run as a module::
-
-    python -m repro.experiments.figure8                  # fast subset, quick profile
-    python -m repro.experiments.figure8 --all            # all 28 benchmarks
-    python -m repro.experiments.figure8 --modes hanoi conj-str oneshot
+times, and computes both the cumulative-completion series (the plotted
+curves) and a per-mode summary (benchmarks solved, total time) so the
+ordering reported in the paper - Hanoi solves the most, ∧Str and LA solve
+fewer, and OneShot solves almost none - can be checked directly.
+``python -m repro figure8`` prints both.
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import HanoiConfig
 from ..core.result import InferenceResult
-from ..suite.registry import FAST_BENCHMARKS, all_benchmark_names
-from .report import MODE_SUMMARY_HEADERS, format_table, group_by_mode, mode_summary_rows
-from .runner import FIGURE8_MODES, PROFILES, execute_tasks, expand_tasks
+from ..suite.registry import FAST_BENCHMARKS
+from .report import group_by_mode, mode_summary_rows
+from .runner import FIGURE8_MODES, execute_tasks, expand_tasks
 
-__all__ = ["run_figure8", "completion_series", "mode_summary", "main"]
+__all__ = ["run_figure8", "completion_series", "mode_summary"]
 
 
 def run_figure8(names: Optional[Sequence[str]] = None,
@@ -70,43 +64,3 @@ def completion_series(results: Dict[str, List[InferenceResult]]) -> Dict[str, Li
 def mode_summary(results: Dict[str, List[InferenceResult]]) -> List[List[object]]:
     """Summary rows: mode, solved count, total benchmarks, mean/total solve time."""
     return mode_summary_rows(results)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--all", action="store_true", help="run all 28 benchmarks")
-    parser.add_argument("--benchmarks", nargs="*", default=None)
-    parser.add_argument("--modes", nargs="*", default=None,
-                        help=f"modes to run (default: {' '.join(FIGURE8_MODES)})")
-    parser.add_argument("--profile", choices=sorted(PROFILES), default="quick")
-    parser.add_argument("--timeout", type=float, default=None)
-    args = parser.parse_args(argv)
-
-    if args.benchmarks:
-        names = args.benchmarks
-    elif args.all:
-        names = all_benchmark_names()
-    else:
-        names = FAST_BENCHMARKS
-    profile = PROFILES[args.profile]
-    config = profile() if args.timeout is None else profile(args.timeout)
-
-    def progress(result: InferenceResult) -> None:
-        print(f"  [{result.mode:17s}] {result.benchmark:45s} {result.status:18s} "
-              f"time={result.stats.total_time:.1f}s", flush=True)
-
-    results = run_figure8(names, modes=args.modes, config=config, progress=progress)
-
-    print("\nPer-mode summary (Figure 8):")
-    print(format_table(MODE_SUMMARY_HEADERS, mode_summary(results)))
-
-    print("\nCumulative completion series (seconds at which each solve lands):")
-    for mode, times in completion_series(results).items():
-        rendered = ", ".join(f"{t:.1f}" for t in times) or "(none)"
-        print(f"  {mode:18s}: {rendered}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the CLI
-    raise SystemExit(main())

@@ -17,7 +17,7 @@ mode name               meaning
 ======================  ====================================================
 
 Two configuration profiles are provided: ``quick`` (small verifier bounds and
-short timeouts, suitable for CI and for the pytest-benchmark harness) and
+short timeouts, suitable for CI and for the ``perfbench/`` workloads) and
 ``paper`` (the bounds of Section 4.3 and a 30-minute timeout, matching the
 paper's experimental setup).
 """
@@ -134,7 +134,7 @@ def run_module(definition: ModuleDefinition, mode: str = "hanoi",
     """Run one module definition (registered or hand-built) under one mode.
 
     This is the single dispatch point every harness goes through: the serial
-    runner, the parallel runner's workers, the pytest-benchmark harnesses, and
+    runner, the parallel runner's workers, the ``perfbench/`` workloads, and
     the examples all end up here.  Every mode runs with a memo table open
     (:func:`repro.lang.eval.memo_table`); it is dropped on return, because the
     result keeps the module's program alive.

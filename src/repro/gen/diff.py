@@ -282,7 +282,7 @@ def persistent_cache_mismatches(definition: ModuleDefinition,
 
     from ..experiments.runner import quick_config, run_module
 
-    base = (config or quick_config()).without_persistent_caching()
+    base = (config or quick_config()).with_cache_dir(None)
     mismatches: List[DifferentialMismatch] = []
     for mode in modes:
         if not mode.startswith("hanoi"):

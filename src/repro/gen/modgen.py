@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.module import ModuleDefinition
 from ..spec.common import module_filename
+from ..spec.errors import SpecFileError
 from ..spec.loader import load_module_text
 
 __all__ = [
@@ -477,7 +478,7 @@ def generate_module(seed: int) -> GeneratedModule:
     text = _render(parts, seed, name)
     try:
         definition = load_module_text(text, path=f"<generated seed={seed}>")
-    except Exception as exc:  # pragma: no cover - a generator bug, not user error
+    except SpecFileError as exc:  # pragma: no cover - a generator bug, not user error
         raise AssertionError(
             f"generator produced an invalid module for seed {seed} "
             f"(family {family!r}): {exc}\n--- text ---\n{text}") from exc

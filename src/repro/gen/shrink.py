@@ -30,9 +30,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.module import ModuleDefinition
 from ..lang.ast import FunDecl, free_vars
+from ..lang.errors import LangError
 from ..lang.parser import parse_program
 from ..lang.prelude import DEFAULT_SYNTHESIS_COMPONENTS
 from ..spec.common import module_filename
+from ..spec.errors import SpecFileError
 from ..spec.export import render_module
 from ..spec.loader import load_module_text
 
@@ -97,7 +99,7 @@ def _reachable_functions(definition: ModuleDefinition) -> frozenset:
                 if isinstance(decl, FunDecl):
                     bound = {name for name, _ in decl.params} | {decl.name}
                     roots.update(free_vars(decl.body) - frozenset(bound))
-        except Exception:
+        except LangError:
             # An unparsable oracle cannot pin anything down; the candidate
             # validator decides whether the module still loads without it.
             pass
@@ -117,7 +119,7 @@ def _without_dead_decls(definition: ModuleDefinition) -> Optional[ModuleDefiniti
     try:
         reachable = _reachable_functions(definition)
         deps = _decl_dependencies(definition.source)
-    except Exception:
+    except LangError:
         return None
     dead = {name for name in deps if name not in reachable}
     if not dead:
@@ -163,7 +165,7 @@ def _revalidate(candidate: ModuleDefinition) -> Optional[ModuleDefinition]:
     """Round-trip a candidate through export -> loader, or reject it."""
     try:
         return load_module_text(render_module(candidate))
-    except Exception:
+    except SpecFileError:
         return None
 
 

@@ -73,6 +73,9 @@ def test_pool_stream_identical_after_pruning():
     pruned_pool = TermPool(program, pruned, context, environments, max_size=5)
     assert _render_stream(full_pool, BOOL) == _render_stream(pruned_pool, BOOL)
     assert _render_stream(full_pool, NAT) == _render_stream(pruned_pool, NAT)
+    # Pruning pays in work, counted exactly: the junk component's
+    # applications are never built.
+    assert pruned_pool._applications < full_pool._applications
 
 
 def test_junk_component_pruned_same_outcome():

@@ -1,5 +1,6 @@
 """Integration-level tests of the Hanoi CEGIS loop itself."""
 
+import pytest
 
 from repro.core.config import FAST_VERIFIER_BOUNDS, HanoiConfig
 from repro.core.hanoi import HanoiInference, infer_invariant
@@ -84,20 +85,31 @@ def test_spec_violation_lists_its_witnesses_in_value_order(fast_config):
     assert runs[0].events == runs[1].events
 
 
-def test_caching_flags_affect_behaviour(fast_config):
-    baseline = HanoiInference(get_benchmark("/coq/unique-list-::-set"), config=fast_config).infer()
+@pytest.mark.parametrize("name", [
+    "/coq/unique-list-::-set",
+    "/coq/sorted-list-::-set",
+    "/other/stutter-list",
+    "/coq/maxfirst-list-::-heap",
+    "/other/sized-list",
+])
+def test_caching_flags_affect_behaviour(fast_config, name):
+    """The Hanoi-SRC and Hanoi-CLC ablations of Figure 8: each switch turns
+    its cache off, and counterexample list caching saves verification calls
+    and iterations."""
+    baseline = HanoiInference(get_benchmark(name), config=fast_config).infer()
     no_src = HanoiInference(
-        get_benchmark("/coq/unique-list-::-set"),
+        get_benchmark(name),
         config=fast_config.without_synthesis_result_caching(),
     ).infer()
     no_clc = HanoiInference(
-        get_benchmark("/coq/unique-list-::-set"),
+        get_benchmark(name),
         config=fast_config.without_counterexample_list_caching(),
     ).infer()
     assert baseline.succeeded and no_src.succeeded and no_clc.succeeded
     assert no_src.stats.synthesis_cache_hits == 0
     assert no_clc.stats.trace_replays == 0
     assert baseline.stats.verification_calls <= no_clc.stats.verification_calls
+    assert baseline.iterations <= no_clc.iterations
 
 
 def test_positive_examples_only_grow_and_negatives_reset(fast_config):

@@ -7,12 +7,18 @@ while exercising the same reduction machinery the fuzz CLI drives with real
 differential mismatches.
 """
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.gen.modgen import generate_module
-from repro.gen.shrink import shrink_module, write_reproducer
+from repro.gen.shrink import (
+    _revalidate,
+    _without_dead_decls,
+    shrink_module,
+    write_reproducer,
+)
 from repro.spec import load_module_file, load_module_text, render_module
 
 pytestmark = pytest.mark.fuzz
@@ -78,3 +84,16 @@ def test_write_reproducer_round_trips(tmp_path):
     loaded = load_module_file(path)
     assert loaded.name == definition.name
     assert any(op.name == target for op in loaded.operations)
+
+
+def test_revalidate_rejects_a_candidate_that_does_not_load():
+    definition = generate_module(0).definition
+    assert _revalidate(definition) is not None
+    # A module interface needs at least one operation.
+    assert _revalidate(dataclasses.replace(definition, operations=())) is None
+
+
+def test_dead_declaration_pass_skips_unparsable_source():
+    definition = generate_module(0).definition
+    broken = dataclasses.replace(definition, source="let rec = (")
+    assert _without_dead_decls(broken) is None

@@ -19,25 +19,15 @@ from repro.core.hanoi import HanoiInference
 from repro.enumeration.values import ValueEnumerator
 from repro.inductive.relation import ConditionalInductivenessChecker
 from repro.lang.types import TArrow, mentions_abstract
-from repro.suite.registry import get_benchmark
+from repro.suite.registry import FAST_BENCHMARKS, get_benchmark
 from repro.verify.result import Valid
 from repro.verify.tester import Verifier
 
 CONFIG = HanoiConfig(verifier_bounds=FAST_VERIFIER_BOUNDS, timeout_seconds=90)
 
-#: The subset exercised end-to-end in CI (a strict subset of FAST_BENCHMARKS
-#: to keep the integration stage under a couple of minutes).
-SUBSET = [
-    "/coq/unique-list-::-set",
-    "/coq/sorted-list-::-set",
-    "/coq/maxfirst-list-::-heap",
-    "/other/cache",
-    "/other/listlike-tree",
-    "/other/nat-nat-option-::-range",
-    "/other/sized-list",
-    "/other/stutter-list",
-    "/vfa/assoc-list-::-table",
-]
+#: Every benchmark of the fast subset, so each quick-profile Figure-7 row is
+#: re-checked end to end.
+SUBSET = FAST_BENCHMARKS
 
 
 def constructible_values(instance, count=60, seed=7, max_steps=5):

@@ -1,12 +1,19 @@
 """Unit tests for the event/span emitter (`repro.obs.events`)."""
 
+from repro.core.config import FAST_VERIFIER_BOUNDS
+from repro.core.predicate import Predicate
+from repro.core.stats import InferenceStats
+from repro.inductive.relation import ConditionalInductivenessChecker
 from repro.obs.events import (
     NULL_EMITTER,
     SCHEMA_VERSION,
     CountingClock,
     Emitter,
+    NullEmitter,
 )
 from repro.obs.sinks import InMemorySink
+from repro.verify.result import Valid
+from repro.verify.tester import Verifier
 
 
 def traced_emitter():
@@ -85,3 +92,42 @@ def test_null_emitter_is_disabled_and_inert():
         pass
     # The no-op span is shared, not allocated per call.
     assert NULL_EMITTER.span("a") is NULL_EMITTER.span("b")
+
+
+def test_disabled_tracing_makes_no_per_value_emitter_calls(monkeypatch, listset_instance,
+                                                          listset_definition):
+    """Zero-cost-when-off, as an exact count: with the default disabled
+    emitter, a sufficiency check plus a full inductiveness check call the
+    emitter the same number of times however many structures they test, so
+    no emitter call sits on a per-value path."""
+    calls = {"emit": 0, "span": 0}
+
+    def counted(name):
+        original = getattr(NullEmitter, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(NullEmitter, name, counted(name))
+
+    invariant = Predicate.from_source(listset_definition.expected_invariant,
+                                      listset_instance.program)
+
+    def emitter_calls(bounds):
+        calls.update(emit=0, span=0)
+        stats = InferenceStats()
+        verifier = Verifier(listset_instance, bounds=bounds, stats=stats)
+        checker = ConditionalInductivenessChecker(listset_instance, bounds=bounds,
+                                                  stats=stats)
+        assert not verifier.emitter.enabled and not checker.emitter.enabled
+        assert isinstance(verifier.check_sufficiency(invariant), Valid)
+        assert isinstance(checker.check(invariant, invariant), Valid)
+        return dict(calls), stats.structures_tested
+
+    small_calls, small_work = emitter_calls(FAST_VERIFIER_BOUNDS.scaled(0.25))
+    fast_calls, fast_work = emitter_calls(FAST_VERIFIER_BOUNDS)
+    assert small_work < fast_work
+    assert small_calls == fast_calls == {"emit": 0, "span": 1}

@@ -1,6 +1,9 @@
 """Warm-start transparency: disk-cached runs replay cold outcomes exactly."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +111,32 @@ def test_disabled_persistence_records_nothing(generated):
     result = run_module(generated, config=CONFIG)
     assert result.stats.disk_cache_hits == 0
     assert result.stats.disk_cache_misses == 0
+
+
+_NO_CACHE_DIR_SCRIPT = r"""
+import json, sys
+from repro.experiments.runner import quick_config, run_module
+from repro.suite.registry import get_benchmark
+
+result = run_module(get_benchmark("/coq/unique-list-::-set"), config=quick_config())
+print(json.dumps({
+    "serve_imported": "repro.serve" in sys.modules,
+    "hits": result.stats.disk_cache_hits,
+    "misses": result.stats.disk_cache_misses,
+}))
+"""
+
+
+def test_disabled_persistence_never_loads_the_store():
+    """Zero-cost-when-off, checked exactly: without ``cache_dir`` a run never
+    imports the serve package, so it can do no disk I/O.  A fresh process,
+    because anything else in the suite may have imported it already."""
+    repo = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_CACHE_DIR_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=300, check=True)
+    assert json.loads(proc.stdout) == {"serve_imported": False, "hits": 0, "misses": 0}
 
 
 @pytest.mark.fuzz
