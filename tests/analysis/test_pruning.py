@@ -4,7 +4,8 @@ Three layers of evidence, cheapest first:
 
 * **pool level** — a :class:`TermPool` built from the pruned component
   list enumerates exactly the same term stream as one built from the
-  full list;
+  full list, for a hand-written pool and for the synthesizer's own
+  component list of every built-in with a junk component added;
 * **end-to-end** — inference over a module with an injected junk
   component (unreachable result type) produces an identical outcome
   fingerprint with pruning on and off, and the pruned run actually
@@ -20,6 +21,8 @@ import os
 import pytest
 
 from repro.analysis.reachability import prune_components
+from repro.core.config import SynthesisBounds
+from repro.enumeration.values import ValueEnumerator
 from repro.experiments.runner import quick_config, run_module
 from repro.gen.diff import outcome_fingerprint
 from repro.lang.parser import parse_expression
@@ -28,6 +31,7 @@ from repro.lang.program import Program
 from repro.lang.types import TData
 from repro.suite.registry import BENCHMARKS, FAST_BENCHMARKS, get_benchmark
 from repro.synth.bottomup import TermPool, TypedComponent
+from repro.synth.myth import MythSynthesizer
 
 NAT = TData("nat")
 BOOL = TData("bool")
@@ -75,6 +79,33 @@ def test_pool_stream_identical_after_pruning():
     assert _render_stream(full_pool, NAT) == _render_stream(pruned_pool, NAT)
     # Pruning pays in work, counted exactly: the junk component's
     # applications are never built.
+    assert pruned_pool._applications < full_pool._applications
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_builtin_pool_stream_identical_after_pruning(name):
+    """The pool-level check on every built-in: the synthesizer prunes
+    exactly the junk component, its bool stream over the concrete type is
+    unchanged, and the pruned pool builds fewer applications."""
+    instance = _junk_extended(get_benchmark(name)).instantiate()
+    values = ValueEnumerator(instance.program.types).smallest(instance.concrete_type, 6)
+    environments = [{"x": value} for value in values]
+    max_size = SynthesisBounds().max_term_size
+
+    def components(pruning):
+        synthesizer = MythSynthesizer(
+            instance, bounds=SynthesisBounds(component_pruning=pruning))
+        return synthesizer._components(frozenset())
+
+    full = components(False)
+    pruned = components(True)
+    assert [c.name for c in pruned] == [c.name for c in full if c.name != "haunt"]
+
+    context = [("x", instance.concrete_type)]
+    full_pool = TermPool(instance.program, full, context, environments, max_size=max_size)
+    pruned_pool = TermPool(instance.program, pruned, context, environments,
+                           max_size=max_size)
+    assert _render_stream(full_pool, BOOL) == _render_stream(pruned_pool, BOOL)
     assert pruned_pool._applications < full_pool._applications
 
 
