@@ -58,7 +58,6 @@ from ..lang.ast import (
     TypeDecl,
     free_vars,
 )
-from ..lang.parser import parse_program
 from ..lang.prelude import PRELUDE_SOURCE
 from ..lang.pretty import pretty_type, pretty_type_decl
 from ..lang.program import Program
@@ -417,12 +416,8 @@ def _render_decl(decl: object) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _checked_module(definition: ModuleDefinition) -> Tuple[List[object], Program]:
-    decls = parse_program(definition.source)
-    program = Program()
-    program.extend_prelude()
-    program.extend_declarations(decls)
-    return decls, program
+def _checked_module(definition: ModuleDefinition) -> Tuple[Sequence[object], Program]:
+    return definition.declarations, Program.from_declarations(definition.declarations)
 
 
 def canonical_declarations(definition: ModuleDefinition,

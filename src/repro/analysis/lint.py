@@ -131,10 +131,8 @@ def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
     with emitter.span("analysis", {"module": definition.name},
                       cat="analysis"):
         try:
-            decls = parse_program(definition.source)
-            program = Program()
-            program.extend_prelude()
-            program.extend_declarations(decls)
+            decls = definition.declarations
+            program = Program.from_declarations(decls)
         except LangError as exc:
             diagnostics.append(Diagnostic(
                 "HAN000", str(exc), line=getattr(exc, "line", None)))

@@ -19,8 +19,10 @@ Following Section 3.1 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
+from ..lang.parser import parse_program
 from ..lang.prelude import DEFAULT_SYNTHESIS_COMPONENTS
 from ..lang.program import Program
 from ..lang.types import (
@@ -116,6 +118,24 @@ class ModuleDefinition:
     expected_invariant: Optional[str] = None
     description: str = ""
 
+    @classmethod
+    def parsed(cls, declarations: Sequence[object], **fields) -> "ModuleDefinition":
+        """A definition whose ``source`` the caller has already parsed into
+        ``declarations``; it keeps that parse instead of making its own."""
+        definition = cls(**fields)
+        definition.__dict__["declarations"] = tuple(declarations)
+        return definition
+
+    @cached_property
+    def declarations(self) -> Tuple[object, ...]:
+        """The declarations of ``source``, parsed on first use.
+
+        Cached on this instance and not a field, so ``dataclasses.replace``
+        gives the new definition no declarations to carry over: it parses
+        its own ``source``.
+        """
+        return tuple(parse_program(self.source))
+
     @property
     def has_higher_order_operations(self) -> bool:
         """True when some operation takes a functional argument."""
@@ -137,8 +157,8 @@ class ModuleDefinition:
         return sum(1 for t in self.spec_signature if mentions_abstract(t))
 
     def instantiate(self, fuel: int = 500_000) -> "ModuleInstance":
-        """Load the module source into a runnable program."""
-        return ModuleInstance(self, Program.from_source(self.source, fuel=fuel))
+        """Load the module's declarations into a fresh runnable program."""
+        return ModuleInstance(self, Program.from_declarations(self.declarations, fuel=fuel))
 
 
 class ModuleInstance:

@@ -29,6 +29,12 @@ Notes
 -----
 * ``if c then a else b`` desugars to ``match c with True -> a | False -> b``.
 * Integer literals desugar to Peano naturals built from ``S``/``O``.
+* Nesting is bounded by :data:`MAX_NESTING`: each expression, type and
+  pattern inside another opens a level, each argument of an application
+  one more, and an integer literal ``n`` adds ``n`` (one per ``S``).  Deeper
+  input is a :class:`ParseError` at the token that crosses the bound, never
+  a ``RecursionError`` here or later in the checker or evaluator, which
+  recurse on the tree.  A literal is checked before its tree is built.
 * As in OCaml, a ``match`` swallows the following ``|`` branches; nested
   matches therefore need parentheses around the inner match when the outer
   one has further branches.
@@ -61,7 +67,13 @@ from .errors import ParseError
 from .lexer import Token, tokenize
 from .types import TArrow, TData, TProd, Type
 
-__all__ = ["Parser", "parse_program", "parse_expression", "parse_type"]
+__all__ = ["Parser", "parse_program", "parse_expression", "parse_type", "MAX_NESTING"]
+
+#: The deepest tree the parser builds; see the module notes.
+MAX_NESTING = 1000
+
+#: The kinds of token an application argument can start with.
+_ATOM_STARTS = frozenset(["LIDENT", "UIDENT", "INT", "LPAREN"])
 
 
 class Parser:
@@ -70,12 +82,14 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # -- token utilities ----------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        if offset:
+            return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -84,24 +98,33 @@ class Parser:
         return token
 
     def _check(self, kind: str, text: Optional[str] = None) -> bool:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind != kind:
             return False
         return text is None or token.text == text
 
     def _match(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self._check(kind, text):
+        token = self._tokens[self._pos]
+        if token.kind == kind and (text is None or token.text == text):
             return self._advance()
         return None
 
     def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self._peek()
-        if not self._check(kind, text):
+        token = self._tokens[self._pos]
+        if token.kind != kind or (text is not None and token.text != text):
             expected = text or kind
             raise ParseError(
                 f"expected {expected!r} but found {token.text!r}", token.line, token.column
             )
         return self._advance()
+
+    def _nest(self) -> None:
+        """Open one level of nesting at the current token."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            token = self._peek()
+            raise ParseError(f"nested more than {MAX_NESTING} levels deep",
+                             token.line, token.column)
 
     # -- programs and declarations ------------------------------------------
 
@@ -160,9 +183,11 @@ class Parser:
     # -- types ---------------------------------------------------------------
 
     def parse_type(self) -> Type:
+        self._nest()
         left = self._parse_prod_type()
         if self._match("ARROW"):
-            return TArrow(left, self.parse_type())
+            left = TArrow(left, self.parse_type())
+        self._depth -= 1
         return left
 
     def _parse_prod_type(self) -> Type:
@@ -186,15 +211,14 @@ class Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        if self._check("KEYWORD", "fun"):
-            return self._parse_fun()
-        if self._check("KEYWORD", "let"):
-            return self._parse_let_in()
-        if self._check("KEYWORD", "match"):
-            return self._parse_match()
-        if self._check("KEYWORD", "if"):
-            return self._parse_if()
-        return self._parse_app()
+        self._nest()
+        token = self._tokens[self._pos]
+        if token.kind == "KEYWORD" and token.text in self._COMPOUND:
+            expr = self._COMPOUND[token.text](self)
+        else:
+            expr = self._parse_app()
+        self._depth -= 1
+        return expr
 
     def _parse_fun(self) -> Expr:
         self._expect("KEYWORD", "fun")
@@ -249,9 +273,12 @@ class Parser:
         )
 
     def _parse_app(self) -> Expr:
+        depth = self._depth
         atoms = [self._parse_atom()]
         while self._starts_atom():
+            self._nest()  # each argument nests the head one application deeper
             atoms.append(self._parse_atom())
+        self._depth = depth
         head = atoms[0]
         rest = atoms[1:]
         # A capitalized head is a constructor and takes at most one payload.
@@ -271,21 +298,21 @@ class Parser:
         return result
 
     def _starts_atom(self) -> bool:
-        return self._peek().kind in ("LIDENT", "UIDENT", "INT", "LPAREN")
+        return self._tokens[self._pos].kind in _ATOM_STARTS
 
     def _parse_atom(self) -> Expr:
-        token = self._peek()
-        if token.kind == "LIDENT":
-            self._advance()
+        token = self._tokens[self._pos]
+        kind = token.kind
+        if kind == "LIDENT":
+            self._pos += 1
             return EVar(token.text)
-        if token.kind == "UIDENT":
-            self._advance()
+        if kind == "UIDENT":
+            self._pos += 1
             return ECtor(token.text)
-        if token.kind == "INT":
-            self._advance()
-            return _nat_literal(int(token.text))
-        if token.kind == "LPAREN":
-            self._advance()
+        if kind == "INT":
+            return _nat_literal(self._literal_value())
+        if kind == "LPAREN":
+            self._pos += 1
             items = [self.parse_expr()]
             while self._match("COMMA"):
                 items.append(self.parse_expr())
@@ -297,17 +324,39 @@ class Parser:
             f"expected an expression but found {token.text!r}", token.line, token.column
         )
 
+    def _literal_value(self) -> int:
+        """The value of the integer literal at the current token, which must
+        be decimal digits (``str.isdigit`` also admits ``²``) and small
+        enough to nest here."""
+        token = self._advance()
+        text = token.text
+        if not text.isdecimal():
+            raise ParseError(f"{text!r} is not a decimal integer literal",
+                             token.line, token.column)
+        room = MAX_NESTING - self._depth
+        digits = text.lstrip("0") or "0"
+        if len(digits) > len(str(room)) or int(digits) > room:
+            raise ParseError(
+                f"integer literal too large: a literal n nests n constructors, "
+                f"and at most {room} fit here under the nesting limit of "
+                f"{MAX_NESTING}", token.line, token.column)
+        return int(digits)
+
     # -- patterns --------------------------------------------------------------
 
     def parse_pattern(self) -> Pattern:
+        self._nest()
         token = self._peek()
         if token.kind == "UIDENT":
             self._advance()
             payload: Optional[Pattern] = None
             if self._peek().kind in ("LIDENT", "UIDENT", "UNDERSCORE", "LPAREN"):
                 payload = self._parse_pattern_atom()
-            return PCtor(token.text, payload)
-        return self._parse_pattern_atom()
+            pattern: Pattern = PCtor(token.text, payload)
+        else:
+            pattern = self._parse_pattern_atom()
+        self._depth -= 1
+        return pattern
 
     def _parse_pattern_atom(self) -> Pattern:
         token = self._peek()
@@ -332,6 +381,10 @@ class Parser:
         raise ParseError(
             f"expected a pattern but found {token.text!r}", token.line, token.column
         )
+
+    #: The expression forms that open with a keyword, by that keyword.
+    _COMPOUND = {"fun": _parse_fun, "let": _parse_let_in,
+                 "match": _parse_match, "if": _parse_if}
 
 
 def _nat_literal(n: int) -> Expr:

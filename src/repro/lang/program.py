@@ -17,7 +17,7 @@ candidate invariants, enumerating values of declared types).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ast import EFun, Expr, FunDecl, TypeDecl, expr_size
 from .errors import TypeError_
@@ -36,6 +36,13 @@ def _prelude_declarations() -> Tuple[object, ...]:
     """The parsed prelude; declarations are immutable, so every program
     loading the prelude shares one parse."""
     return tuple(parse_program(PRELUDE_SOURCE))
+
+
+@lru_cache(maxsize=None)
+def _prelude_types() -> TypeEnvironment:
+    """The type environment of the checked prelude, built once per process.
+    Shared: every program takes a copy (:meth:`Program.extend_prelude`)."""
+    return TypeChecker().check_declarations(_prelude_declarations())
 
 
 def _first_order(ty: Type, datatypes: Dict[str, TypeDecl],
@@ -67,7 +74,13 @@ class Program:
     @classmethod
     def from_source(cls, source: str, include_prelude: bool = True,
                     fuel: int = DEFAULT_FUEL) -> "Program":
-        """Parse, check, and load a program.
+        """Parse ``source``, then load it as :meth:`from_declarations` does."""
+        return cls.from_declarations(parse_program(source), include_prelude, fuel)
+
+    @classmethod
+    def from_declarations(cls, decls: Sequence[object], include_prelude: bool = True,
+                          fuel: int = DEFAULT_FUEL) -> "Program":
+        """Check and load already-parsed declarations.
 
         When ``include_prelude`` is true (the default) the shared prelude is
         loaded first, exactly as every benchmark program in the paper includes
@@ -76,7 +89,7 @@ class Program:
         program = cls(fuel=fuel)
         if include_prelude:
             program.extend_prelude()
-        program.extend(source)
+        program.extend_declarations(decls)
         return program
 
     def extend(self, source: str) -> None:
@@ -84,10 +97,19 @@ class Program:
         self.extend_declarations(parse_program(source))
 
     def extend_prelude(self) -> None:
-        """Load the shared prelude, parsed once per process."""
-        self.extend_declarations(list(_prelude_declarations()))
+        """Load the shared prelude into an empty program.
 
-    def extend_declarations(self, decls: List[object]) -> None:
+        The prelude is parsed and type checked once per process; each program
+        copies the checked environment and compiles its own closures.
+        ``declarations`` stays prelude-first.
+        """
+        if self.declarations:
+            raise ValueError("the prelude loads into an empty program only")
+        self.types = _prelude_types().copy()
+        self._checker = TypeChecker(self.types)
+        self._install_checked(_prelude_declarations())
+
+    def extend_declarations(self, decls: Sequence[object]) -> None:
         """Type check and install already-parsed declarations.
 
         This is the parse-free half of :meth:`extend`; the ``.hanoi`` spec-file
@@ -95,6 +117,10 @@ class Program:
         be anchored to the declaration's source line.
         """
         self._checker.check_declarations(decls)
+        self._install_checked(decls)
+
+    def _install_checked(self, decls: Sequence[object]) -> None:
+        """Record type-checked declarations and install their functions."""
         for decl in decls:
             self.declarations.append(decl)
             if isinstance(decl, FunDecl):

@@ -52,7 +52,7 @@ def _comment_safe(text: str) -> str:
 
 def _pick_alias(definition: ModuleDefinition) -> str:
     """An abstract-type alias that shadows no type or global of the module."""
-    program = Program.from_source(definition.source)
+    program = Program.from_declarations(definition.declarations)
     taken = set(program.types.datatypes) | set(program.types.globals)
     for candidate in _ALIAS_CANDIDATES:
         if candidate not in taken:

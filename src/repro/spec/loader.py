@@ -116,7 +116,7 @@ class _SpecParser(Parser):
         # as extra application arguments.  Rule: a directive keyword at the
         # start of a line always opens a directive, never an expression atom
         # (parenthesize the rare call to a function named like a directive).
-        token = self._peek()
+        token = self._tokens[self._pos]
         if (token.kind == "LIDENT" and token.column == 1
                 and token.text in DIRECTIVE_KEYWORDS):
             return False
@@ -390,7 +390,11 @@ def _build_definition(parser: _SpecParser, text: str, path: str,
     group_directive = _single(parser, "group")
     description_directive = _single(parser, "description")
 
-    return ModuleDefinition(
+    # The blanked source keeps the lines of the module declarations and
+    # blanks the rest, so it parses to these declarations: the definition
+    # keeps this parse instead of making its own.
+    return ModuleDefinition.parsed(
+        [spanned.decl for spanned in parser.module_decls],
         name=(name_directive.text if name_directive is not None
               else (fallback_name or "<anonymous>")),
         group=group_directive.name if group_directive is not None else DEFAULT_GROUP,

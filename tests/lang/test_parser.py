@@ -18,7 +18,7 @@ from repro.lang.ast import (
     TypeDecl,
 )
 from repro.lang.errors import ParseError
-from repro.lang.parser import parse_expression, parse_program, parse_type
+from repro.lang.parser import MAX_NESTING, parse_expression, parse_program, parse_type
 from repro.lang.types import TArrow, TData, TProd
 
 
@@ -126,3 +126,28 @@ def test_trailing_input_rejected():
 def test_missing_branch_body_rejected():
     with pytest.raises(ParseError):
         parse_program("let f (x : nat) : nat = match x with | O ->")
+
+
+def test_nesting_is_bounded_for_every_construct():
+    depth = MAX_NESTING - 1  # the outermost expression is one level itself
+    inside = {
+        "parentheses": lambda n: "(" * n + "x" + ")" * n,
+        "applications": lambda n: "f" + " x" * n,
+        "let chains": lambda n: "let y = x in " * n + "x",
+        "arrow types": lambda n: "fun (g : " + "nat -> " * n + "nat) -> g",
+    }
+    for name, make in inside.items():
+        parse_expression(make(depth - 1))
+        with pytest.raises(ParseError, match="nested more than 1000 levels"):
+            parse_expression(make(depth + 1))
+
+
+def test_literals_are_decimal_and_fit_under_the_bound():
+    assert parse_expression("0007") == parse_expression("7")
+    assert parse_expression("0" * 5000) == ECtor("O")
+    parse_expression(str(MAX_NESTING - 1))
+    for literal in (str(MAX_NESTING), "30000", "1" * 5000):
+        with pytest.raises(ParseError, match="integer literal too large"):
+            parse_expression(literal)
+    with pytest.raises(ParseError, match="'²' is not a decimal integer literal"):
+        parse_expression("²")

@@ -8,6 +8,8 @@ user would and check output, filters, and diagnostics-not-tracebacks.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -144,3 +146,18 @@ def test_report_renders_row_with_retired_stats_keys(tmp_path, capsys):
     assert "/coq/unique-list-::-set" in out
     assert "solved 0 / 1" in out
     assert (tmp_path / "old.csv").exists()
+
+
+def test_infer_too_deep_file_prints_error_not_traceback(tmp_path):
+    with open(STACK) as handle:
+        text = handle.read()
+    path = tmp_path / "deep.hanoi"
+    path.write_text(text + "\nlet deep (x : nat) : nat = "
+                    + "(" * 50_000 + "x" + ")" * 50_000 + "\n")
+    source = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "infer", str(path)], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": source})
+    assert completed.returncode != 0
+    assert "error:" in completed.stderr
+    assert "Traceback" not in completed.stdout + completed.stderr

@@ -355,3 +355,48 @@ def test_benchmark_directive_requires_string():
 def test_errors_render_with_path_and_line():
     error = error_for("frobnicate\n", path="pack/thing.hanoi")
     assert str(error).startswith("pack/thing.hanoi:1: ")
+
+
+# -- inputs too deep to parse, check or run --------------------------------
+
+#: One declaration each, added to an example module's source.  Each used to
+#: escape the loader as a raw exception: a ``RecursionError`` from the
+#: parser (parentheses, applications, arrows, ``let`` chains) or from the
+#: checker walking the ``S (S ...)`` tree of a literal, and a ``ValueError``
+#: from ``int('²')`` (``'²'.isdigit()`` is true, so it lexes as a number).
+TOO_DEEP = {
+    "parentheses": "let deep (x : nat) : nat = " + "(" * 50_000 + "x" + ")" * 50_000,
+    "literal": "let lit : nat = 30000",
+    "huge literal": "let lit : nat = 10000000",
+    "superscript literal": "let lit : nat = ²",
+    "application": "let app (x : nat) : nat = nat_max " + "x " * 30_000,
+    "arrows": "let f (g : " + "nat -> " * 30_000 + "nat) : nat = O",
+    "let chain": "let f (x : nat) : nat = " + "let y = x in " * 30_000 + "x",
+}
+
+
+def with_declaration(declaration: str):
+    """The bounded-stack example with ``declaration`` added to its module
+    source, and the line it is on."""
+    with open(os.path.join(EXAMPLES_DIR, "bounded-stack.hanoi")) as handle:
+        text = handle.read()
+    head, tail = text.split("\nexpected invariant\n")
+    return (head + "\n" + declaration + "\n\nexpected invariant\n" + tail,
+            head.count("\n") + 2)
+
+
+@pytest.mark.parametrize("name", sorted(TOO_DEEP))
+def test_too_deep_declaration_is_a_spec_error_at_its_line(name):
+    text, line = with_declaration(TOO_DEEP[name])
+    with pytest.raises(SpecFileError) as excinfo:
+        load_module_text(text, path="deep.hanoi")
+    assert excinfo.value.line == line
+
+
+def test_nesting_up_to_the_bound_loads_and_runs():
+    text, _ = with_declaration(
+        "let lit : nat = 990\n"
+        "let deep (x : nat) : nat = " + "(" * 990 + "x" + ")" * 990)
+    program = load_module_text(text).instantiate().program
+    lit = program.global_value("lit")
+    assert program.call("deep", lit) == lit
