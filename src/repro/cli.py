@@ -51,12 +51,11 @@ declarations' verification and synthesis work across processes
 ``lint``
     Run the static analyzer over ``.hanoi`` module files (or registered
     benchmarks): match exhaustiveness, unreachable branches, unused
-    definitions, unprovable termination, unusable synthesis components, and
-    statically disproven invariants, each with a stable ``HAN0xx`` code and
-    a source-line anchor (see docs/analysis.md).  ``--format json`` emits
-    one JSON object per finding.  Exit codes: 0 = clean (warnings without
-    ``--werror`` included), 1 = warnings promoted by ``--werror``,
-    2 = errors.
+    definitions, unprovable termination, and unusable synthesis components,
+    each with a stable ``HAN0xx`` code and a source-line anchor (see
+    docs/analysis.md).  ``--format json`` emits one JSON object per finding.
+    Exit codes: 0 = clean (warnings without ``--werror`` included),
+    1 = warnings promoted by ``--werror``, 2 = errors.
 
 ``trace``
     Analyze a JSONL trace written with ``--trace``: per-phase time breakdown,
@@ -414,33 +413,41 @@ def _select_benchmarks(args: argparse.Namespace, pack=None) -> List[str]:
     return list(FAST_BENCHMARKS)
 
 
-def _run_sweep(args: argparse.Namespace, modes: Sequence[str]) -> List[InferenceResult]:
-    """Expand, filter (resume), execute, and persist one sweep; return the
-    result set recorded in the output store for this sweep's pairs."""
-    pack = _register_pack(args.pack) if args.pack else None
-    names = _select_benchmarks(args, pack=pack)
-    profile = PROFILES[args.profile]
-    # Only override the profile's timeout when one was given explicitly;
-    # profile() keeps the default (quick: 60 s, paper: 1800 s).
-    config = profile() if args.timeout is None else profile(args.timeout)
-    if args.no_eval_cache:
-        config = config.without_evaluation_caching()
-    if args.no_pool_cache:
-        config = config.without_synthesis_evaluation_caching()
-    if args.cache_dir:
-        config = config.with_cache_dir(args.cache_dir)
-    tasks = expand_tasks(names, modes=list(modes), config=config,
-                         pack=pack.path if pack is not None else None,
-                         pack_benchmarks=pack.benchmark_names if pack is not None else None,
-                         pack_name=pack.name if pack is not None else None)
-    sweep_keys = {task.resume_key for task in tasks}
+def _config_from_args(args: argparse.Namespace):
+    """The :class:`HanoiConfig` an inference-running command's flags ask for.
 
-    store = ResultStore(
-        args.output,
-        pack=pack.name if pack is not None else None,
-        pack_benchmarks=pack.benchmark_names if pack is not None else None)
+    Only overrides the profile's timeout when one was given explicitly;
+    ``profile()`` keeps the default (quick: 60 s, paper: 1800 s).  ``fuzz``
+    has no cache flags: it sweeps the cache configurations itself."""
+    profile = PROFILES[args.profile]
+    config = profile() if args.timeout is None else profile(args.timeout)
+    if getattr(args, "no_eval_cache", False):
+        config = config.without_evaluation_caching()
+    if getattr(args, "no_pool_cache", False):
+        config = config.without_synthesis_evaluation_caching()
+    if getattr(args, "cache_dir", None):
+        config = config.with_cache_dir(args.cache_dir)
+    return config
+
+
+def _progress(result: InferenceResult) -> None:
+    size = result.invariant_size if result.invariant_size is not None else "-"
+    variant = f" {result.variant:9s}" if result.variant is not None else ""
+    print(f"  [{result.mode:17s}] {result.benchmark:45s}{variant} "
+          f"{result.status:18s} size={size} "
+          f"time={result.stats.total_time:.1f}s", flush=True)
+
+
+def _execute_sweep(args: argparse.Namespace, tasks, store: ResultStore,
+                   shape: str, unit: str) -> List[InferenceResult]:
+    """Filter (resume), execute, and persist ``tasks``; return the result set
+    recorded in ``store`` for this sweep's keys.
+
+    ``shape`` describes the task grid and ``unit`` names one task in the
+    progress lines."""
+    sweep_keys = {task.resume_key for task in tasks}
     if args.resume:
-        if args.retry_failed:
+        if getattr(args, "retry_failed", False):
             completed = {(r.benchmark, r.mode, r.pack, r.variant)
                          for r in store.load() if r.succeeded}
         else:
@@ -448,32 +455,44 @@ def _run_sweep(args: argparse.Namespace, modes: Sequence[str]) -> List[Inference
         remaining = [task for task in tasks if task.resume_key not in completed]
         skipped = len(tasks) - len(remaining)
         if skipped:
-            print(f"resume: skipping {skipped} completed pair(s) found in {args.output}")
+            print(f"resume: skipping {skipped} completed {unit}(s) found in {store.path}")
         tasks = remaining
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    print(f"running {len(tasks)} task(s) "
-          f"({len(names)} benchmark(s) x {len(modes)} mode(s)) "
+    print(f"running {len(tasks)} task(s) ({shape}) "
           f"with profile {args.profile!r}, {jobs} worker(s); "
-          f"results -> {args.output}")
+          f"results -> {store.path}")
+    if tasks and jobs == 1:
+        execute_tasks(tasks, progress=_progress, store=store)
+    elif tasks:
+        ParallelRunner(jobs=jobs).run(tasks, progress=_progress, store=store)
 
-    def progress(result: InferenceResult) -> None:
-        size = result.invariant_size if result.invariant_size is not None else "-"
-        print(f"  [{result.mode:17s}] {result.benchmark:45s} {result.status:18s} "
-              f"size={size} time={result.stats.total_time:.1f}s", flush=True)
-
-    if tasks:
-        if jobs == 1:
-            execute_tasks(tasks, progress=progress, store=store)
-        else:
-            ParallelRunner(jobs=jobs).run(tasks, progress=progress, store=store)
-
-    # Report only this sweep's pairs: the store may also hold rows from
+    # Report only this sweep's keys: the store may also hold rows from
     # earlier sweeps with different benchmarks/modes (or a same-named pack
     # benchmark) written to the same file.
     return [result for result in store.load()
             if (result.benchmark, result.mode, result.pack, result.variant)
             in sweep_keys]
+
+
+def _run_sweep(args: argparse.Namespace, modes: Sequence[str]) -> List[InferenceResult]:
+    """Expand one ``run``/``figure8`` sweep and execute it; return the result
+    set recorded in the output store for this sweep's pairs."""
+    if args.retry_failed and not args.resume:
+        raise SystemExit("--retry-failed only applies with --resume "
+                         "(it re-runs stored pairs whose status is not success)")
+    pack = _register_pack(args.pack) if args.pack else None
+    names = _select_benchmarks(args, pack=pack)
+    tasks = expand_tasks(names, modes=list(modes), config=_config_from_args(args),
+                         pack=pack.path if pack is not None else None,
+                         pack_benchmarks=pack.benchmark_names if pack is not None else None,
+                         pack_name=pack.name if pack is not None else None)
+    store = ResultStore(
+        args.output,
+        pack=pack.name if pack is not None else None,
+        pack_benchmarks=pack.benchmark_names if pack is not None else None)
+    return _execute_sweep(args, tasks, store, unit="pair",
+                          shape=f"{len(names)} benchmark(s) x {len(modes)} mode(s)")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -546,14 +565,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     except SpecFileError as exc:
         raise SystemExit(f"error: {exc}")
 
-    profile = PROFILES[args.profile]
-    config = profile() if args.timeout is None else profile(args.timeout)
-    if args.no_eval_cache:
-        config = config.without_evaluation_caching()
-    if args.no_pool_cache:
-        config = config.without_synthesis_evaluation_caching()
-    if args.cache_dir:
-        config = config.with_cache_dir(args.cache_dir)
+    config = _config_from_args(args)
     operations = ", ".join(op.name for op in definition.operations)
     print(f"loaded {definition.name} ({definition.group}): "
           f"{len(definition.operations)} operation(s): {operations}")
@@ -731,7 +743,8 @@ def _print_lint_report(report, args: argparse.Namespace, counts) -> None:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .experiments.runner import ExperimentTask
-    from .gen.diff import VARIANT_NAMES, compare_stored, fuzz_module, variant_config
+    from .gen.diff import (PERSISTENCE_VARIANTS, VARIANT_NAMES, compare_stored,
+                           differential, variant_config)
     from .gen.modgen import generate_corpus, write_corpus
     from .gen.shrink import shrink_module, write_reproducer
 
@@ -751,65 +764,28 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     pack = _register_pack(corpus_dir)
     definitions = {module.name: module.definition for module in corpus}
 
-    profile = PROFILES[args.profile]
-    config = profile() if args.timeout is None else profile(args.timeout)
+    config = _config_from_args(args)
     tasks = [ExperimentTask(benchmark=name, mode=mode,
                             config=variant_config(config, variant),
                             pack=pack.path, pack_name=pack.name, variant=variant)
              for mode in modes for name in pack.benchmark_names
              for variant in VARIANT_NAMES]
-    sweep_keys = {task.resume_key for task in tasks}
-
-    output = os.path.join(args.out, "results.jsonl")
-    store = ResultStore(output, pack=pack.name,
+    store = ResultStore(os.path.join(args.out, "results.jsonl"), pack=pack.name,
                         pack_benchmarks=pack.benchmark_names)
-    if args.resume:
-        completed = store.completed_keys()
-        remaining = [task for task in tasks if task.resume_key not in completed]
-        skipped = len(tasks) - len(remaining)
-        if skipped:
-            print(f"resume: skipping {skipped} completed cell(s) found in {output}")
-        tasks = remaining
-
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    print(f"running {len(tasks)} task(s) ({len(corpus)} module(s) x "
-          f"{len(modes)} mode(s) x {len(VARIANT_NAMES)} cache variant(s)) "
-          f"with profile {args.profile!r}, {jobs} worker(s); results -> {output}")
-
-    def progress(result: InferenceResult) -> None:
-        print(f"  [{result.mode:17s}] {result.benchmark:30s} "
-              f"{result.variant or '-':9s} {result.status:18s} "
-              f"time={result.stats.total_time:.1f}s", flush=True)
-
-    if tasks:
-        if jobs == 1:
-            execute_tasks(tasks, progress=progress, store=store)
-        else:
-            ParallelRunner(jobs=jobs).run(tasks, progress=progress, store=store)
-
-    results = [result for result in store.load()
-               if (result.benchmark, result.mode, result.pack, result.variant)
-               in sweep_keys]
+    results = _execute_sweep(
+        args, tasks, store, unit="cell",
+        shape=f"{len(corpus)} module(s) x {len(modes)} mode(s) x "
+              f"{len(VARIANT_NAMES)} cache variant(s)")
     report = compare_stored(results, definitions, modes=modes,
                             check_oracle=not args.no_oracle, config=config)
     if args.check_persistence:
-        from .gen.diff import persistent_cache_mismatches
-
         print("cross-checking the persistent disk-cache tier "
               f"({len(definitions)} module(s)) ...")
         for definition in definitions.values():
-            report.mismatches.extend(
-                persistent_cache_mismatches(definition, modes=modes,
-                                            config=config))
-            report.runs += 4 * sum(1 for m in modes if m.startswith("hanoi"))
+            report.merge(differential(definition, PERSISTENCE_VARIANTS,
+                                      modes=modes, config=config))
     print()
-    print(report.summary())
-    for failure in report.oracle_failures:
-        print(f"  oracle: {failure.benchmark} [{failure.mode}/{failure.variant}]: "
-              f"{failure.reason}")
-    for mismatch in report.mismatches:
-        print()
-        print(mismatch.describe())
+    print(report.describe())
 
     if report.mismatches and args.shrink:
         reproducer_dir = os.path.join(args.out, "reproducers")
@@ -820,9 +796,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             shrunk.add(mismatch.benchmark)
             definition = definitions[mismatch.benchmark]
 
-            def still_fails(candidate, _mode=mismatch.mode):
-                rerun = fuzz_module(candidate, modes=(_mode,), config=config,
-                                    require_success=(), check_oracle=False)
+            def still_fails(candidate, _mismatch=mismatch):
+                rerun = differential(candidate, _mismatch.variants,
+                                     modes=(_mismatch.mode,), config=config)
                 return bool(rerun.mismatches)
 
             try:

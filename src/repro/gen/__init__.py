@@ -7,9 +7,10 @@ a scaling corpus and a correctness oracle:
   invariant is known *by construction* - the invariant is chosen first and
   every operation is derived so that it provably preserves it;
 * :mod:`repro.gen.diff` runs generated (or any) modules through several
-  inference modes under every cache configuration and cross-checks that the
-  outcomes are byte-identical per mode, and that inferred invariants agree
-  with the ground truth under the bounded tester;
+  inference modes under each variant of a transparent layer (the cache
+  matrix, component pruning, canonicalization, the disk store) and
+  cross-checks that the outcomes are byte-identical per mode, and that
+  inferred invariants agree with the ground truth under the bounded tester;
 * :mod:`repro.gen.shrink` minimizes a mismatching module to a small ``.hanoi``
   reproducer.
 
@@ -17,10 +18,12 @@ The CLI front end is ``python -m repro fuzz`` (see docs/fuzzing.md).
 """
 
 from .diff import (
+    CACHE_MATRIX,
     CACHE_VARIANTS,
     DEFAULT_FUZZ_MODES,
     DifferentialMismatch,
     FuzzReport,
+    differential,
     outcome_fingerprint,
     variant_config,
 )
@@ -41,8 +44,10 @@ __all__ = [
     "generate_corpus",
     "write_corpus",
     "corpus_digest",
+    "CACHE_MATRIX",
     "CACHE_VARIANTS",
     "DEFAULT_FUZZ_MODES",
+    "differential",
     "variant_config",
     "outcome_fingerprint",
     "DifferentialMismatch",

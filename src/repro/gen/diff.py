@@ -1,28 +1,36 @@
-"""Differential fuzzing: cross-check modes and cache configurations.
+"""Differential fuzzing: every transparent layer must leave outcomes unchanged.
 
-Every module (generated or hand-written) is run through a set of inference
-modes, each under all four cache configurations - the 2x2 matrix of the
-verification evaluation cache (``--no-eval-cache``) and the synthesis
-term-pool cache (``--no-pool-cache``).  Three properties are checked:
+One harness, :func:`differential`, runs a module under an ordered tuple of
+named *variants* for each inference mode and requires one outcome
+*fingerprint* (status, rendered invariant, size, iteration count, message)
+per ``(module, mode)``.  A variant is a ``(tag, prepare)`` pair: ``prepare``
+maps the base ``(definition, config)`` to what that variant runs.  Four
+variant tuples hold the layers that advertise "identical outcomes, less
+work" to it:
 
-1. **Cache transparency** - per mode, the outcome *fingerprint* (status,
-   rendered invariant, size, iteration count, message) is byte-identical
-   across all four cache configurations.  The caches advertise "identical
-   outcomes, less work"; this is the harness that holds them to it.
-2. **Ground-truth agreement** - for generated modules the expected invariant
-   is known by construction (:mod:`repro.gen.modgen`); the bounded tester
-   checks it is sufficient and inductive (a generator self-check), and that
-   every *inferred* invariant implies it (inference may find a stronger
-   invariant than the ground truth, never an incomparable one, because the
-   generated specification's leading conjunct is the ground truth itself).
-3. **Mode success** - modes listed in ``require_success`` (by default just
-   ``hanoi``) must solve every generated module: the invariant is a single
-   application of a helper the synthesizer is handed as a component, so a
-   failure is a real regression, not an unlucky search.
-4. **Persistent-cache transparency** (``check_persistence``) - the disk
-   cache tier (:mod:`repro.serve.diskcache`) must replay identically:
-   no-persistence, cold-store, warm-store, and corrupted-store runs all
-   produce the same fingerprint (see docs/service.md).
+* :data:`CACHE_MATRIX` - the 2x2 matrix of the verification evaluation
+  cache (``--no-eval-cache``) and the synthesis term-pool cache
+  (``--no-pool-cache``);
+* :data:`PRUNING_VARIANTS` - reachability pruning of synthesis components
+  on and off;
+* :data:`CANONICAL_VARIANTS` - the module and its canonicalized form
+  (:mod:`repro.analysis.canon`);
+* :data:`PERSISTENCE_VARIANTS` - no persistence, then a cold, a warm, and a
+  corrupted disk-cache store (:mod:`repro.serve.diskcache`, docs/service.md).
+
+The runs are judged by :func:`compare_stored`, the same code that judges the
+rows a parallel sweep persisted.  Besides agreement it checks:
+
+* **Ground-truth agreement** - for generated modules the expected invariant
+  is known by construction (:mod:`repro.gen.modgen`); the bounded tester
+  checks it is sufficient and inductive (a generator self-check), and that
+  every *inferred* invariant implies it (inference may find a stronger
+  invariant than the ground truth, never an incomparable one, because the
+  generated specification's leading conjunct is the ground truth itself).
+* **Mode success** - modes listed in ``require_success`` (by default just
+  ``hanoi``) must solve every generated module: the invariant is a single
+  application of a helper the synthesizer is handed as a component, so a
+  failure is a real regression, not an unlucky search.
 
 Mismatches are reported as :class:`DifferentialMismatch` records; the CLI
 hands them to :mod:`repro.gen.shrink` to minimize into reproducers.
@@ -32,8 +40,10 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.config import HanoiConfig
 from ..core.module import ModuleDefinition
@@ -46,15 +56,19 @@ from ..verify.tester import Verifier
 
 __all__ = [
     "CACHE_VARIANTS",
+    "CACHE_MATRIX",
+    "PRUNING_VARIANTS",
+    "CANONICAL_VARIANTS",
+    "PERSISTENCE_VARIANTS",
     "DEFAULT_FUZZ_MODES",
     "FAULT_ENV_VAR",
+    "Variants",
     "variant_config",
     "outcome_fingerprint",
     "DifferentialMismatch",
     "OracleFailure",
     "FuzzReport",
-    "canonicalization_mismatches",
-    "persistent_cache_mismatches",
+    "differential",
     "fuzz_module",
     "fuzz_corpus",
     "compare_stored",
@@ -86,6 +100,32 @@ FAULT_ENV_VAR = "REPRO_FUZZ_FAULT_OPERATION"
 #: Signature of a fault hook: (benchmark, mode, variant, fingerprint) -> fingerprint.
 FaultHook = Callable[[str, str, str, dict], dict]
 
+#: What one variant runs, given the base module and configuration.
+Prepare = Callable[[ModuleDefinition, HanoiConfig],
+                   Tuple[ModuleDefinition, HanoiConfig]]
+
+
+class Variants(NamedTuple):
+    """An ordered tuple of ``(tag, prepare)`` variants that must agree.
+
+    The first variant is the reference: success and the ground truth are
+    judged on its run.  ``kind`` names the layer in mismatch reports.  With
+    ``disk_store``, each mode's variants share a fresh scratch directory as
+    ``config.cache_dir``; only the Hanoi-loop modes open the store, so only
+    they run.
+    """
+
+    kind: str
+    members: Tuple[Tuple[str, Prepare], ...]
+    disk_store: bool = False
+
+    @property
+    def tags(self) -> Tuple[str, ...]:
+        return tuple(tag for tag, _ in self.members)
+
+    def applies_to(self, mode: str) -> bool:
+        return not self.disk_store or mode.startswith("hanoi")
+
 
 def variant_config(config: HanoiConfig, variant: str) -> HanoiConfig:
     """The base configuration with one cache matrix cell applied."""
@@ -97,6 +137,68 @@ def variant_config(config: HanoiConfig, variant: str) -> HanoiConfig:
                 config = config.without_synthesis_evaluation_caching()
             return config
     raise KeyError(f"unknown cache variant {variant!r}; known: {VARIANT_NAMES}")
+
+
+def _same(definition: ModuleDefinition, config: HanoiConfig):
+    return definition, config
+
+
+def _configured(change: Callable[[HanoiConfig], HanoiConfig]) -> Prepare:
+    return lambda definition, config: (definition, change(config))
+
+
+def _canonicalized(definition: ModuleDefinition, config: HanoiConfig):
+    from ..analysis.canon import canonicalize_definition
+
+    return canonicalize_definition(definition), config
+
+
+def _corrupt_store(directory: str) -> int:
+    """Flip one mid-payload byte in every disk-cache entry; returns count."""
+    flipped = 0
+    for root, _, files in os.walk(directory):
+        for name in files:
+            if not name.endswith(".bin"):
+                continue
+            path = os.path.join(root, name)
+            with open(path, "r+b") as handle:
+                blob = bytearray(handle.read())
+                if not blob:
+                    continue
+                blob[len(blob) // 2] ^= 0xFF
+                handle.seek(0)
+                handle.write(blob)
+            flipped += 1
+    return flipped
+
+
+def _corrupted(definition: ModuleDefinition, config: HanoiConfig):
+    _corrupt_store(config.cache_dir)
+    return definition, config
+
+
+CACHE_MATRIX = Variants("cache variants", tuple(
+    (tag, _configured(lambda config, tag=tag: variant_config(config, tag)))
+    for tag in VARIANT_NAMES))
+
+PRUNING_VARIANTS = Variants("component pruning", (
+    ("pruning", _same),
+    ("no-pruning", _configured(HanoiConfig.without_component_pruning)),
+))
+
+CANONICAL_VARIANTS = Variants("canonicalization", (
+    ("original", _same),
+    ("canonical", _canonicalized),
+))
+
+#: Every damaged entry must be skipped with a warning, never crash the run
+#: or change its outcome.
+PERSISTENCE_VARIANTS = Variants("persistent cache", (
+    ("no-persistence", _configured(lambda config: config.with_cache_dir(None))),
+    ("cold-store", _same),
+    ("warm-store", _same),
+    ("corrupt-store", _corrupted),
+), disk_store=True)
 
 
 def outcome_fingerprint(result: InferenceResult) -> dict:
@@ -141,28 +243,22 @@ def _env_fault_hook(definitions: Dict[str, ModuleDefinition]) -> Optional[FaultH
 
 @dataclass(frozen=True)
 class DifferentialMismatch:
-    """One ``(benchmark, mode)`` pair whose runs disagree.
-
-    ``kind`` says which axis disagreed: the cache-variant matrix (the
-    default) or the original-versus-canonicalized module comparison."""
+    """One ``(benchmark, mode)`` pair whose variants disagree."""
 
     benchmark: str
     mode: str
-    #: run tag -> fingerprint (missing runs are absent).  Cache-matrix
-    #: mismatches use the variant tags; canonicalization mismatches use
-    #: ``original`` / ``canonical``.
+    #: variant tag -> fingerprint (missing runs are absent).
     fingerprints: Dict[str, dict]
-    kind: str = "cache variants"
+    #: The variant tuple that disagreed, so a reproducer can re-run it.
+    variants: Variants
 
     def describe(self) -> str:
-        lines = [f"{self.benchmark} [{self.mode}]: {self.kind} disagree"]
-        keys = (VARIANT_NAMES if self.kind == "cache variants"
-                else tuple(self.fingerprints))
-        for key in keys:
-            if key in self.fingerprints:
-                lines.append(f"  {key:10s} {_fingerprint_bytes(self.fingerprints[key])}")
+        lines = [f"{self.benchmark} [{self.mode}]: {self.variants.kind} disagree"]
+        for tag in self.variants.tags:
+            if tag in self.fingerprints:
+                lines.append(f"  {tag:10s} {_fingerprint_bytes(self.fingerprints[tag])}")
             else:
-                lines.append(f"  {key:10s} (missing)")
+                lines.append(f"  {tag:10s} (missing)")
         return "\n".join(lines)
 
 
@@ -193,7 +289,9 @@ class FuzzReport:
         return not self.mismatches and not self.oracle_failures
 
     def merge(self, other: "FuzzReport") -> None:
-        self.benchmarks.extend(other.benchmarks)
+        """Fold ``other`` in; a module both reports cover is counted once."""
+        self.benchmarks.extend(name for name in other.benchmarks
+                               if name not in self.benchmarks)
         self.runs += other.runs
         self.mismatches.extend(other.mismatches)
         self.oracle_failures.extend(other.oracle_failures)
@@ -204,127 +302,50 @@ class FuzzReport:
                 f"{self.runs} run(s), {len(self.mismatches)} mismatch(es), "
                 f"{len(self.oracle_failures)} oracle failure(s)")
 
+    def describe(self) -> str:
+        """The summary line, then every oracle failure and mismatch."""
+        lines = [self.summary()]
+        lines.extend(f"  oracle: {failure.describe()}"
+                     for failure in self.oracle_failures)
+        for mismatch in self.mismatches:
+            lines.extend(("", mismatch.describe()))
+        return "\n".join(lines)
 
-# -- canonicalization transparency ------------------------------------------------
+
+# -- the harness -----------------------------------------------------------------
 
 
-def canonicalization_mismatches(definition: ModuleDefinition,
-                                modes: Sequence[str] = DEFAULT_FUZZ_MODES,
-                                config: Optional[HanoiConfig] = None,
-                                ) -> List[DifferentialMismatch]:
-    """Run the module and its canonicalized form through each mode.
+def differential(definition: ModuleDefinition,
+                 variants: Variants,
+                 modes: Sequence[str] = DEFAULT_FUZZ_MODES,
+                 config: Optional[HanoiConfig] = None,
+                 require_success: Sequence[str] = (),
+                 fault: Optional[FaultHook] = None,
+                 check_oracle: bool = False) -> FuzzReport:
+    """Run ``definition`` under each of ``variants`` per mode, in process,
+    and judge the runs with :func:`compare_stored`.
 
-    The canonicalizing rewrites (:mod:`repro.analysis.canon`) advertise
-    behaviour preservation: constant folding, dead-branch elimination, and
-    alpha-normalization must not change what inference concludes.  This is
-    the harness that holds them to it - the outcome fingerprints of the
-    original and the canonicalized module must be byte-identical per mode.
+    Per mode the variants run in order, so a later one may depend on what an
+    earlier one left behind (the warm store the cold run filled).  The report
+    counts every run; by default it checks agreement only.
     """
-    from ..analysis.canon import canonicalize_definition
     from ..experiments.runner import quick_config, run_module
 
     base = config or quick_config()
-    canonical = canonicalize_definition(definition)
-    mismatches: List[DifferentialMismatch] = []
-    for mode in modes:
-        fingerprints = {
-            "original": outcome_fingerprint(
-                run_module(definition, mode=mode, config=base)),
-            "canonical": outcome_fingerprint(
-                run_module(canonical, mode=mode, config=base)),
-        }
-        rendered = {_fingerprint_bytes(fp) for fp in fingerprints.values()}
-        if len(rendered) != 1:
-            mismatches.append(DifferentialMismatch(
-                benchmark=definition.name, mode=mode,
-                fingerprints=fingerprints, kind="canonicalization"))
-    return mismatches
-
-
-def _corrupt_store(directory: str) -> int:
-    """Flip one mid-payload byte in every disk-cache entry; returns count."""
-    flipped = 0
-    for root, _, files in os.walk(directory):
-        for name in files:
-            if not name.endswith(".bin"):
-                continue
-            path = os.path.join(root, name)
-            with open(path, "r+b") as handle:
-                blob = bytearray(handle.read())
-                if not blob:
-                    continue
-                blob[len(blob) // 2] ^= 0xFF
-                handle.seek(0)
-                handle.write(blob)
-            flipped += 1
-    return flipped
-
-
-def persistent_cache_mismatches(definition: ModuleDefinition,
-                                modes: Sequence[str] = DEFAULT_FUZZ_MODES,
-                                config: Optional[HanoiConfig] = None,
-                                cache_dir: Optional[str] = None,
-                                ) -> List[DifferentialMismatch]:
-    """Cold, warm, and corrupted persistent-store runs vs. no persistence.
-
-    The disk cache tier (:mod:`repro.serve.diskcache`) advertises the same
-    contract as the in-memory caches: identical outcomes, less work - now
-    across *processes*.  Per Hanoi mode this runs the module four ways:
-    without persistence, against an empty store (cold), against the store
-    the cold run just wrote (warm), and against that store with one byte
-    flipped in every entry (corruption tolerance: every entry must be
-    skipped with a warning, never crash or change the outcome).  All four
-    fingerprints must be byte-identical.  Baseline modes never create the
-    caches, so only Hanoi-loop modes are compared.
-    """
-    import shutil
-    import tempfile
-
-    from ..experiments.runner import quick_config, run_module
-
-    base = (config or quick_config()).with_cache_dir(None)
-    mismatches: List[DifferentialMismatch] = []
-    for mode in modes:
-        if not mode.startswith("hanoi"):
-            continue
-        owns_dir = cache_dir is None
-        directory = (tempfile.mkdtemp(prefix="repro-fuzz-diskcache-")
-                     if owns_dir else os.path.join(cache_dir, mode.replace("/", "_")))
-        try:
-            persistent = base.with_cache_dir(directory)
-            fingerprints = {
-                "no-persistence": outcome_fingerprint(
-                    run_module(definition, mode=mode, config=base)),
-                "cold-store": outcome_fingerprint(
-                    run_module(definition, mode=mode, config=persistent)),
-                "warm-store": outcome_fingerprint(
-                    run_module(definition, mode=mode, config=persistent)),
-            }
-            _corrupt_store(directory)
-            fingerprints["corrupt-store"] = outcome_fingerprint(
-                run_module(definition, mode=mode, config=persistent))
-            rendered = {_fingerprint_bytes(fp) for fp in fingerprints.values()}
-            if len(rendered) != 1:
-                mismatches.append(DifferentialMismatch(
-                    benchmark=definition.name, mode=mode,
-                    fingerprints=fingerprints, kind="persistent cache"))
-        finally:
-            if owns_dir:
-                shutil.rmtree(directory, ignore_errors=True)
-    return mismatches
-
-
-# -- in-process sweeps -----------------------------------------------------------
-
-
-def _diff_variants(benchmark: str, mode: str,
-                   fingerprints: Dict[str, dict]) -> Optional[DifferentialMismatch]:
-    """A mismatch record when the variant fingerprints are not all identical."""
-    rendered = {variant: _fingerprint_bytes(fp) for variant, fp in fingerprints.items()}
-    if len(fingerprints) == len(VARIANT_NAMES) and len(set(rendered.values())) == 1:
-        return None
-    return DifferentialMismatch(benchmark=benchmark, mode=mode,
-                                fingerprints=dict(fingerprints))
+    results: List[InferenceResult] = []
+    for mode in filter(variants.applies_to, modes):
+        scratch = (tempfile.TemporaryDirectory(prefix="repro-fuzz-diskcache-")
+                   if variants.disk_store else nullcontext())
+        with scratch as store:
+            start = base if store is None else base.with_cache_dir(store)
+            for tag, prepare in variants.members:
+                module, variant_base = prepare(definition, start)
+                result = run_module(module, mode=mode, config=variant_base)
+                result.variant = tag
+                results.append(result)
+    return compare_stored(results, {definition.name: definition}, modes,
+                          variants=variants, require_success=require_success,
+                          fault=fault, check_oracle=check_oracle, config=base)
 
 
 def _check_ground_truth(definition: ModuleDefinition, bounds,
@@ -379,65 +400,85 @@ def _check_inferred_against_oracle(definition: ModuleDefinition,
             f"rejects (witness: {verdict.witnesses[0]})"))
 
 
+def compare_stored(results: Sequence[InferenceResult],
+                   definitions: Dict[str, ModuleDefinition],
+                   modes: Sequence[str],
+                   variants: Variants = CACHE_MATRIX,
+                   require_success: Sequence[str] = ("hanoi",),
+                   fault: Optional[FaultHook] = None,
+                   check_oracle: bool = True,
+                   config: Optional[HanoiConfig] = None) -> FuzzReport:
+    """Judge variant-tagged runs: the one place runs are checked.
+
+    The rows come from :func:`differential` or from a :class:`ResultStore`
+    a parallel sweep persisted (each ``(benchmark, mode, variant)`` cell one
+    task).  Per ``(benchmark, mode)`` every variant must be present with one
+    fingerprint; success and the ground truth are judged on the reference
+    (first) variant.  With ``check_oracle``, each module's ground truth is
+    self-checked once.
+    """
+    from ..experiments.runner import quick_config
+
+    bounds = (config or quick_config()).verifier_bounds
+    report = FuzzReport(benchmarks=list(definitions), runs=len(results))
+    if fault is None:
+        fault = _env_fault_hook(definitions)
+
+    by_cell: Dict[Tuple[str, str], Dict[str, dict]] = {}
+    for result in results:
+        fingerprint = outcome_fingerprint(result)
+        if fault is not None:
+            fingerprint = fault(result.benchmark, result.mode,
+                                result.variant or "", fingerprint)
+        by_cell.setdefault((result.benchmark, result.mode), {})[
+            result.variant or ""] = fingerprint
+
+    reference_tag = variants.tags[0]
+    for name, definition in definitions.items():
+        oracle = (_check_ground_truth(definition, bounds, report)
+                  if check_oracle else None)
+        for mode in filter(variants.applies_to, modes):
+            fingerprints = by_cell.get((name, mode), {})
+            rendered = {_fingerprint_bytes(fp) for fp in fingerprints.values()}
+            if set(fingerprints) != set(variants.tags) or len(rendered) != 1:
+                report.mismatches.append(DifferentialMismatch(
+                    benchmark=name, mode=mode, fingerprints=dict(fingerprints),
+                    variants=variants))
+            reference = fingerprints.get(reference_tag)
+            if reference is None:
+                continue
+            if mode in require_success and reference["status"] != "success":
+                report.oracle_failures.append(OracleFailure(
+                    name, mode, reference_tag,
+                    f"expected success on a generated module, got "
+                    f"{reference['status']!r}: {reference['message']}"))
+            if reference["status"] == "success":
+                _check_inferred_against_oracle(
+                    definition, oracle, bounds, mode, reference_tag,
+                    reference["invariant"], report)
+    return report
+
+
+# -- in-process sweeps -----------------------------------------------------------
+
+
 def fuzz_module(definition: ModuleDefinition,
                 modes: Sequence[str] = DEFAULT_FUZZ_MODES,
                 config: Optional[HanoiConfig] = None,
                 require_success: Sequence[str] = ("hanoi",),
                 fault: Optional[FaultHook] = None,
                 check_oracle: bool = True,
-                check_canonical: bool = False,
-                check_persistence: bool = False) -> FuzzReport:
-    """Run one module through ``modes`` x cache variants, in process.
-
-    With ``check_canonical``, additionally re-run each mode on the
-    canonicalized module and require byte-identical outcomes (doubles the
-    per-mode work, so off by default).  With ``check_persistence``, re-run
-    the Hanoi modes against a cold, a warm, and a corrupted persistent
-    disk-cache store and require all four outcomes identical (see
-    :func:`persistent_cache_mismatches`)."""
-    from ..experiments.runner import quick_config, run_module
-
-    base = config or quick_config()
-    bounds = base.verifier_bounds
-    report = FuzzReport(benchmarks=[definition.name])
-    oracle = _check_ground_truth(definition, bounds, report) if check_oracle else None
-    if fault is None:
-        fault = _env_fault_hook({definition.name: definition})
-
-    for mode in modes:
-        fingerprints: Dict[str, dict] = {}
-        for variant in VARIANT_NAMES:
-            result = run_module(definition, mode=mode,
-                                config=variant_config(base, variant))
-            report.runs += 1
-            fingerprint = outcome_fingerprint(result)
-            if fault is not None:
-                fingerprint = fault(definition.name, mode, variant, fingerprint)
-            fingerprints[variant] = fingerprint
-            if mode in require_success and fingerprint["status"] != "success":
-                report.oracle_failures.append(OracleFailure(
-                    definition.name, mode, variant,
-                    f"expected success on a generated module, got "
-                    f"{fingerprint['status']!r}: {fingerprint['message']}"))
-            if check_oracle and fingerprint["status"] == "success":
-                # One variant is enough: identical fingerprints mean an
-                # identical invariant, and non-identical ones are already a
-                # mismatch.
-                if variant == VARIANT_NAMES[0]:
-                    _check_inferred_against_oracle(
-                        definition, oracle, bounds, mode, variant,
-                        fingerprint["invariant"], report)
-        mismatch = _diff_variants(definition.name, mode, fingerprints)
-        if mismatch is not None:
-            report.mismatches.append(mismatch)
-    if check_canonical:
-        report.mismatches.extend(
-            canonicalization_mismatches(definition, modes=modes, config=base))
-        report.runs += 2 * len(modes)
-    if check_persistence:
-        report.mismatches.extend(
-            persistent_cache_mismatches(definition, modes=modes, config=base))
-        report.runs += 4 * sum(1 for m in modes if m.startswith("hanoi"))
+                cross_checks: Sequence[Variants] = ()) -> FuzzReport:
+    """Run one module through ``modes`` x the cache matrix, in process,
+    judged for success and against the ground truth; then require agreement
+    within each of ``cross_checks`` (e.g. :data:`CANONICAL_VARIANTS`,
+    :data:`PERSISTENCE_VARIANTS`)."""
+    report = differential(definition, CACHE_MATRIX, modes, config,
+                          require_success=require_success, fault=fault,
+                          check_oracle=check_oracle)
+    for variants in cross_checks:
+        report.merge(differential(definition, variants, modes, config,
+                                  fault=fault))
     return report
 
 
@@ -447,7 +488,6 @@ def fuzz_corpus(definitions: Sequence[ModuleDefinition],
                 require_success: Sequence[str] = ("hanoi",),
                 fault: Optional[FaultHook] = None,
                 check_oracle: bool = True,
-                check_persistence: bool = False,
                 progress: Optional[Callable[[str, FuzzReport], None]] = None,
                 ) -> FuzzReport:
     """Run a corpus serially through :func:`fuzz_module`, merging reports.
@@ -460,67 +500,8 @@ def fuzz_corpus(definitions: Sequence[ModuleDefinition],
         definition = getattr(definition, "definition", definition)
         report = fuzz_module(definition, modes=modes, config=config,
                              require_success=require_success, fault=fault,
-                             check_oracle=check_oracle,
-                             check_persistence=check_persistence)
+                             check_oracle=check_oracle)
         total.merge(report)
         if progress is not None:
             progress(definition.name, report)
     return total
-
-
-# -- stored-result comparison (the parallel-runner path) -------------------------
-
-
-def compare_stored(results: Sequence[InferenceResult],
-                   definitions: Dict[str, ModuleDefinition],
-                   modes: Sequence[str],
-                   require_success: Sequence[str] = ("hanoi",),
-                   fault: Optional[FaultHook] = None,
-                   check_oracle: bool = True,
-                   config: Optional[HanoiConfig] = None) -> FuzzReport:
-    """Differential comparison over rows a :class:`ResultStore` persisted.
-
-    This is the CLI path: the sweep itself ran through the parallel runner
-    (each ``(benchmark, mode, variant)`` cell as one task), and the stored
-    rows are grouped and compared here afterwards.
-    """
-    from ..experiments.runner import quick_config
-
-    bounds = (config or quick_config()).verifier_bounds
-    report = FuzzReport(benchmarks=list(definitions))
-    if fault is None:
-        fault = _env_fault_hook(definitions)
-
-    by_cell: Dict[Tuple[str, str], Dict[str, dict]] = {}
-    for result in results:
-        fingerprint = outcome_fingerprint(result)
-        if fault is not None:
-            fingerprint = fault(result.benchmark, result.mode,
-                                result.variant or "", fingerprint)
-        by_cell.setdefault((result.benchmark, result.mode), {})[
-            result.variant or ""] = fingerprint
-    report.runs = len(results)
-
-    oracles: Dict[str, Optional[Predicate]] = {}
-    for name in definitions:
-        for mode in modes:
-            fingerprints = by_cell.get((name, mode), {})
-            mismatch = _diff_variants(name, mode, fingerprints)
-            if mismatch is not None:
-                report.mismatches.append(mismatch)
-            reference = fingerprints.get(VARIANT_NAMES[0])
-            if reference is None:
-                continue
-            if mode in require_success and reference["status"] != "success":
-                report.oracle_failures.append(OracleFailure(
-                    name, mode, VARIANT_NAMES[0],
-                    f"expected success on a generated module, got "
-                    f"{reference['status']!r}: {reference['message']}"))
-            if check_oracle and reference["status"] == "success":
-                if name not in oracles:
-                    oracles[name] = _check_ground_truth(
-                        definitions[name], bounds, report)
-                _check_inferred_against_oracle(
-                    definitions[name], oracles[name], bounds, mode,
-                    VARIANT_NAMES[0], reference["invariant"], report)
-    return report

@@ -197,12 +197,6 @@ class VClosure(Value):
     def __str__(self) -> str:
         return f"<fun {self.param}>"
 
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
 
 @dataclass(frozen=True, eq=False)
 class VNative(Value):
@@ -213,12 +207,6 @@ class VNative(Value):
 
     def __str__(self) -> str:
         return f"<native {self.name}>"
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
 
 # ---------------------------------------------------------------------------

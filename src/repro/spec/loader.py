@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.module import ModuleDefinition, Operation
 from ..lang.errors import LangError, LexError, ParseError
-from ..lang.lexer import tokenize
+from ..lang.lexer import Token, _string_literal, tokenize
 from ..lang.parser import Parser
 from ..lang.prelude import DEFAULT_SYNTHESIS_COMPONENTS
 from ..lang.program import Program
@@ -70,15 +70,21 @@ __all__ = ["load_module_file", "load_module_text", "SPEC_FILE_SUFFIX"]
 
 @dataclass
 class _Directive:
-    """One parsed directive with the line span it occupies in the file."""
+    """One parsed directive with the span it occupies in the file: from the
+    ``column`` of its ``line`` through its ``last`` token."""
 
     kind: str
     line: int
-    end_line: int
+    column: int
+    last: Token
     name: Optional[str] = None
     type: Optional[Type] = None
     names: Tuple[str, ...] = ()
     text: Optional[str] = None
+
+    @property
+    def end_line(self) -> int:
+        return self.last.line
 
 
 @dataclass
@@ -161,44 +167,44 @@ class _SpecParser(Parser):
         kind = token.text
         if kind == "benchmark":
             value = self._expect_string("benchmark")
-            self._record(kind, token.line, text=value)
+            self._record(kind, token, text=value)
         elif kind == "group":
             if self._check("STRING"):
                 name = self._advance().text
             else:
                 name = self._expect("LIDENT").text
-            self._record(kind, token.line, name=name)
+            self._record(kind, token, name=name)
         elif kind == "description":
             value = self._expect_string("description")
-            self._record(kind, token.line, text=value)
+            self._record(kind, token, text=value)
         elif kind == "abstract":
             self._expect("KEYWORD", "type")
             alias = self._expect("LIDENT").text
             self._expect("EQUAL")
             concrete = self.parse_type()
-            self._record(kind, token.line, name=alias, type=concrete)
+            self._record(kind, token, name=alias, type=concrete)
         elif kind == "operation":
             name = self._expect("LIDENT").text
             self._expect("COLON")
             signature = self.parse_type()
-            self._record(kind, token.line, name=name, type=signature)
+            self._record(kind, token, name=name, type=signature)
         elif kind == "spec":
             name = self._expect("LIDENT").text
             self._expect("COLON")
             signature = self.parse_type()
-            self._record(kind, token.line, name=name, type=signature)
+            self._record(kind, token, name=name, type=signature)
         elif kind in ("components", "helpers"):
             names = [self._expect("LIDENT").text]
             while self._match("COMMA"):
                 names.append(self._expect("LIDENT").text)
-            self._record(kind, token.line, names=tuple(names))
+            self._record(kind, token, names=tuple(names))
         elif kind == "expected":
             tail = self._expect("LIDENT")
             if tail.text != "invariant":
                 raise self._error(
                     f"expected 'expected invariant' but found "
                     f"'expected {tail.text}'", token.line)
-            self.expected_directive = self._record(kind, token.line)
+            self.expected_directive = self._record(kind, token)
         else:  # pragma: no cover - DIRECTIVE_KEYWORDS is exhaustive above
             raise self._error(f"unknown directive {kind!r}", token.line)
 
@@ -210,9 +216,9 @@ class _SpecParser(Parser):
                 f"found {token.text!r}", token.line)
         return self._advance().text
 
-    def _record(self, kind: str, line: int, **fields) -> _Directive:
-        directive = _Directive(kind=kind, line=line, end_line=self._last_line(),
-                               **fields)
+    def _record(self, kind: str, first: Token, **fields) -> _Directive:
+        directive = _Directive(kind=kind, line=first.line, column=first.column,
+                               last=self._tokens[self._pos - 1], **fields)
         self.directives.append(directive)
         return directive
 
@@ -257,34 +263,53 @@ def _single(parser: _SpecParser, kind: str) -> Optional[_Directive]:
 
 
 def _blanked_module_source(text: str, parser: _SpecParser) -> str:
-    """The file text with directive lines (and the expected block) blanked.
+    """The file text with directives (and the expected block) blanked.
 
     Lines are split on ``"\\n"`` only, matching how the lexer counts them -
     ``str.splitlines`` also breaks on carriage returns and would desync the
     blanking from the directive spans for files with ``\\r`` inside strings.
 
-    Everything before the first module declaration is blanked too: only
-    directives, comments, and blank lines can appear there, and keeping the
-    file-header comment in the module source would make every
-    export -> load -> export cycle stack another copy of it on top.
+    A directive is blanked by character span, so a comment that opens on its
+    last line and closes on a later one stays whole; a line left holding
+    nothing but blanks is emptied.  Everything before the first module
+    declaration is blanked by line: only directives, comments, and blank
+    lines can appear there, and keeping the file-header comment in the
+    module source would make every export -> load -> export cycle stack
+    another copy of it on top.
     """
     lines = text.split("\n")
-    blank = set()
+    directive_lines = set()
     for directive in parser.directives:
-        blank.update(range(directive.line, directive.end_line + 1))
-    if parser.expected_directive is not None:
-        blank.update(range(parser.expected_directive.line, len(lines) + 1))
-    if parser.module_decls:
-        blank.update(range(1, min(d.line for d in parser.module_decls)))
+        directive_lines.update(range(directive.line, directive.end_line + 1))
+        end = _token_end(lines[directive.end_line - 1], directive.last)
+        for number in range(directive.line, directive.end_line + 1):
+            line = lines[number - 1]
+            start = directive.column - 1 if number == directive.line else 0
+            stop = end if number == directive.end_line else len(line)
+            kept = line[:start] + " " * (stop - start) + line[stop:]
+            lines[number - 1] = kept if kept.strip() else ""
     for spanned in parser.module_decls:
-        overlap = blank.intersection(range(spanned.line, spanned.end_line + 1))
+        overlap = directive_lines.intersection(range(spanned.line, spanned.end_line + 1))
         if overlap:
             raise SpecFileError(
                 f"directive and declaration {spanned.name!r} share line "
                 f"{min(overlap)}; put directives on their own lines",
                 parser.path, min(overlap))
+    blank = set()
+    if parser.expected_directive is not None:
+        blank.update(range(parser.expected_directive.line, len(lines) + 1))
+    if parser.module_decls:
+        blank.update(range(1, min(d.line for d in parser.module_decls)))
     kept = ["" if i + 1 in blank else line for i, line in enumerate(lines)]
     return "\n".join(kept) + "\n"
+
+
+def _token_end(line: str, token: Token) -> int:
+    """The index just past ``token`` in its ``line``: a string literal's text
+    is unescaped, so its end is found by scanning the literal again."""
+    if token.kind == "STRING":
+        return _string_literal(line, token.column, token.line, token.column, 0)[1]
+    return token.column - 1 + len(token.text)
 
 
 def _expected_invariant_source(text: str, parser: _SpecParser) -> Optional[str]:

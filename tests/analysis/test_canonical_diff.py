@@ -17,7 +17,7 @@ from repro.analysis import canon
 from repro.analysis.canon import canonical_hash, declaration_dependency_hashes
 from repro.core import hanoi
 from repro.core.hanoi import HanoiInference
-from repro.gen.diff import canonicalization_mismatches, fuzz_module
+from repro.gen.diff import CANONICAL_VARIANTS, differential, fuzz_module
 from repro.gen.modgen import generate_module
 from repro.lang.program import _prelude_declarations
 from repro.lang.values import VCtor
@@ -30,25 +30,25 @@ EXAMPLE_MODULES = sorted(glob.glob(os.path.join(
 
 def test_canonicalization_transparent_on_benchmark(fast_config):
     definition = get_benchmark("/coq/unique-list-::-set")
-    mismatches = canonicalization_mismatches(definition, config=fast_config)
-    assert mismatches == []
+    report = differential(definition, CANONICAL_VARIANTS, config=fast_config)
+    assert report.mismatches == [], report.describe()
 
 
 def test_canonicalization_transparent_on_generated_module(fast_config):
     module = generate_module(7)
-    mismatches = canonicalization_mismatches(module.definition,
-                                             modes=("hanoi", "oneshot"),
-                                             config=fast_config)
-    assert mismatches == [], [m.describe() for m in mismatches]
+    report = differential(module.definition, CANONICAL_VARIANTS,
+                          modes=("hanoi", "oneshot"), config=fast_config)
+    assert report.mismatches == [], report.describe()
 
 
 def test_fuzz_module_check_canonical_counts_runs(fast_config):
     definition = get_benchmark("/coq/unique-list-::-set")
     plain = fuzz_module(definition, modes=("hanoi",), config=fast_config)
     checked = fuzz_module(definition, modes=("hanoi",), config=fast_config,
-                          check_canonical=True)
+                          cross_checks=(CANONICAL_VARIANTS,))
     assert checked.mismatches == []
     assert checked.runs == plain.runs + 2
+    assert checked.benchmarks == plain.benchmarks == [definition.name]
 
 
 def test_inference_without_a_store_never_hashes_the_module(fast_config, monkeypatch):

@@ -158,3 +158,35 @@ def test_cli_resume_skips_completed_pairs(tmp_path, capsys):
     assert "running 0 task(s)" in second
     # The report still covers the full stored sweep.
     assert all(name in second for name in SMALL)
+
+
+def test_cli_retry_failed_reruns_only_stored_failures(tmp_path, capsys):
+    from repro.core.result import InferenceResult
+    from repro.core.stats import InferenceStats
+
+    output = str(tmp_path / "results.jsonl")
+    store = ResultStore(output)
+    solved, failed = SMALL
+    for name, status in ((solved, Status.SUCCESS), (failed, Status.TIMEOUT)):
+        store.append(InferenceResult(benchmark=name, mode="hanoi", status=status,
+                                     invariant=None,
+                                     stats=InferenceStats.from_dict({})))
+
+    assert cli.main(["run", "--jobs", "1", "--profile", "quick", "--output", output,
+                     "--benchmarks", *SMALL, "--resume", "--retry-failed"]) == 0
+    out = capsys.readouterr().out
+    assert "resume: skipping 1 completed pair(s)" in out
+    assert "running 1 task(s)" in out
+    statuses = {r.benchmark: r.status for r in ResultStore(output).load()}
+    assert statuses == {solved: Status.SUCCESS, failed: Status.SUCCESS}
+    # The stored success was skipped, not re-run: its row carries no invariant.
+    assert [r.invariant for r in ResultStore(output).load()
+            if r.benchmark == solved] == [None]
+
+
+def test_cli_retry_failed_without_resume_is_a_diagnostic(tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--output", str(tmp_path / "results.jsonl"),
+                  "--benchmarks", SMALL[0], "--retry-failed"])
+    assert "--retry-failed" in str(exit_info.value.code)
+    assert not (tmp_path / "results.jsonl").exists()

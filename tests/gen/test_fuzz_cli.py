@@ -57,6 +57,17 @@ def test_small_fuzz_run_passes(tmp_path):
     assert "differential fuzz ok" in again.stdout
 
 
+def test_check_persistence_cross_checks_the_disk_tier(tmp_path):
+    proc = _run_fuzz("--seed", "0", "--count", "2", "--modes", "hanoi",
+                     "--jobs", "1", "--check-persistence",
+                     "--out", str(tmp_path / "fuzz-out"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "cross-checking the persistent disk-cache tier" in proc.stdout
+    # 2 modules x 4 cache variants, then 2 modules x 4 persistence variants.
+    assert ("differential fuzz ok: 2 module(s), 16 run(s), 0 mismatch(es), "
+            "0 oracle failure(s)") in proc.stdout
+
+
 def test_injected_fault_is_shrunk_to_a_reproducer(tmp_path):
     out = str(tmp_path / "fuzz-out")
     corpus = generate_corpus(0, 1)

@@ -7,7 +7,7 @@ requires byte-identical outcome fingerprints (status, invariant, size,
 iteration count, message - timing and counters excluded).
 
 The default selection covers one built-in benchmark plus the curated example
-modules; set ``CACHE_MATRIX_FULL=1`` to sweep every fast built-in (the
+modules; set ``DIFFERENTIAL_FULL=1`` to sweep every fast built-in (the
 nightly CI job does).
 """
 
@@ -15,8 +15,7 @@ import os
 
 import pytest
 
-from repro.experiments.runner import run_module
-from repro.gen.diff import CACHE_VARIANTS, outcome_fingerprint, variant_config
+from repro.gen.diff import CACHE_MATRIX, differential
 from repro.spec import load_module_file
 from repro.suite.registry import fast_benchmarks, get_benchmark
 
@@ -32,23 +31,15 @@ EXAMPLE_FILES = [
 ]
 
 BUILTINS = ["/coq/unique-list-::-set"]
-if os.environ.get("CACHE_MATRIX_FULL"):
+if os.environ.get("DIFFERENTIAL_FULL"):
     BUILTINS = [definition.name for definition in fast_benchmarks()]
 
 
 def _assert_matrix_agrees(definition, fast_config):
-    fingerprints = {}
-    for variant, _ in CACHE_VARIANTS:
-        result = run_module(definition, mode="hanoi",
-                            config=variant_config(fast_config, variant))
-        fingerprints[variant] = outcome_fingerprint(result)
-    reference = fingerprints["ec+pc"]
-    assert reference["status"] == "success", (
-        f"{definition.name}: {reference['message']}")
-    for variant, fingerprint in fingerprints.items():
-        assert fingerprint == reference, (
-            f"{definition.name}: variant {variant} diverged:\n"
-            f"  {variant}: {fingerprint}\n  ec+pc: {reference}")
+    report = differential(definition, CACHE_MATRIX, modes=("hanoi",),
+                          config=fast_config, require_success=("hanoi",))
+    assert report.runs == len(CACHE_MATRIX.members)
+    assert report.ok, report.describe()
 
 
 @pytest.mark.parametrize("filename", EXAMPLE_FILES)

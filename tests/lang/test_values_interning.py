@@ -14,7 +14,8 @@ import pytest
 
 from repro.experiments.runner import run_module
 from repro.lang import values
-from repro.lang.values import VCtor, VTuple, nat_of_int, v_bool, v_list
+from repro.lang.values import (VClosure, VCtor, VNative, VTuple, nat_of_int, v_bool,
+                                v_list)
 from repro.serve.diskcache import DiskCacheStore
 from repro.suite.registry import get_benchmark
 
@@ -50,6 +51,17 @@ def test_hash_is_identity():
     for value in built:
         assert hash(value) == object.__hash__(value)
     assert [hash(value) for value in build()] == [hash(value) for value in built]
+
+    # Function values are not interned: two built alike are two values, and
+    # both hash and compare through ``object``'s C-level slots.
+    for make in (lambda: VClosure("x", None, None, ()),
+                 lambda: VNative(lambda v: v, "id")):
+        first, second = make(), make()
+        assert type(first).__hash__ is object.__hash__
+        assert type(first).__eq__ is object.__eq__
+        assert hash(first) == object.__hash__(first)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
 
 
 @pytest.mark.parametrize("cls", [VCtor, VTuple])

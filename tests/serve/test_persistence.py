@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.config import FAST_VERIFIER_BOUNDS, HanoiConfig
 from repro.experiments.runner import run_module
-from repro.gen.diff import outcome_fingerprint, persistent_cache_mismatches
+from repro.gen.diff import (PERSISTENCE_VARIANTS, _corrupt_store, differential,
+                             outcome_fingerprint)
 from repro.gen.modgen import generate_corpus
 from repro.spec.loader import load_module_file, load_module_text
 
@@ -21,22 +22,6 @@ EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
 @pytest.fixture(scope="module")
 def generated():
     return generate_corpus(7, 1)[0].definition
-
-
-def _flip_all_entries(cache_dir):
-    flipped = 0
-    for root, _, files in os.walk(cache_dir):
-        for name in files:
-            if not name.endswith(".bin"):
-                continue
-            path = os.path.join(root, name)
-            with open(path, "r+b") as handle:
-                blob = bytearray(handle.read())
-                blob[len(blob) // 2] ^= 0xFF
-                handle.seek(0)
-                handle.write(blob)
-            flipped += 1
-    return flipped
 
 
 def test_warm_start_replays_cold_outcome_exactly(tmp_path, generated):
@@ -57,7 +42,7 @@ def test_warm_start_replays_cold_outcome_exactly(tmp_path, generated):
 def test_corrupted_store_degrades_to_cold_with_warnings(tmp_path, generated):
     persistent = CONFIG.with_cache_dir(str(tmp_path / "cache"))
     cold = run_module(generated, config=persistent)
-    assert _flip_all_entries(str(tmp_path / "cache")) > 0
+    assert _corrupt_store(str(tmp_path / "cache")) > 0
 
     damaged = run_module(generated, config=persistent)
     assert outcome_fingerprint(damaged) == outcome_fingerprint(cold)
@@ -139,15 +124,20 @@ def test_disabled_persistence_never_loads_the_store():
     assert json.loads(proc.stdout) == {"serve_imported": False, "hits": 0, "misses": 0}
 
 
+def _assert_persistence_transparent(definition):
+    # Baseline modes never open the store, so the harness skips them.
+    report = differential(definition, PERSISTENCE_VARIANTS,
+                          modes=("hanoi", "oneshot"), config=CONFIG)
+    assert report.runs == len(PERSISTENCE_VARIANTS.members)
+    assert report.ok, report.describe()
+
+
 @pytest.mark.fuzz
 def test_differential_check_passes_on_example_module():
-    definition = load_module_file(EXAMPLE)
-    assert persistent_cache_mismatches(definition, modes=("hanoi",),
-                                       config=CONFIG) == []
+    _assert_persistence_transparent(load_module_file(EXAMPLE))
 
 
 @pytest.mark.fuzz
 def test_differential_check_passes_on_generated_corpus():
     for module in generate_corpus(3, 3):
-        assert persistent_cache_mismatches(module.definition, modes=("hanoi",),
-                                           config=CONFIG) == []
+        _assert_persistence_transparent(module.definition)

@@ -75,8 +75,34 @@ def test_kept_parse_is_the_parse_of_the_recorded_source():
     for path in sorted(glob.glob(os.path.join(EXAMPLES, "*.hanoi"))):
         with open(path, encoding="utf-8") as handle:
             texts.append(handle.read())
+    texts.append(_directive_with_running_comment())
+    assert len(texts) == 35
     for text in texts:
         definition = loader.load_module_text(text)
         reparsed = parser.parse_program(definition.source)
         assert ([(decl, decl.line) for decl in definition.declarations]
                 == [(decl, decl.line) for decl in reparsed])
+
+
+def _directive_with_running_comment():
+    """``bounded-stack.hanoi`` with its ``components`` directive moved after
+    the first declaration and followed by a comment that runs onto the next
+    line: blanking the directive must leave the comment whole."""
+    with open(os.path.join(EXAMPLES, "bounded-stack.hanoi"), encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    directive = next(line for line in lines if line.startswith("components "))
+    lines.remove(directive)
+    first = next(i for i, line in enumerate(lines) if line.startswith("let "))
+    lines[first + 1:first + 1] = [directive + " (* a comment that",
+                                  "   continues here *)"]
+    return "\n".join(lines)
+
+
+def test_directive_followed_by_a_running_comment_round_trips():
+    text = _directive_with_running_comment()
+    definition = loader.load_module_text(text)
+    assert {"size", "nat_leq"} <= set(definition.synthesis_components)
+    assert "(* a comment that\n   continues here *)" in definition.source
+    assert dataclasses.replace(definition, source=definition.source).declarations
+    again = loader.load_module_text(render_module(definition))
+    assert again.declarations == definition.declarations
