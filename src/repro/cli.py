@@ -414,18 +414,17 @@ def _select_benchmarks(args: argparse.Namespace, pack=None) -> List[str]:
 
 
 def _config_from_args(args: argparse.Namespace):
-    """The :class:`HanoiConfig` an inference-running command's flags ask for.
+    """The :class:`HanoiConfig` the ``infer``/``run``/``figure8`` flags ask for.
 
     Only overrides the profile's timeout when one was given explicitly;
-    ``profile()`` keeps the default (quick: 60 s, paper: 1800 s).  ``fuzz``
-    has no cache flags: it sweeps the cache configurations itself."""
+    ``profile()`` keeps the default (quick: 60 s, paper: 1800 s)."""
     profile = PROFILES[args.profile]
     config = profile() if args.timeout is None else profile(args.timeout)
-    if getattr(args, "no_eval_cache", False):
+    if args.no_eval_cache:
         config = config.without_evaluation_caching()
-    if getattr(args, "no_pool_cache", False):
+    if args.no_pool_cache:
         config = config.without_synthesis_evaluation_caching()
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         config = config.with_cache_dir(args.cache_dir)
     return config
 
@@ -439,15 +438,17 @@ def _progress(result: InferenceResult) -> None:
 
 
 def _execute_sweep(args: argparse.Namespace, tasks, store: ResultStore,
-                   shape: str, unit: str) -> List[InferenceResult]:
+                   shape: str, unit: str,
+                   retry_failed: bool) -> List[InferenceResult]:
     """Filter (resume), execute, and persist ``tasks``; return the result set
     recorded in ``store`` for this sweep's keys.
 
     ``shape`` describes the task grid and ``unit`` names one task in the
-    progress lines."""
+    progress lines.  With ``retry_failed``, resuming re-runs stored tasks
+    whose status is not success."""
     sweep_keys = {task.resume_key for task in tasks}
     if args.resume:
-        if getattr(args, "retry_failed", False):
+        if retry_failed:
             completed = {(r.benchmark, r.mode, r.pack, r.variant)
                          for r in store.load() if r.succeeded}
         else:
@@ -492,7 +493,8 @@ def _run_sweep(args: argparse.Namespace, modes: Sequence[str]) -> List[Inference
         pack=pack.name if pack is not None else None,
         pack_benchmarks=pack.benchmark_names if pack is not None else None)
     return _execute_sweep(args, tasks, store, unit="pair",
-                          shape=f"{len(names)} benchmark(s) x {len(modes)} mode(s)")
+                          shape=f"{len(names)} benchmark(s) x {len(modes)} mode(s)",
+                          retry_failed=args.retry_failed)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -743,8 +745,8 @@ def _print_lint_report(report, args: argparse.Namespace, counts) -> None:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .experiments.runner import ExperimentTask
-    from .gen.diff import (PERSISTENCE_VARIANTS, VARIANT_NAMES, compare_stored,
-                           differential, variant_config)
+    from .gen.diff import (CACHE_MATRIX, PERSISTENCE_VARIANTS, compare_stored,
+                           differential)
     from .gen.modgen import generate_corpus, write_corpus
     from .gen.shrink import shrink_module, write_reproducer
 
@@ -764,18 +766,20 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     pack = _register_pack(corpus_dir)
     definitions = {module.name: module.definition for module in corpus}
 
-    config = _config_from_args(args)
+    profile = PROFILES[args.profile]
+    config = profile() if args.timeout is None else profile(args.timeout)
     tasks = [ExperimentTask(benchmark=name, mode=mode,
-                            config=variant_config(config, variant),
-                            pack=pack.path, pack_name=pack.name, variant=variant)
+                            config=prepare(definitions[name], config)[1],
+                            pack=pack.path, pack_name=pack.name, variant=tag)
              for mode in modes for name in pack.benchmark_names
-             for variant in VARIANT_NAMES]
+             for tag, prepare in CACHE_MATRIX.members]
     store = ResultStore(os.path.join(args.out, "results.jsonl"), pack=pack.name,
                         pack_benchmarks=pack.benchmark_names)
     results = _execute_sweep(
         args, tasks, store, unit="cell",
         shape=f"{len(corpus)} module(s) x {len(modes)} mode(s) x "
-              f"{len(VARIANT_NAMES)} cache variant(s)")
+              f"{len(CACHE_MATRIX.members)} cache variant(s)",
+        retry_failed=False)
     report = compare_stored(results, definitions, modes=modes,
                             check_oracle=not args.no_oracle, config=config)
     if args.check_persistence:

@@ -19,13 +19,11 @@ The CLI front end is ``python -m repro fuzz`` (see docs/fuzzing.md).
 
 from .diff import (
     CACHE_MATRIX,
-    CACHE_VARIANTS,
     DEFAULT_FUZZ_MODES,
     DifferentialMismatch,
     FuzzReport,
     differential,
     outcome_fingerprint,
-    variant_config,
 )
 from .modgen import (
     FAMILIES,
@@ -45,10 +43,8 @@ __all__ = [
     "write_corpus",
     "corpus_digest",
     "CACHE_MATRIX",
-    "CACHE_VARIANTS",
     "DEFAULT_FUZZ_MODES",
     "differential",
-    "variant_config",
     "outcome_fingerprint",
     "DifferentialMismatch",
     "FuzzReport",

@@ -55,7 +55,6 @@ from ..verify.result import Valid
 from ..verify.tester import Verifier
 
 __all__ = [
-    "CACHE_VARIANTS",
     "CACHE_MATRIX",
     "PRUNING_VARIANTS",
     "CANONICAL_VARIANTS",
@@ -63,7 +62,6 @@ __all__ = [
     "DEFAULT_FUZZ_MODES",
     "FAULT_ENV_VAR",
     "Variants",
-    "variant_config",
     "outcome_fingerprint",
     "DifferentialMismatch",
     "OracleFailure",
@@ -73,19 +71,6 @@ __all__ = [
     "fuzz_corpus",
     "compare_stored",
 ]
-
-#: The 2x2 cache matrix: variant tag -> (eval cache on, pool cache on).
-#: A tuple of pairs (not a dict comprehension over a set) so iteration order
-#: is fixed: the all-on configuration first, the all-off one last.
-CACHE_VARIANTS: Tuple[Tuple[str, Tuple[bool, bool]], ...] = (
-    ("ec+pc", (True, True)),
-    ("ec-only", (True, False)),
-    ("pc-only", (False, True)),
-    ("no-caches", (False, False)),
-)
-
-#: Variant tags in matrix order.
-VARIANT_NAMES: Tuple[str, ...] = tuple(name for name, _ in CACHE_VARIANTS)
 
 #: The modes the fuzzer exercises by default: Hanoi plus the three baselines.
 DEFAULT_FUZZ_MODES: Tuple[str, ...] = (
@@ -127,18 +112,6 @@ class Variants(NamedTuple):
         return not self.disk_store or mode.startswith("hanoi")
 
 
-def variant_config(config: HanoiConfig, variant: str) -> HanoiConfig:
-    """The base configuration with one cache matrix cell applied."""
-    for name, (eval_on, pool_on) in CACHE_VARIANTS:
-        if name == variant:
-            if not eval_on:
-                config = config.without_evaluation_caching()
-            if not pool_on:
-                config = config.without_synthesis_evaluation_caching()
-            return config
-    raise KeyError(f"unknown cache variant {variant!r}; known: {VARIANT_NAMES}")
-
-
 def _same(definition: ModuleDefinition, config: HanoiConfig):
     return definition, config
 
@@ -177,9 +150,18 @@ def _corrupted(definition: ModuleDefinition, config: HanoiConfig):
     return definition, config
 
 
-CACHE_MATRIX = Variants("cache variants", tuple(
-    (tag, _configured(lambda config, tag=tag: variant_config(config, tag)))
-    for tag in VARIANT_NAMES))
+def _without_caches(config: HanoiConfig) -> HanoiConfig:
+    return config.without_evaluation_caching().without_synthesis_evaluation_caching()
+
+
+#: All caches on first, all off last; a parallel sweep runs each cell as one
+#: task with the config its ``prepare`` yields.
+CACHE_MATRIX = Variants("cache variants", (
+    ("ec+pc", _same),
+    ("ec-only", _configured(HanoiConfig.without_synthesis_evaluation_caching)),
+    ("pc-only", _configured(HanoiConfig.without_evaluation_caching)),
+    ("no-caches", _configured(_without_caches)),
+))
 
 PRUNING_VARIANTS = Variants("component pruning", (
     ("pruning", _same),
@@ -280,9 +262,14 @@ class FuzzReport:
     """The aggregated outcome of one differential sweep."""
 
     benchmarks: List[str] = field(default_factory=list)
-    runs: int = 0
+    #: Every run judged, tagged with its ``variant``.
+    results: List[InferenceResult] = field(default_factory=list)
     mismatches: List[DifferentialMismatch] = field(default_factory=list)
     oracle_failures: List[OracleFailure] = field(default_factory=list)
+
+    @property
+    def runs(self) -> int:
+        return len(self.results)
 
     @property
     def ok(self) -> bool:
@@ -292,7 +279,7 @@ class FuzzReport:
         """Fold ``other`` in; a module both reports cover is counted once."""
         self.benchmarks.extend(name for name in other.benchmarks
                                if name not in self.benchmarks)
-        self.runs += other.runs
+        self.results.extend(other.results)
         self.mismatches.extend(other.mismatches)
         self.oracle_failures.extend(other.oracle_failures)
 
@@ -420,7 +407,7 @@ def compare_stored(results: Sequence[InferenceResult],
     from ..experiments.runner import quick_config
 
     bounds = (config or quick_config()).verifier_bounds
-    report = FuzzReport(benchmarks=list(definitions), runs=len(results))
+    report = FuzzReport(benchmarks=list(definitions), results=list(results))
     if fault is None:
         fault = _env_fault_hook(definitions)
 

@@ -7,6 +7,7 @@ corrupt exactly the cell they claim to.  The in-process and stored-result
 paths are both covered - the CLI uses the latter.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -14,14 +15,12 @@ import pytest
 from repro.core.result import InferenceResult, Status, StoredInvariant
 from repro.core.stats import InferenceStats
 from repro.gen.diff import (
-    CACHE_VARIANTS,
+    CACHE_MATRIX,
     FAULT_ENV_VAR,
-    VARIANT_NAMES,
     compare_stored,
     fuzz_corpus,
     fuzz_module,
     outcome_fingerprint,
-    variant_config,
 )
 from repro.gen.modgen import generate_corpus, generate_module
 from repro.spec.loader import load_module_text
@@ -64,16 +63,20 @@ def module_zero():
     return generate_module(0)
 
 
-def test_variant_config_toggles_both_caches(fast_config):
-    for name, (eval_on, pool_on) in CACHE_VARIANTS:
-        applied = variant_config(fast_config, name)
-        assert applied.evaluation_caching is eval_on
-        assert applied.synthesis_evaluation_caching is pool_on
-
-
-def test_variant_config_rejects_unknown_tag(fast_config):
-    with pytest.raises(KeyError):
-        variant_config(fast_config, "turbo")
+def test_cache_matrix_toggles_both_caches(fast_config, module_zero):
+    """All caches on first, all off last; each cell only flips cache flags."""
+    cells = [(tag,) + prepare(module_zero.definition, fast_config)
+             for tag, prepare in CACHE_MATRIX.members]
+    assert [(tag, config.evaluation_caching, config.synthesis_evaluation_caching)
+            for tag, _, config in cells] == [
+        ("ec+pc", True, True),
+        ("ec-only", True, False),
+        ("pc-only", False, True),
+        ("no-caches", False, False)]
+    for _, definition, config in cells:
+        assert definition is module_zero.definition
+        assert dataclasses.replace(config, evaluation_caching=True,
+                                   synthesis_evaluation_caching=True) == fast_config
 
 
 def test_fingerprint_ignores_stats():
@@ -92,7 +95,7 @@ def test_clean_generated_module_fuzzes_ok(fast_config, module_zero):
     report = fuzz_module(module_zero.definition, modes=("hanoi",),
                          config=fast_config)
     assert report.ok, report.summary()
-    assert report.runs == len(VARIANT_NAMES)
+    assert report.runs == len(CACHE_MATRIX.members)
     assert report.benchmarks == [module_zero.name]
     assert "ok" in report.summary()
 
@@ -151,17 +154,17 @@ def _stored(benchmark, variant, status=Status.SUCCESS, invariant="valid x"):
 
 
 def test_compare_stored_passes_on_agreement(module_zero):
-    rows = [_stored(module_zero.name, v) for v in VARIANT_NAMES]
+    rows = [_stored(module_zero.name, v) for v in CACHE_MATRIX.tags]
     report = compare_stored(rows, {module_zero.name: module_zero.definition},
                             modes=("hanoi",), require_success=(),
                             check_oracle=False)
     assert report.ok
-    assert report.runs == len(VARIANT_NAMES)
+    assert report.runs == len(CACHE_MATRIX.members)
 
 
 def test_compare_stored_flags_divergent_variant(module_zero):
-    rows = [_stored(module_zero.name, v) for v in VARIANT_NAMES[:-1]]
-    rows.append(_stored(module_zero.name, VARIANT_NAMES[-1],
+    rows = [_stored(module_zero.name, v) for v in CACHE_MATRIX.tags[:-1]]
+    rows.append(_stored(module_zero.name, CACHE_MATRIX.tags[-1],
                         invariant="some_other x"))
     report = compare_stored(rows, {module_zero.name: module_zero.definition},
                             modes=("hanoi",), require_success=(),
@@ -170,7 +173,7 @@ def test_compare_stored_flags_divergent_variant(module_zero):
 
 
 def test_compare_stored_flags_missing_variant(module_zero):
-    rows = [_stored(module_zero.name, v) for v in VARIANT_NAMES[:-1]]
+    rows = [_stored(module_zero.name, v) for v in CACHE_MATRIX.tags[:-1]]
     report = compare_stored(rows, {module_zero.name: module_zero.definition},
                             modes=("hanoi",), require_success=(),
                             check_oracle=False)
@@ -186,7 +189,7 @@ def test_compare_stored_flags_missing_variant(module_zero):
 def test_compare_stored_reports_unparsable_invariant(fast_config, module_zero,
                                                      rendered):
     rows = [_stored(module_zero.name, v, invariant=rendered)
-            for v in VARIANT_NAMES]
+            for v in CACHE_MATRIX.tags]
     report = compare_stored(rows, {module_zero.name: module_zero.definition},
                             modes=("hanoi",), require_success=(),
                             config=fast_config)
@@ -205,7 +208,7 @@ def test_deep_corpus_differential_sweep(fast_config):
 
 def test_compare_stored_requires_success_when_asked(module_zero):
     rows = [_stored(module_zero.name, v, status=Status.SYNTHESIS_FAILURE,
-                    invariant="(none)") for v in VARIANT_NAMES]
+                    invariant="(none)") for v in CACHE_MATRIX.tags]
     report = compare_stored(rows, {module_zero.name: module_zero.definition},
                             modes=("hanoi",), require_success=("hanoi",),
                             check_oracle=False)
