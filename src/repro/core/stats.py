@@ -60,8 +60,8 @@ class InferenceStats:
     #: Values evaluated by the enumerative verifier.
     structures_tested: int = 0
     #: Persistent cache sections restored from disk at run start (one per
-    #: spec stream / operation memo / component memo found under the run's
-    #: content keys; 0 when persistence is disabled).
+    #: spec stream / component memo found under the run's content keys; 0
+    #: when persistence is disabled).
     disk_cache_hits: int = 0
     #: Persistent cache sections looked up but absent, stale, or corrupt
     #: (each one is written back at run end, seeding a future hit).

@@ -3,10 +3,18 @@
 A naive ``itertools.product`` over the quantifier pools explores the last
 pool exhaustively before the first pool ever advances; under a bounded total
 budget (Section 4.3 caps the verifier at 30000 structures) that would leave
-the first quantifier effectively constant.  The verifier and the
-inductiveness checker instead enumerate assignments in order of *total index
-sum* - a diagonal sweep that grows every quantifier together, the same
-smallest-first discipline the paper's enumerative tester uses.
+the first quantifier effectively constant.  The verifier, the inductiveness
+checker and the synthesizer's match-skeleton combiner instead enumerate
+assignments in order of *total index sum* - a diagonal sweep that grows
+every quantifier together, the same smallest-first discipline the paper's
+enumerative tester uses.
+
+The sweep is output-sensitive, in the manner of SmallCheck's depth-layered
+enumeration (Runciman, Naylor & Lindblad, Haskell 2008): within one index-sum
+layer, each position only takes the indices from which the positions after
+it can still make up the rest of the sum, so no step of the walk is spent on
+a branch that yields nothing.  One and two pools, the common shapes, run as
+plain loops.
 """
 
 from __future__ import annotations
@@ -22,27 +30,54 @@ def diagonal_product(pools: Sequence[Sequence[T]], max_total: int) -> Iterator[T
     """Yield up to ``max_total`` assignments drawn fairly from every pool.
 
     Assignments are produced in non-decreasing order of the sum of pool
-    indices, so small values of *every* quantifier are explored before large
-    values of any single one.
+    indices (lexicographically by index within one sum), so small values of
+    *every* quantifier are explored before large values of any single one.
+    A budget of zero or less still yields the first assignment.  No
+    assignment is yielded when there are no pools or one of them is empty.
     """
     if not pools or any(len(pool) == 0 for pool in pools):
         return
-    counts = [len(pool) for pool in pools]
-    produced = 0
-    max_sum = sum(c - 1 for c in counts)
-    for total in range(0, max_sum + 1):
-        for combo in _index_combos(counts, total):
-            yield tuple(pools[i][j] for i, j in enumerate(combo))
-            produced += 1
-            if produced >= max_total:
-                return
-
-
-def _index_combos(counts: List[int], total: int) -> Iterator[Tuple[int, ...]]:
-    if len(counts) == 1:
-        if total < counts[0]:
-            yield (total,)
+    budget = max(max_total, 1)
+    if len(pools) == 1:
+        pool = pools[0]
+        for index in range(min(len(pool), budget)):
+            yield (pool[index],)
         return
-    for first in range(0, min(counts[0] - 1, total) + 1):
-        for rest in _index_combos(counts[1:], total - first):
-            yield (first,) + rest
+    # reach[k]: the largest index sum that positions k, k+1, ... can make.
+    reach = [0] * (len(pools) + 1)
+    for k in range(len(pools) - 1, -1, -1):
+        reach[k] = reach[k + 1] + len(pools[k]) - 1
+    first, second = pools[-2], pools[-1]
+    first_top, second_top = len(first) - 1, len(second) - 1
+    produced = 0
+    for total in range(reach[0] + 1):
+        # The last two positions are one pair loop per head: the values of
+        # the positions before them, with the index sum they leave over.
+        if len(pools) == 2:
+            heads = [((), total)]
+        else:
+            heads = _prefixes(pools, reach, 0, len(pools) - 2, total)
+        for head, left in heads:
+            for i in range(max(0, left - second_top), min(first_top, left) + 1):
+                yield head + (first[i], second[left - i])
+                produced += 1
+                if produced >= budget:
+                    return
+
+
+def _prefixes(pools: Sequence[Sequence[T]], reach: List[int], k: int, stop: int,
+              total: int) -> Iterator[Tuple[Tuple[T, ...], int]]:
+    """Values for positions ``k .. stop-1`` whose indices sum to at most
+    ``total``, each with the sum left for positions ``stop ..`` - which those
+    positions can always make, so every prefix yields at least one
+    assignment."""
+    pool = pools[k]
+    low, high = max(0, total - reach[k + 1]), min(len(pool) - 1, total)
+    if k + 1 == stop:
+        for i in range(low, high + 1):
+            yield (pool[i],), total - i
+        return
+    for i in range(low, high + 1):
+        value = (pool[i],)
+        for rest, left in _prefixes(pools, reach, k + 1, stop, total - i):
+            yield value + rest, left

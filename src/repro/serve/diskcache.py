@@ -28,7 +28,9 @@ The in-memory caches (:mod:`repro.verify.evalcache`,
   incremental invalidation needs no diffing: editing one declaration changes
   only the keys of the sections whose declaration transitively calls it,
   and every other section warm-starts.  A stale entry is simply never looked up again
-  (and is eventually re-written under its new key).
+  (and is eventually re-written under its new key).  Write-back is
+  incremental too: a run writes a section only when its restore missed it
+  or the run changed it, so a fully warm run leaves the store untouched.
 
 Only first-order data is persisted.  Entries keyed by identity-hashed
 function values are re-bound by module-global *name* where possible
@@ -213,6 +215,11 @@ class PersistentCacheBinding:
         self._fallback = canonical_hash(definition, program, decls)
         self._bounds = repr(astuple(config.verifier_bounds))
         self._fuel = str(config.eval_fuel)
+        # What restore() left in memory, per section that hit: the spec
+        # stream's state and each component's memo table size.  persist()
+        # writes a section only when it is missing here or the run changed it.
+        self._restored_spec: Optional[Tuple[int, int, bool]] = None
+        self._restored_apps: Dict[str, int] = {}
 
     # -- keys ---------------------------------------------------------------
 
@@ -261,38 +268,60 @@ class PersistentCacheBinding:
             if isinstance(payload, dict) and "entries" in payload:
                 eval_cache.restore_entries(payload["entries"],
                                            payload.get("exhausted", False))
+                self._restored_spec = _stream_state(eval_cache)
                 stats.disk_cache_hits += 1
             else:
                 stats.disk_cache_misses += 1
         if pool_cache is not None:
             values = self._component_values()
+            hits = []
             for name, key in sorted(self.component_keys().items()):
                 triples = self.store.get("apps", key)
                 if isinstance(triples, list):
                     pool_cache.applications.restore_outcomes(triples, values)
+                    hits.append(name)
                     stats.disk_cache_hits += 1
                 else:
                     stats.disk_cache_misses += 1
+            # Sizes once every section is in: aliased components share a table.
+            self._restored_apps = {
+                name: pool_cache.applications.size(values.get(name)) for name in hits}
 
     def persist(self, eval_cache: Optional[EvaluationCache],
                 pool_cache: Optional[SynthesisEvaluationCache]) -> int:
         """Write the caches back; returns the number of sections written.
 
-        Every section the run looked up is (re-)written: restored entries
-        plus whatever the run added, so repeated warm runs keep growing one
-        merged snapshot per content key.
+        A section is written only when :meth:`restore` missed it or the run
+        changed it: the spec stream gained an entry, resolved a verdict or
+        became exhausted, or a component's memo table grew.  A written
+        section holds the restored entries plus whatever the run added, so
+        repeated runs keep growing one merged snapshot per content key, and
+        a run that changed nothing writes nothing.
         """
         written = 0
-        if eval_cache is not None:
+        if eval_cache is not None and _stream_state(eval_cache) != self._restored_spec:
             entries, exhausted = eval_cache.export_entries()
             written += self.store.put("spec", self.spec_key(),
                                       {"entries": entries, "exhausted": exhausted})
         if pool_cache is not None:
-            names = {id(value): name
-                     for name, value in sorted(self._component_values().items())}
+            memo = pool_cache.applications
+            values = self._component_values()
+            changed = {name for name in self.definition.synthesis_components
+                       if memo.size(values.get(name)) != self._restored_apps.get(name)}
+            names = {id(value): name for name, value in sorted(values.items())}
+            names = {ident: name for ident, name in names.items() if name in changed}
             by_component: Dict[str, List[Tuple[str, tuple, object]]] = {}
-            for triple in pool_cache.applications.export_outcomes(names):
+            for triple in memo.export_outcomes(names):
                 by_component.setdefault(triple[0], []).append(triple)
             for name, key in sorted(self.component_keys().items()):
-                written += self.store.put("apps", key, by_component.get(name, []))
+                if name in changed:
+                    written += self.store.put("apps", key, by_component.get(name, []))
         return written
+
+
+def _stream_state(cache: EvaluationCache) -> Tuple[int, int, bool]:
+    """Entries, resolved verdicts and exhaustion of a spec stream.  Entries
+    are only appended and verdicts only resolved, so two states of one
+    stream that agree here hold the same entries."""
+    resolved = sum(entry.verdict is not None for entry in cache.entries)
+    return (len(cache.entries), resolved, cache.exhausted)

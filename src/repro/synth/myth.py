@@ -37,6 +37,7 @@ from ..core.config import Deadline, SynthesisBounds
 from ..core.module import ModuleInstance
 from ..core.predicate import INVARIANT_NAME, Predicate
 from ..core.stats import InferenceStats
+from ..enumeration.ordering import diagonal_product
 from ..lang.ast import (
     Branch,
     ECtor,
@@ -250,7 +251,7 @@ class MythSynthesizer:
             branch_options.append([(pattern, body) for body in bodies[:_PER_BRANCH_CANDIDATES]])
 
         combined: List[Expr] = []
-        for combo in _bounded_product(branch_options, limit=self.bounds.max_candidates * 4):
+        for combo in diagonal_product(branch_options, self.bounds.max_candidates * 4):
             branches = tuple(Branch(pattern, body) for pattern, body in combo)
             combined.append(EMatch(EVar(scrutinee), branches))
         combined.sort(key=expr_size)
@@ -542,30 +543,3 @@ def _is_first_order_function(signature: Type) -> bool:
             return False
         ty = ty.result
     return not isinstance(ty, TArrow)
-
-
-def _bounded_product(options: List[List], limit: int):
-    """Cartesian product of per-branch options, truncated to ``limit`` combos,
-    visiting small-index combinations first."""
-    if not options:
-        return
-    counts = [len(o) for o in options]
-    produced = 0
-    # Enumerate by increasing total index sum so small (early) choices come first.
-    max_sum = sum(c - 1 for c in counts)
-    for total in range(0, max_sum + 1):
-        for combo in _index_combos(counts, total):
-            yield tuple(options[i][j] for i, j in enumerate(combo))
-            produced += 1
-            if produced >= limit:
-                return
-
-
-def _index_combos(counts: List[int], total: int):
-    if len(counts) == 1:
-        if total < counts[0]:
-            yield (total,)
-        return
-    for first in range(0, min(counts[0] - 1, total) + 1):
-        for rest in _index_combos(counts[1:], total - first):
-            yield (first,) + rest

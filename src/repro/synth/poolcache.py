@@ -108,6 +108,11 @@ class ApplicationMemo:
             table = self._tables[fn] = {}
         return table
 
+    def size(self, fn: Value) -> int:
+        """The number of outcomes stored for ``fn``."""
+        table = self._tables.get(fn)
+        return 0 if table is None else len(table)
+
     def get(self, fn: Value, args: Tuple[Value, ...]) -> Optional[object]:
         """The stored outcome (a value or :data:`CRASHED`), or None if unseen."""
         table = self._tables.get(fn)

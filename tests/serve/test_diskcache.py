@@ -187,3 +187,88 @@ def test_bounds_and_fuel_are_part_of_every_key(binding):
     assert other.spec_key() != binding.spec_key()
     assert set(other.component_keys().values()).isdisjoint(
         binding.component_keys().values())
+
+
+# -- write-back: only what the restore missed or the run changed ---------------
+
+
+@pytest.fixture
+def persisted(monkeypatch):
+    """The section counts ``persist`` returns, one per run, in run order."""
+    counts = []
+    original = PersistentCacheBinding.persist
+
+    def recording(self, eval_cache, pool_cache):
+        counts.append(original(self, eval_cache, pool_cache))
+        return counts[-1]
+
+    monkeypatch.setattr(PersistentCacheBinding, "persist", recording)
+    return counts
+
+
+def _entry_files(root):
+    """``path -> (inode, bytes)`` of every entry in the store."""
+    files = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            if name.endswith(".bin"):
+                path = os.path.join(directory, name)
+                with open(path, "rb") as handle:
+                    files[path] = (os.stat(path).st_ino, handle.read())
+    return files
+
+
+def _infer_text(text, root):
+    from repro.spec.loader import load_module_text
+
+    result = run_module(load_module_text(text, path=EXAMPLE),
+                        config=CONFIG.with_cache_dir(root))
+    assert result.succeeded
+    return result
+
+
+def test_a_warm_run_writes_nothing_and_edits_write_what_they_changed(tmp_path, persisted):
+    root = str(tmp_path / "cache")
+    text = open(EXAMPLE, encoding="utf-8").read()
+    _infer_text(text, root)
+    assert persisted == [9]
+
+    before = _entry_files(root)
+    _infer_text(text, root)
+    assert persisted[-1] == 0
+    assert _entry_files(root) == before  # same inodes, same bytes
+
+    # ``pop`` is called by nothing stored: every section hits and stays.
+    _infer_text(text.replace("| Nil -> Nil", "| Nil -> empty", 1), root)
+    assert persisted[-1] == 0
+
+    # ``peek`` is called by the spec: its new key misses, and only it is written.
+    peek = text.replace(
+        "| Nil -> NoneN",
+        "| Nil -> (match s with | Nil -> NoneN | Cons (a, b) -> NoneN)", 1)
+    _infer_text(peek, root)
+    assert persisted[-1] == 1
+    _infer_text(peek, root)
+    assert persisted == [9, 0, 0, 1, 0]
+
+
+def test_a_run_that_extends_the_spec_stream_rewrites_it(tmp_path, persisted):
+    from dataclasses import replace
+
+    root = str(tmp_path / "cache")
+    text = open(EXAMPLE, encoding="utf-8").read()
+    short = replace(CONFIG, max_iterations=1)
+    result = run_module(load_module_file(EXAMPLE), config=short.with_cache_dir(root))
+    assert not result.succeeded
+    spec_dir = os.path.join(root, f"v{STORE_VERSION}", "spec")
+    filled = {path: entry for path, entry in _entry_files(root).items()
+              if path.startswith(spec_dir)}
+    assert len(filled) == 1
+
+    _infer_text(text, root)
+    assert persisted[-1] >= 1
+    (spec_path, (_, blob)), = filled.items()
+    assert _entry_files(root)[spec_path][1] != blob
+
+    _infer_text(text, root)
+    assert persisted[-1] == 0
