@@ -142,38 +142,37 @@ class VTuple(Value):
 class Code:
     """The compiled form of one function body, shared by every closure over it.
 
-    ``run(frame, budget)`` evaluates the body in ``frame``, a list of slots
-    laid out as: the closure's captured values, the argument, the closure
-    itself when ``rec`` is set, then ``pad`` (one ``None`` per slot the
-    body's ``let`` and ``match`` binders use).  ``memo`` marks the innermost
+    ``run(env, arg, budget, depth)`` evaluates the body on ``arg``, with
+    ``env`` holding the closure's captured values (then the closure itself
+    when ``rec`` is set), at nesting ``depth``.  ``memo`` marks the innermost
     body of a first-order top-level function, whose applications an open
     memo table answers.  When the body is itself a ``fun`` (the next
     parameter of a curried chain), ``inner`` is that ``fun``'s code and
-    ``gather`` picks the values it captures out of the frame's leading
-    slots (``None`` when it captures all of them, in order), so a saturated
+    ``gather`` picks the values it captures out of the body's leading values
+    (the captured values, the argument, then the closure itself when ``rec``
+    is set; ``None`` when it captures all of them, in order), so a saturated
     call can step into ``inner`` without building the closure.  The
     evaluator builds it; see :mod:`repro.lang.eval`.
     """
 
-    __slots__ = ("run", "pad", "rec", "memo", "inner", "gather")
+    __slots__ = ("run", "rec", "memo", "inner", "gather")
 
-    def __init__(self, run: Callable[[list, object], "Value"], pad: Tuple[None, ...],
+    def __init__(self, run: Optional[Callable[[tuple, "Value", object, int], "Value"]],
                  rec: bool, memo: bool = False, inner: Optional["Code"] = None,
                  gather: Optional[Callable[[Sequence["Value"]], tuple]] = None):
         self.run = run
-        self.pad = pad
         self.rec = rec
         self.memo = memo
         self.inner = inner
         self.gather = gather
 
 
-def _uncompiled(frame: list, budget: object) -> "Value":
+def _uncompiled(env: tuple, arg: "Value", budget: object, depth: int) -> "Value":
     raise EvalError("application of a closure that was never compiled")
 
 
 #: The code of a closure built by hand rather than by the evaluator.
-UNCOMPILED = Code(_uncompiled, (), False)
+UNCOMPILED = Code(_uncompiled, False)
 
 
 @dataclass(frozen=True, eq=False)

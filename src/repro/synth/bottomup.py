@@ -115,7 +115,10 @@ class TermPool:
 
         #: entries grouped by (result type, size)
         self._by_type_size: Dict[Tuple[Type, int], List[TermEntry]] = {}
-        self._seen: Dict[Tuple[Type, Tuple[Value, ...]], TermEntry] = {}
+        #: result type -> behaviour vector -> its entry.  Keyed per type so
+        #: that an application probes a dict the caller fetched once: a type
+        #: hashes in Python, a vector of hash-consed values in C.
+        self._seen: Dict[Type, Dict[Tuple[Value, ...], TermEntry]] = {}
         #: every added entry with its result type, in insertion order (the
         #: replayable term structure of this pool)
         self._order: List[Tuple[Type, TermEntry]] = []
@@ -134,11 +137,15 @@ class TermPool:
 
     # -- construction ---------------------------------------------------------------
 
-    def _add(self, result_type: Type, entry: TermEntry) -> bool:
-        key = (result_type, entry.vector)
-        if key in self._seen:
+    def _add(self, result_type: Type, entry: TermEntry,
+             seen: Optional[Dict[Tuple[Value, ...], TermEntry]] = None) -> bool:
+        """Add ``entry`` unless its vector is known; ``seen`` is
+        ``self._seen[result_type]`` when the caller has it."""
+        if seen is None:
+            seen = self._seen.setdefault(result_type, {})
+        if entry.vector in seen:
             return False
-        self._seen[key] = entry
+        seen[entry.vector] = entry
         self._by_type_size.setdefault((result_type, entry.size), []).append(entry)
         self._order.append((result_type, entry))
         return True
@@ -286,7 +293,7 @@ class TermPool:
         result_type = component.result_type
         fn = component.fn
         apply = self.program.apply
-        seen = self._seen
+        seen = self._seen.setdefault(result_type, {})
         memo = self.cache.applications if self.cache is not None else None
         outcomes = memo.table(fn) if memo is not None else {}
         applications = self._applications
@@ -317,10 +324,10 @@ class TermPool:
                     results.append(outcome)
                 else:
                     vector = tuple(results)
-                    if (result_type, vector) not in seen:
+                    if vector not in seen:
                         expr = app(EVar(component.name),
                                    *[entry.expr for entry in reversed(combo)])
-                        self._add(result_type, TermEntry(expr, size, vector))
+                        self._add(result_type, TermEntry(expr, size, vector), seen)
         finally:
             self._applications = applications
             self._evaluations += evaluations

@@ -1,12 +1,13 @@
-"""Two-argument calls of a global run in one closure.
+"""Two-argument calls of a global take their own path.
 
-``g a b`` with ``g`` a global compiles to its own closure: it reads a
-local-variable argument straight from its frame slot and steps into a curried
-closure's inner ``fun`` without building it.  That must be invisible.  The
-same expression with ``g`` bound to a local variable runs the generic fused
-call, and at every budget the two give the same value or error and leave the
-same fuel; inside a memo table they store the same entries.  The value is
-also the one :meth:`Evaluator.apply` gives.
+``g a b`` with ``g`` a global looks ``g`` up once, spends the units of a
+local or constant second argument together with the rest, and steps into a
+curried closure's inner ``fun`` without building it.  That must be
+invisible.  The same expression with ``g`` bound to a local variable gives,
+at every budget, the same value or error and leaves the same fuel; inside a
+memo table the two store the same entries.  The value is also the one
+:meth:`Evaluator.apply` gives.  ``test_eval_oracle.py`` compares both routes
+with the closure-compiling reference evaluator.
 """
 
 import pytest
