@@ -15,9 +15,9 @@ Submodules
     Type-inhabitation reachability used to prune synthesis components
     soundly before term-pool construction.
 ``canon``
-    Canonicalizing rewrites (folding, dead-branch elimination,
-    alpha-normalization) and the canonical content hash that keys the
-    evaluation/synthesis caches.
+    Structural content keys (sha256 over declaration ``repr``) for a
+    module and for each declaration with its callees; they key the
+    persistent cache tier.
 ``lint``
     The driver that runs every pass over one module and collects an
     :class:`~repro.analysis.lint.AnalysisReport`.

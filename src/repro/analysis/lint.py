@@ -7,8 +7,8 @@ checks the module source, then runs:
 * match exhaustiveness / unreachable branches (HAN001, HAN002),
 * call-graph reachability and structural recursion (HAN003, HAN004),
 * component-usefulness reachability for the synthesis goal (HAN005),
-* the canonicalizing passes, whose alpha-normalized hash is reported as
-  the module's ``content_hash`` (the cache content key).
+* the module's structural content key (:mod:`repro.analysis.canon`),
+  reported as its ``content_hash``.
 
 Each pass runs inside an ``obs`` span (``analysis`` with one child per
 pass, category ``analysis``), so ``repro trace`` breakdowns show analysis
@@ -41,7 +41,7 @@ GOAL_TYPE = TData("bool")
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Every finding for one module, plus its canonical content hash."""
+    """Every finding for one module, plus its content key."""
 
     module: str
     path: str
@@ -173,7 +173,7 @@ def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
                     decl=component.name))
 
         with emitter.span("analysis-canon", cat="analysis"):
-            content_hash = canonical_hash(definition, program, decls)
+            content_hash = canonical_hash(definition, decls)
 
     return _report(definition, path, diagnostics, content_hash, pruned)
 

@@ -347,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--all-builtins", action="store_true",
                       help="lint every registered benchmark")
     lint.add_argument("--hash", action="store_true",
-                      help="also print each module's canonical content hash "
-                           "(the evaluation/pool cache content key)")
+                      help="also print each module's structural content "
+                           "key (the persistent cache's fallback key)")
     lint.add_argument("--format", choices=("human", "json"), default="human",
                       help="output format: the human path:line renderer "
                            "(default) or one JSON object per finding "

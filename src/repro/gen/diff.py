@@ -4,7 +4,7 @@ One harness, :func:`differential`, runs a module under an ordered tuple of
 named *variants* for each inference mode and requires one outcome
 *fingerprint* (status, rendered invariant, size, iteration count, message)
 per ``(module, mode)``.  A variant is a ``(tag, prepare)`` pair: ``prepare``
-maps the base ``(definition, config)`` to what that variant runs.  Four
+maps the base ``(definition, config)`` to what that variant runs.  Three
 variant tuples hold the layers that advertise "identical outcomes, less
 work" to it:
 
@@ -13,8 +13,6 @@ work" to it:
   (``--no-pool-cache``);
 * :data:`PRUNING_VARIANTS` - reachability pruning of synthesis components
   on and off;
-* :data:`CANONICAL_VARIANTS` - the module and its canonicalized form
-  (:mod:`repro.analysis.canon`);
 * :data:`PERSISTENCE_VARIANTS` - no persistence, then a cold, a warm, and a
   corrupted disk-cache store (:mod:`repro.serve.diskcache`, docs/service.md).
 
@@ -57,7 +55,6 @@ from ..verify.tester import Verifier
 __all__ = [
     "CACHE_MATRIX",
     "PRUNING_VARIANTS",
-    "CANONICAL_VARIANTS",
     "PERSISTENCE_VARIANTS",
     "DEFAULT_FUZZ_MODES",
     "FAULT_ENV_VAR",
@@ -120,12 +117,6 @@ def _configured(change: Callable[[HanoiConfig], HanoiConfig]) -> Prepare:
     return lambda definition, config: (definition, change(config))
 
 
-def _canonicalized(definition: ModuleDefinition, config: HanoiConfig):
-    from ..analysis.canon import canonicalize_definition
-
-    return canonicalize_definition(definition), config
-
-
 def _corrupt_store(directory: str) -> int:
     """Flip one mid-payload byte in every disk-cache entry; returns count."""
     flipped = 0
@@ -166,11 +157,6 @@ CACHE_MATRIX = Variants("cache variants", (
 PRUNING_VARIANTS = Variants("component pruning", (
     ("pruning", _same),
     ("no-pruning", _configured(HanoiConfig.without_component_pruning)),
-))
-
-CANONICAL_VARIANTS = Variants("canonicalization", (
-    ("original", _same),
-    ("canonical", _canonicalized),
 ))
 
 #: Every damaged entry must be skipped with a warning, never crash the run
@@ -454,19 +440,12 @@ def fuzz_module(definition: ModuleDefinition,
                 config: Optional[HanoiConfig] = None,
                 require_success: Sequence[str] = ("hanoi",),
                 fault: Optional[FaultHook] = None,
-                check_oracle: bool = True,
-                cross_checks: Sequence[Variants] = ()) -> FuzzReport:
+                check_oracle: bool = True) -> FuzzReport:
     """Run one module through ``modes`` x the cache matrix, in process,
-    judged for success and against the ground truth; then require agreement
-    within each of ``cross_checks`` (e.g. :data:`CANONICAL_VARIANTS`,
-    :data:`PERSISTENCE_VARIANTS`)."""
-    report = differential(definition, CACHE_MATRIX, modes, config,
-                          require_success=require_success, fault=fault,
-                          check_oracle=check_oracle)
-    for variants in cross_checks:
-        report.merge(differential(definition, variants, modes, config,
-                                  fault=fault))
-    return report
+    judged for success and against the ground truth."""
+    return differential(definition, CACHE_MATRIX, modes, config,
+                        require_success=require_success, fault=fault,
+                        check_oracle=check_oracle)
 
 
 def fuzz_corpus(definitions: Sequence[ModuleDefinition],

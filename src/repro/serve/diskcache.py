@@ -14,7 +14,9 @@ The in-memory caches (:mod:`repro.verify.evalcache`,
 
 * :class:`PersistentCacheBinding` - the policy layer.  It computes one
   content key per cache *section* from the per-declaration dependency
-  hashes of :func:`repro.analysis.canon.declaration_dependency_hashes`:
+  hashes of :func:`repro.analysis.canon.declaration_dependency_hashes`,
+  sha256 over the structure (dataclass ``repr``) of a declaration and its
+  transitive callees:
 
   ======= ============================== ===================================
   section one file per                   key covers
@@ -25,10 +27,11 @@ The in-memory caches (:mod:`repro.verify.evalcache`,
   ======= ============================== ===================================
 
   The file name *is* the hash of everything its content depends on, so
-  incremental invalidation needs no diffing: editing one declaration changes
-  only the keys of the sections whose declaration transitively calls it,
-  and every other section warm-starts.  A stale entry is simply never looked up again
-  (and is eventually re-written under its new key).  Write-back is
+  incremental invalidation needs no diffing: any structural edit to one
+  declaration changes only the keys of the sections whose declaration
+  transitively calls it, and every other section warm-starts.  Layout -
+  comments, blank lines, line numbers - changes no key.  An entry under an
+  old key is simply never looked up again.  Write-back is
   incremental too: a run writes a section only when its restore missed it
   or the run changed it, so a fully warm run leaves the store untouched.
 
@@ -205,14 +208,13 @@ class PersistentCacheBinding:
         self.instance = instance
         self.config = config
         # Per-declaration dependency hashes are the invalidation unit; the
-        # whole-module canonical hash backstops names the analysis cannot
-        # see (it only ever over-invalidates, never under-invalidates).
-        # Both hash the declarations the instance already checked, rather
-        # than parsing and checking the source again.
-        program = instance.program
-        decls = program.declarations[len(_prelude_declarations()):]
-        self._dep = declaration_dependency_hashes(definition, program, decls)
-        self._fallback = canonical_hash(definition, program, decls)
+        # whole-module hash backstops names the analysis cannot see (it only
+        # ever over-invalidates, never under-invalidates).  Both hash the
+        # declarations the instance already checked, rather than parsing
+        # the source again.
+        decls = instance.program.declarations[len(_prelude_declarations()):]
+        self._dep = declaration_dependency_hashes(definition, decls)
+        self._fallback = canonical_hash(definition, decls)
         self._bounds = repr(astuple(config.verifier_bounds))
         self._fuel = str(config.eval_fuel)
         # What restore() left in memory, per section that hit: the spec

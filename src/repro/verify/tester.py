@@ -248,12 +248,3 @@ class Verifier:
                 if not predicate(value):
                     return SufficiencyCounterexample((value,))
             return VALID
-
-    def predicates_agree(self, left: Callable[[Value], bool], right: Callable[[Value], bool],
-                         concrete_type: Optional[Type] = None) -> bool:
-        """Bounded extensional equality of two predicates (test/report helper)."""
-        target = concrete_type or self.instance.concrete_type
-        for value in self._pool(target, 1):
-            if left(value) != right(value):
-                return False
-        return True

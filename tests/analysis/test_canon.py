@@ -1,25 +1,13 @@
-"""Canonicalization + content-hash tests.
+"""Module content-key tests.
 
-The invariant under test: the canonical hash is a *content key* — it
-collides exactly on behaviourally identical modules (alpha-renamed
-locals, dead branches, foldable constants) and separates everything
-else (interface changes, behaviour changes).
+The invariant under test: :func:`canonical_hash` separates modules whose
+declarations or interface differ, and ignores what is neither (the
+benchmark name).  Layout is covered in ``tests/serve/test_keys.py``.
 """
 
 import dataclasses
 
-import pytest
-
-from repro.analysis.canon import (
-    canonical_hash,
-    canonicalize_definition,
-    canonicalize_fun_decl,
-    render_fun_decl,
-)
-from repro.lang.parser import parse_program
-from repro.lang.prelude import PRELUDE_SOURCE
-from repro.lang.program import Program
-from repro.lang.typecheck import TypeChecker
+from repro.analysis.canon import canonical_hash
 from repro.spec.loader import load_module_text
 from repro.suite.registry import FAST_BENCHMARKS, get_benchmark
 
@@ -48,88 +36,6 @@ def _load(spec_decl: str = BASE_SPEC):
                             path="canon.hanoi")
 
 
-def _checker(extra: str = ""):
-    program = Program()
-    program.extend(PRELUDE_SOURCE)
-    if extra:
-        program.extend(extra)
-    return TypeChecker(program.types)
-
-
-def _canon_src(source: str, extra: str = "") -> str:
-    decl = parse_program(source)[0]
-    return render_fun_decl(canonicalize_fun_decl(decl, _checker(extra)))
-
-
-# -- rewrites ---------------------------------------------------------------
-
-
-def test_dead_branch_removed():
-    out = _canon_src("""
-let f (n : nat) : bool =
-  match n with
-  | O -> True
-  | S m -> False
-  | _ -> True
-""")
-    assert out.count("->") == 2  # the wildcard arm is gone
-
-
-def test_tuple_projection_folded():
-    # Projections have no surface syntax; build the node directly.
-    from repro.analysis.canon import canonicalize_expr
-    from repro.lang.ast import ECtor, EProj, ETuple, EVar
-    from repro.lang.types import TData
-
-    expr = EProj(0, ETuple((EVar("n"), ECtor("O", None))))
-    folded = canonicalize_expr(expr, _checker(), {"n": TData("nat")})
-    assert folded == EVar("n")
-
-
-def test_literal_match_folded():
-    out = _canon_src("""
-let f (n : nat) : nat =
-  match S n with
-  | O -> O
-  | S m -> m
-""")
-    assert "match" not in out
-
-
-def test_unused_pure_let_dropped():
-    out = _canon_src("let f (n : nat) : nat = let unused = O in n")
-    assert "unused" not in out
-
-
-def test_impure_let_preserved():
-    # f n may diverge/crash for some f; the binding must not be discarded.
-    out = _canon_src("""
-let g (n : nat) : nat = let unused = f n in n
-""", extra="let f (n : nat) : nat = n")
-    assert "f" in out and "let" in out
-
-
-def test_idempotent():
-    definition = _load()
-    once = canonicalize_definition(definition)
-    twice = canonicalize_definition(once)
-    assert once.source == twice.source
-
-
-# -- hashing ----------------------------------------------------------------
-
-
-def test_hash_stable_under_alpha_rename():
-    renamed = BASE_SPEC.replace("(c : nat)", "(zzz : nat)").replace(
-        "match c", "match zzz").replace("S m", "S qqq")
-    assert canonical_hash(_load()) == canonical_hash(_load(renamed))
-
-
-def test_hash_stable_under_dead_branch():
-    with_dead = BASE_SPEC + " | _ -> True"
-    assert canonical_hash(_load()) == canonical_hash(_load(with_dead))
-
-
 def test_hash_changes_on_behaviour_change():
     flipped = BASE_SPEC.replace("| O -> True", "| O -> False")
     assert canonical_hash(_load()) != canonical_hash(_load(flipped))
@@ -144,19 +50,6 @@ def test_hash_changes_on_interface_change():
         synthesis_components=definition.synthesis_components + ("bump",))
     assert canonical_hash(definition) == canonical_hash(other)
     assert canonical_hash(definition) != canonical_hash(widened)
-
-
-def test_canonicalized_module_loads_and_instantiates():
-    definition = canonicalize_definition(_load())
-    instance = definition.instantiate()
-    assert instance is not None
-
-
-@pytest.mark.parametrize("name", FAST_BENCHMARKS)
-def test_hash_fixpoint_on_builtins(name):
-    definition = get_benchmark(name)
-    assert canonical_hash(canonicalize_definition(definition)) == \
-        canonical_hash(definition)
 
 
 def test_distinct_builtins_distinct_hashes():

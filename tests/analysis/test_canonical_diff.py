@@ -1,10 +1,8 @@
-"""Differential tests for canonicalization and content-keyed caches.
+"""Content keys and the runs that compute them.
 
-The dead-branch rewriter (and the other canonicalizing passes) must be
-*inference-transparent*: running the canonicalized module through every
-fuzz mode yields byte-identical outcome fingerprints.  Hashing the
-declarations an instance already checked must give the keys of hashing
-the source afresh.
+A run without a persistent store never hashes its module, and hashing the
+declarations an instance already checked gives the keys of hashing the
+source afresh.
 """
 
 import dataclasses
@@ -17,8 +15,6 @@ from repro.analysis import canon
 from repro.analysis.canon import canonical_hash, declaration_dependency_hashes
 from repro.core import hanoi
 from repro.core.hanoi import HanoiInference
-from repro.gen.diff import CANONICAL_VARIANTS, differential, fuzz_module
-from repro.gen.modgen import generate_module
 from repro.lang.program import _prelude_declarations
 from repro.lang.values import VCtor
 from repro.spec.loader import load_module_file
@@ -26,29 +22,6 @@ from repro.suite.registry import all_benchmark_names, get_benchmark
 
 EXAMPLE_MODULES = sorted(glob.glob(os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "modules", "*.hanoi")))
-
-
-def test_canonicalization_transparent_on_benchmark(fast_config):
-    definition = get_benchmark("/coq/unique-list-::-set")
-    report = differential(definition, CANONICAL_VARIANTS, config=fast_config)
-    assert report.mismatches == [], report.describe()
-
-
-def test_canonicalization_transparent_on_generated_module(fast_config):
-    module = generate_module(7)
-    report = differential(module.definition, CANONICAL_VARIANTS,
-                          modes=("hanoi", "oneshot"), config=fast_config)
-    assert report.mismatches == [], report.describe()
-
-
-def test_fuzz_module_check_canonical_counts_runs(fast_config):
-    definition = get_benchmark("/coq/unique-list-::-set")
-    plain = fuzz_module(definition, modes=("hanoi",), config=fast_config)
-    checked = fuzz_module(definition, modes=("hanoi",), config=fast_config,
-                          cross_checks=(CANONICAL_VARIANTS,))
-    assert checked.mismatches == []
-    assert checked.runs == plain.runs + 2
-    assert checked.benchmarks == plain.benchmarks == [definition.name]
 
 
 def test_inference_without_a_store_never_hashes_the_module(fast_config, monkeypatch):
@@ -94,7 +67,7 @@ def test_hashes_of_instantiated_declarations_match_reparse(load):
     definition = load()
     program = definition.instantiate().program
     module_decls = program.declarations[len(_prelude_declarations()):]
-    assert canonical_hash(definition, program, module_decls) == \
+    assert canonical_hash(definition, module_decls) == \
         canonical_hash(definition)
-    assert declaration_dependency_hashes(definition, program, module_decls) == \
+    assert declaration_dependency_hashes(definition, module_decls) == \
         declaration_dependency_hashes(definition)

@@ -3,7 +3,7 @@
 These are the analyzer's end-to-end regression net — a new pass that
 starts flagging curated benchmarks (or fuzz-generated modules from any
 scenario family) fails here first.  The shipped modules' content hashes
-are pinned too, so the canonicalizer cannot drift unnoticed.
+are pinned too, so the content key cannot drift unnoticed.
 """
 
 import pathlib
@@ -19,79 +19,79 @@ EXAMPLES = sorted(
     .glob("*.hanoi"))
 
 
-#: Each shipped module's canonical content hash.  The hash keys the
-#: persistent disk cache and is printed by ``repro lint --hash``, so a change
-#: to the canonicalizer that moves any of these invalidates every stored
-#: cache entry; update the table only for such a deliberate change.
+#: Each shipped module's content key.  The key backstops the persistent
+#: disk cache's section keys and is printed by ``repro lint --hash``, so a
+#: change to the key that moves any of these invalidates stored cache
+#: entries; update the table only for such a deliberate change.
 CONTENT_HASHES = {
     "/coq/bst-::-set*":
-        "42778a47b88bac253a91d63265c53469f94a89e1066c25a218bed1f5b0fb7f95",
+        "a5177e81c6fa34354a3a5cf73b0cebd95bcf469d5611f3a628cbe2821ba7bcb3",
     "/coq/bst-::-set+binfuncs":
-        "c2e0b01aee073b5bff87a2a2e2d4d2eb33cf21cd8c3977b136877f75b56473ff",
+        "c33e01d5a70bcc9a18364d43da723d2261a5746cd7efdfc3b98c8f00356e117e",
     "/coq/bst-::-set+hofs*":
-        "466e2edee9d02813228338430fc79153c0a90d502620b56917fab392df664069",
+        "5a948517bbf92e546203e48ee6487fbdbc6a8420569557180670aa8743eeae5a",
     "/coq/rbtree-::-set*":
-        "6c0a70eda0db1c02d1bde920254c40c5b948f1b936a95562f07cd804062dbdd9",
+        "e4e004424485ad2a5ea829e98dff5b5c6a5904d5094078a57db7cced16d62712",
     "/coq/rbtree-::-set+binfuncs":
-        "f0c0f2a95ab8d282ba0bc5850343bb996ff594a32cfc923cfd3324db3f4141e5",
+        "dc502fc9463865b773ce9f941cf675ef064b6d3a31e9dab705e3d839179c0690",
     "/coq/rbtree-::-set+hofs*":
-        "eb5b84b55ee48f5ddaa96c3c95a279c689725c80dbe8942bf16360c36e0dc935",
+        "a7991dc3a43237536009daf698cc37241b93458989bf6687fe579be170eee231",
     "/coq/maxfirst-list-::-heap":
-        "9aeab2b105e7a97006cc3ddb8094843e4d9071efd2a13825cbe5c321b62dafbc",
+        "122aa5b96f7297b1413dbcbf379a211f0fc72611ba4148486b87b69f08af05af",
     "/coq/maxfirst-list-::-heap+binfuncs":
-        "cae3f2767747967b304b13de2e6bab8eaa31fdcc2489cd0607f07284189c7577",
+        "8e1fc248e1e1793b61fd924093346484a445d7d68d0fa63d8d82e53aefcef776",
     "/coq/sorted-list-::-set":
-        "68cb8deb840f304a741a7aec9be0d808b9a6dbf0117cdbbd971a0037c588b34b",
+        "a108f98e4a6b45926e308e0241bc34db4e2a537b27cedff2b0f457c9b88cf8bb",
     "/coq/sorted-list-::-set+binfuncs":
-        "6c9a9d8ac713fa213b94ffe3b7a025b7e7d3a2e0a1c32e407d6ae2bfb071464c",
+        "9e39280fed08a13f6876f1d3f5b793c38aeb4bd0488a1890fd8f45963c58dd64",
     "/coq/sorted-list-::-set+hofs":
-        "9ceb5b87492a54dd641b0787dd8882e421bc74530c89d48d6ba5f416db0c42fd",
+        "86fc2179d86ae1a8fd761ec6bf3c32869d43d7bec7c9be3450110a122f6a15df",
     "/coq/unique-list-::-set":
-        "0dbdf3bef37348a80be59533033b1e153be7944112a4084e980d4e2d08e555fe",
+        "e0bc6c22109dfa64a5715c058fe21e76690710be49de87b9a181ea1dc628a3ec",
     "/coq/unique-list-::-set+binfuncs":
-        "f05fdecbfec63d5311005ec92da71ad4d96a21cc0357b58347f33d759f0f6346",
+        "8c7e1c38ab1209e491ad05163f19093dec0841227c88c5d57153a94b3ffb9f27",
     "/coq/unique-list-::-set+hofs":
-        "cdea39de566c3aa67ae675f7ee4f274a8ff74f47f684ca697b7ae80130c66d73",
+        "890345c08a8a3fad80b26f23c02edc5173f5be1b9ddb65b4a9f4b98ba6ccc7c6",
     "/other/cache":
-        "4fe5497386f6512e36307211e24a21e85c45e26b5516a11047443014ac474938",
+        "936968dd5a196b32cce5ab8bf1fcf93c2f7315819deb62eb6936d8de46e9dccf",
     "/other/listlike-tree":
-        "c5db10410b62e3b562f92ab22237a72b77947f7cf243571a1af5cfbeab5afe48",
+        "89e15542cbaba231a9530489b32a66947ea822d85cc6a8af3a9af8d32e0b6bfa",
     "/other/nat-nat-option-::-range":
-        "a5b9112e13a5dbb6c1a2fe1732cc6dc7f0355095d834b841a66c1fc4d99961bb",
+        "e5e1cef9ae075a838e3120c365052aa504b6e38cc5a6893a55935b0bbf87fa68",
     "/other/rational":
-        "52f902455158f8b32c70e4b8150890882271ddc033eb6e2d7be4b1170ae27068",
+        "e18d9429289d8c1096c32dcf793905a75ee2ea413f3c03aa6ad3681c3823ccc2",
     "/other/sized-list":
-        "7d57aa4ebd9480a63f5348eeafe3983816f6eaf3830ec8c95afb6c71e6182f3d",
+        "7789d4d00476962374eefaa5f720c0fe078f966869af108008316c1bb5283358",
     "/other/stutter-list":
-        "233b471da419b72d50ee77a2cae1187a9568e29f1a666e0fe367e24b10a9c461",
+        "80d6693c3edfb0c628ae4b210851034a88c34aed582e9970cdb67ac9c1481f31",
     "/vfa-extended/assoc-list-::-table":
-        "e864bed3ca8b13d1b0e4fdbbc74c78b8d40ccba1d12e550069a8145fe812be58",
+        "3bec744c5509daf4bc70e7a80a7609aefa9da7252e0bb2a49806c76c7c4a0f70",
     "/vfa-extended/bst-::-table":
-        "6c033fee392f512e68ce25ede24ef63e6057049e1fa86d460ca6fa45c5609b85",
+        "c7ed677717441f0a24b9f2930b2a5f901b1cb98389e16ff2f1ae2909a9ff4109",
     "/vfa-extended/trie-::-table":
-        "344073f9e79771b85d5231159b4793eb32dee14aa680623691965dca4263c405",
+        "fa70b63ad76da67dcdb3713ce0599adf0693039525c67a994683ab8099b72363",
     "/vfa/assoc-list-::-table":
-        "fef7cb17c4524f932c649b01b2fec50ca423f0801ece83a09240c3a022994f8e",
+        "c5ba7305ccd7e4b9c88eb4483ff4461aab19ec7581fc6a9cbebed9a8134f0a02",
     "/vfa/bst-::-table":
-        "2644423a1e8ceca5c595a2f75026989a1337da0c771d38eaa150724ecd402b84",
+        "e62734dc78e632ee6ee9036e3dedea16d537adba5681326113c69d7282d6a0aa",
     "/vfa/tree-::-priqueue*":
-        "cbe2513dbf9a3aada4c056f817c12b508156ad32b3e806b4ba40c5cef2e3ed23",
+        "c3cc6a3bf8bf9e981cba71743775ea69d0c4542687b78f3963defdcf85b48f52",
     "/vfa/tree-::-priqueue+binfuncs*":
-        "b7aaade9d259c34a47a4fb686ed8573c64cc6e26afe9a09f9cec025b5684c42b",
+        "b5c4bc01920eec47ee1808f0b572bc0da5d423739e1196438b9a9e6f106ea4b6",
     "/vfa/trie-::-table":
-        "bf7d1ae49c3fb613ef324083d0fe129d9a752ae66dfb1a198871e04070e370bf",
+        "dc5a44f7a555ae8725d351e60b9708dcaf4a28585f1ccbf49d22f24eede9ea94",
     "bounded-stack.hanoi":
-        "54dfcbbddca7b0285b743e2a84a743fbb956c9c9e3626d5ab68f6b5ccc2e98f4",
+        "8d5867ebe0a8a51d7a1a0ec0fdb1127427dcedcee4607f6f2ab7c5ee5cdf5d92",
     "lru-cache.hanoi":
-        "9a3a66f1a0096f3344f4ea85219e6e5d1bb9ccf4fe2387c2f7e899de8a8f0a63",
+        "e6bf66363959cd77e291081e8b8d4fcfaee94d9a6222e57cc35934224ec69e30",
     "parity-counter.hanoi":
-        "d8cde49d736acc079f83c6a6ed0217d7780ada31044cc1d9092beca91bc07a67",
+        "1bbde1fa87567864887f5e7ed5c3f00d5f08c40c75bc8599f3e16d8b6005a3ab",
     "ring-buffer.hanoi":
-        "fdf456135cf178c8f6d57120d64adec9eaaec3aa14aa5e0d6cbda81d7fd85fd4",
+        "109b39c65b0b35d5d40d61be97c1a74e33e22a29a2fce23aba6d0d098ad08c5e",
     "two-list-queue.hanoi":
-        "1217c7c4ec91a4add46ecfc0b170f6a40a47388ce297464bb49f236f6249ed9c",
+        "fce48ec13b82962db1f166dbc595a7ef1450109df4459692b067b9030512f8d0",
     "union-find.hanoi":
-        "d959e4c702d4ba9c423ddf6980082cce3ea4ca8ad56e248e0ec68b77c1533dc6",
+        "b4de9c93390d9d0f02d3a178008ca15a18170897f52d880fe9d4412125c22ac8",
 }
 
 

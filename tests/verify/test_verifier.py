@@ -68,13 +68,6 @@ def test_check_predicate_finds_counterexample(listset):
     assert isinstance(verifier.check_predicate(always), Valid)
 
 
-def test_predicates_agree_bounded(listset, nodup):
-    verifier = Verifier(listset, bounds=FAST_VERIFIER_BOUNDS)
-    assert verifier.predicates_agree(nodup, nodup)
-    never = Predicate.from_source("let never (l : list) : bool = False", listset.program)
-    assert not verifier.predicates_agree(nodup, never)
-
-
 def test_deadline_is_honoured(listset, nodup):
     expired = Deadline(0.0)
     expired.started_at -= 1.0
