@@ -16,6 +16,7 @@ full inductiveness) and report failure when it does not hold.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional
 
 from ..core.config import HanoiConfig, InferenceTimeout
@@ -120,11 +121,8 @@ class OneShotInference(InferenceRun):
                         base_pools: List[List[Value]]) -> bool:
         assignments = [[value] if i == abstract_index else pool
                        for i, pool in enumerate(base_pools)]
-        # Iterate the cartesian product of the base pools.
-        def recurse(index: int, chosen: List[Value]) -> bool:
-            if index == len(assignments):
-                self.stats.structures_tested += 1
-                return bool_of_value(self.instance.call_spec(*chosen))
-            return all(recurse(index + 1, chosen + [v]) for v in assignments[index])
-
-        return recurse(0, [])
+        for assignment in itertools.product(*assignments):
+            self.stats.structures_tested += 1
+            if not bool_of_value(self.instance.call_spec(*assignment)):
+                return False
+        return True

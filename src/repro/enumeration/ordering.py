@@ -19,11 +19,19 @@ plain loops.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple, TypeVar
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple, TypeVar
 
-__all__ = ["diagonal_product"]
+if TYPE_CHECKING:
+    from ..core.config import Deadline
+    from ..core.stats import InferenceStats
+
+__all__ = ["DEADLINE_POLL", "checked_product", "diagonal_product"]
 
 T = TypeVar("T")
+
+#: How many assignments a bounded walk hands out between deadline polls.
+DEADLINE_POLL = 128
 
 
 def diagonal_product(pools: Sequence[Sequence[T]], max_total: int) -> Iterator[Tuple[T, ...]]:
@@ -63,6 +71,21 @@ def diagonal_product(pools: Sequence[Sequence[T]], max_total: int) -> Iterator[T
                 produced += 1
                 if produced >= budget:
                     return
+
+
+def checked_product(pools: Sequence[Sequence[T]], max_total: int, deadline: Deadline,
+                    stats: InferenceStats, structures: int,
+                    skip: int = 0) -> Iterator[Tuple[T, ...]]:
+    """The Section 4.3 tester's walk: :func:`diagonal_product` past its first
+    ``skip`` assignments, polling ``deadline`` before every
+    ``DEADLINE_POLL``-th one and adding ``structures`` to
+    ``stats.structures_tested`` for each one it yields."""
+    assignments = islice(diagonal_product(pools, max_total), skip, None)
+    for count, assignment in enumerate(assignments, 1):
+        if count % DEADLINE_POLL == 0:
+            deadline.check()
+        stats.structures_tested += structures
+        yield assignment
 
 
 def _prefixes(pools: Sequence[Sequence[T]], reach: List[int], k: int, stop: int,

@@ -36,7 +36,7 @@ from ..core.config import Deadline, VerifierBounds
 from ..core.module import ModuleInstance, Operation
 from ..core.stats import InferenceStats
 from ..enumeration.functions import FunctionEnumerator
-from ..enumeration.ordering import diagonal_product
+from ..enumeration.ordering import checked_product
 from ..enumeration.values import ValueEnumerator
 from ..lang.errors import LangError
 from ..lang.types import TAbstract, TArrow, Type, mentions_abstract
@@ -183,7 +183,6 @@ class ConditionalInductivenessChecker:
             wrapped_positions.append(needs_contract)
 
         operation_value = self.instance.operation_value(operation)
-        applications = 0
 
         if not argument_types:
             # A constant of abstract type, e.g. ``empty``.
@@ -195,17 +194,12 @@ class ConditionalInductivenessChecker:
 
         # Section 4.3 counts data structures processed; function positions
         # supply enumerated closures, not structures.
-        structures_per_assignment = sum(
-            1 for t in argument_types if not isinstance(t, TArrow))
+        structures = sum(1 for t in argument_types if not isinstance(t, TArrow))
 
-        for assignment in diagonal_product(pools, self.bounds.max_applications_per_operation):
-            applications += 1
-            if applications % 128 == 0:
-                self.deadline.check()
-
+        for assignment in checked_product(pools, self.bounds.max_applications_per_operation,
+                                          self.deadline, self.stats, structures):
             outcome = self._apply_operation(
                 operation_value, assignment, argument_types, wrapped_positions, result_type)
-            self.stats.structures_tested += structures_per_assignment
             if outcome is None:
                 # A crashing application of an enumerated (possibly nonsensical)
                 # functional argument is not evidence about the invariant.

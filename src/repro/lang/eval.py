@@ -45,8 +45,8 @@ and the fuel its body spent.  A hit replays that fuel when it fits the
 remaining budget, and otherwise the call runs, so fuel runs out exactly where
 it would without the table; only calls that return are stored.  A global
 added later was unbound when an entry was stored (the call raised, so nothing
-was), and rebinding a global empties the table (:func:`forget_memo`).  Every
-call site probes the table inline.
+was), and a global is never rebound (the type checker rejects a second
+definition of a name).  Every call site probes the table inline.
 
 A saturated call of a curried closure builds none of its partial
 applications (Marlow & Peyton Jones, "Making a fast curry", 2004).  When a
@@ -83,7 +83,7 @@ from .types import Type
 from .values import Code, Value, VClosure, VCtor, VNative, VTuple  # noqa: F401 (generated)
 
 __all__ = ["Evaluator", "EvalBudget", "DEFAULT_FUEL", "MEMO_MAX_ENTRIES", "MAX_EVAL_DEPTH",
-           "FACTORY_CACHE_MAX", "memo_table", "forget_memo"]
+           "FACTORY_CACHE_MAX", "memo_table"]
 
 DEFAULT_FUEL = 500_000
 
@@ -154,13 +154,6 @@ def memo_table() -> Iterator[Dict[tuple, Tuple[Value, int]]]:
         yield _memo
     finally:
         _memo = outer
-
-
-def forget_memo() -> None:
-    """Empty the open memo table: a rebound global may change what stored
-    calls would return."""
-    if _memo is not None:
-        _memo.clear()
 
 
 class Evaluator:

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ast import EFun, Expr, FunDecl, TypeDecl, expr_size
 from .errors import TypeError_
-from .eval import DEFAULT_FUEL, EvalBudget, Evaluator, forget_memo
+from .eval import DEFAULT_FUEL, EvalBudget, Evaluator
 from .parser import parse_program
 from .prelude import PRELUDE_SOURCE
 from .typecheck import TypeChecker, TypeEnvironment
@@ -124,20 +124,15 @@ class Program:
         for decl in decls:
             self.declarations.append(decl)
             if isinstance(decl, FunDecl):
-                self._install(decl.name, self._compile_fun(decl))
+                self.evaluator.globals[decl.name] = self._compile_fun(decl)
 
     def define_function(self, decl: FunDecl) -> Value:
         """Type check and install a programmatically-built function declaration."""
         self._checker.check_declarations([decl])
         self.declarations.append(decl)
         value = self._compile_fun(decl)
-        self._install(decl.name, value)
+        self.evaluator.globals[decl.name] = value
         return value
-
-    def _install(self, name: str, value: Value) -> None:
-        if name in self.evaluator.globals:
-            forget_memo()  # stored calls may have read the old binding
-        self.evaluator.globals[name] = value
 
     def _compile_fun(self, decl: FunDecl) -> Value:
         """Turn a top-level definition into a runtime value.

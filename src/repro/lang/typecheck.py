@@ -99,18 +99,25 @@ class TypeChecker:
     def check_declarations(self, decls) -> TypeEnvironment:
         """Check a batch of declarations.
 
-        Data type declarations are processed first (in order), then the
-        signatures of fully annotated function declarations are registered so
-        that mutually recursive definitions within the same batch can refer
-        to each other, and finally every function body is checked in order.
+        A function may not reuse a name the program already binds.  Data
+        type declarations are processed first (in order), then the
+        signatures of fully annotated function declarations are registered
+        so that mutually recursive definitions within the same batch can
+        refer to each other, and finally every function body is checked in
+        order.
         """
         decls = list(decls)
+        bound = set(self.env.globals)
         for decl in decls:
             if isinstance(decl, TypeDecl):
                 with self._positioned(decl):
                     self._check_type_decl(decl)
             elif not isinstance(decl, FunDecl):
                 raise TypeError_(f"unknown declaration: {decl!r}")
+            elif decl.name in bound:
+                raise TypeError_(f"duplicate definition: {decl.name}", decl.line)
+            else:
+                bound.add(decl.name)
         for decl in decls:
             if isinstance(decl, FunDecl) and decl.params and decl.return_type is not None:
                 with self._positioned(decl):

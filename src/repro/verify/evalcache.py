@@ -94,8 +94,11 @@ class EvaluationCache:
     """The sufficiency enumeration of one run, materialized at most once.
 
     ``entries`` holds one :class:`SpecEntry` per assignment in enumeration
-    (diagonal) order; ``iterator`` is the suspended enumeration positioned at
-    the frontier; ``exhausted`` is set once the enumeration's budget ran dry.
+    (diagonal) order; ``iterator`` is the suspended bounded walk
+    (:func:`~repro.enumeration.ordering.checked_product`) positioned at the
+    frontier, past ``entries``; ``exhausted`` is set once the enumeration's
+    budget ran dry.  A deadline that fires inside the walk ends it, which is
+    safe because it ends the run too, and a cache lives for one run.
     The :class:`~repro.verify.tester.Verifier` owns the replay/resume logic;
     this class is deliberately dumb storage so the enumeration semantics stay
     in one place.  Ablation modes simply never create one.  Hit/miss counters
@@ -142,8 +145,8 @@ class EvaluationCache:
 
         Only valid before the stream has been touched (fresh per-run cache):
         restored entries must occupy the positions the enumeration would
-        assign them, so the verifier's resume logic can fast-forward the
-        suspended iterator past ``len(entries)`` assignments.
+        assign them, so the verifier's walk can skip ``len(entries)``
+        assignments and resume at the frontier.
         """
         if self.entries or self.iterator is not None:
             raise ValueError("EvaluationCache.restore_entries on a non-empty stream")

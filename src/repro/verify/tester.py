@@ -19,17 +19,18 @@ The verifier exposes two checks used by the Hanoi loop:
 
 Inductiveness checks live in :mod:`repro.inductive`; they share the same
 bounds and statistics so that the Figure-7 verification-time columns account
-for all checking work.
+for all checking work, and enumerate through the same bounded walk,
+:func:`repro.enumeration.ordering.checked_product`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..core.config import Deadline, VerifierBounds
 from ..core.module import ModuleInstance
 from ..core.stats import InferenceStats
-from ..enumeration.ordering import diagonal_product
+from ..enumeration.ordering import DEADLINE_POLL, checked_product
 from ..enumeration.values import ValueEnumerator
 from ..lang.errors import LangError
 from ..lang.types import Type, mentions_abstract
@@ -70,15 +71,19 @@ class Verifier:
             max_size = self.bounds.max_nodes_multi
         return list(self.enumerator.enumerate(concrete_type, max_size=max_size, max_count=max_count))
 
-    def _assignment_budget(self, quantifiers: int) -> int:
-        """How many assignments one sufficiency enumeration may process.
+    def _assignments(self, signature: Tuple[Type, ...],
+                     skip: int = 0) -> Iterator[Tuple[Value, ...]]:
+        """The sufficiency enumeration over one pool per quantifier.
 
         Section 4.3 caps the total number of data *structures* processed
         (30000 at paper bounds), and a multi-quantifier assignment processes
         one structure per quantifier, so the assignment budget is the
         structure cap divided by the quantifier count.
         """
-        return max(1, self.bounds.max_total // max(1, quantifiers))
+        quantifiers = len(signature)
+        pools = [self._pool(t, quantifiers) for t in signature]
+        return checked_product(pools, max(1, self.bounds.max_total // max(1, quantifiers)),
+                               self.deadline, self.stats, quantifiers, skip)
 
     # -- sufficiency ------------------------------------------------------------------
 
@@ -96,10 +101,8 @@ class Verifier:
                 return self._check_sufficiency(invariant)
 
     def _check_sufficiency(self, invariant: Callable[[Value], bool]) -> CheckResult:
-        definition = self.instance.definition
-        interface_signature = definition.spec_signature
+        interface_signature = self.instance.definition.spec_signature
         concrete_signature = self.instance.spec_concrete_signature()
-        quantifiers = len(concrete_signature)
 
         abstract_positions = [
             index for index, ty in enumerate(interface_signature) if mentions_abstract(ty)
@@ -107,19 +110,9 @@ class Verifier:
 
         if self.eval_cache is not None:
             return self._check_sufficiency_cached(
-                invariant, concrete_signature, abstract_positions, quantifiers)
+                invariant, concrete_signature, abstract_positions)
 
-        pools: List[List[Value]] = []
-        for concrete_type in concrete_signature:
-            pools.append(self._pool(concrete_type, quantifiers))
-
-        processed = 0
-        for assignment in diagonal_product(pools, self._assignment_budget(quantifiers)):
-            processed += 1
-            self.stats.structures_tested += len(assignment)
-            if processed % 256 == 0:
-                self.deadline.check()
-
+        for assignment in self._assignments(concrete_signature):
             witnesses = tuple(assignment[i] for i in abstract_positions)
             if not all(invariant(w) for w in witnesses):
                 continue
@@ -130,8 +123,7 @@ class Verifier:
 
     def _check_sufficiency_cached(self, invariant: Callable[[Value], bool],
                                   concrete_signature: Tuple[Type, ...],
-                                  abstract_positions: List[int],
-                                  quantifiers: int) -> CheckResult:
+                                  abstract_positions: List[int]) -> CheckResult:
         """Sufficiency with the spec-verdict stream of the evaluation cache.
 
         The spec's verdict per assignment is candidate-independent, so the
@@ -148,10 +140,8 @@ class Verifier:
         """
         cache = self.eval_cache
 
-        scanned = 0
-        for entry in cache.entries:
-            scanned += 1
-            if scanned % 256 == 0:
+        for scanned, entry in enumerate(cache.entries, 1):
+            if scanned % DEADLINE_POLL == 0:
                 self.deadline.check()
             if entry.verdict is True:
                 self.stats.eval_cache_hits += 1
@@ -177,23 +167,15 @@ class Verifier:
             return VALID
 
         if cache.iterator is None:
-            pools = [self._pool(t, quantifiers) for t in concrete_signature]
-            cache.iterator = diagonal_product(pools, self._assignment_budget(quantifiers))
             # Entries restored from a persistent snapshot (serve/diskcache)
-            # occupy the first positions of this fresh enumeration; fast-
-            # forward past them so the frontier resumes where the snapshot
+            # occupy the first positions of this fresh enumeration; the walk
+            # passes over them so the frontier resumes where the snapshot
             # stopped.  The enumeration is deterministic, so position i of a
-            # fresh iterator is exactly the assignment entry i recorded.  In
-            # a cold run entries is empty here and nothing is skipped.
-            for _ in range(len(cache.entries)):
-                next(cache.iterator, None)
+            # fresh walk is exactly the assignment entry i recorded.  In a
+            # cold run entries is empty here and nothing is skipped.
+            cache.iterator = self._assignments(concrete_signature, skip=len(cache.entries))
 
         for assignment in cache.iterator:
-            scanned += 1
-            self.stats.structures_tested += len(assignment)
-            if scanned % 256 == 0:
-                self.deadline.check()
-
             witnesses = tuple(assignment[i] for i in abstract_positions)
             entry = SpecEntry(assignment, witnesses)
             cache.entries.append(entry)
@@ -241,10 +223,7 @@ class Verifier:
         with self.stats.verification():
             target = concrete_type or self.instance.concrete_type
             pool = self._pool(target, 1)
-            for index, value in enumerate(pool):
-                self.stats.structures_tested += 1
-                if index % 256 == 0:
-                    self.deadline.check()
+            for value, in checked_product([pool], len(pool), self.deadline, self.stats, 1):
                 if not predicate(value):
                     return SufficiencyCounterexample((value,))
             return VALID

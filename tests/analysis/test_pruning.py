@@ -42,7 +42,7 @@ BOOL = TData("bool")
 POOL_SOURCE = """
 type ghost = Mist of nat
 
-let is_zero (n : nat) : bool = match n with | O -> True | S m -> False
+let nought (n : nat) : bool = match n with | O -> True | S m -> False
 let rec double (n : nat) : nat = match n with | O -> O | S m -> S (S (double m))
 let haunt (n : nat) : ghost = Mist n
 """
@@ -69,12 +69,12 @@ def test_pool_stream_identical_after_pruning():
     components = [
         TypedComponent(name, program.global_type(name),
                        program.global_value(name))
-        for name in ("is_zero", "double", "haunt")]
+        for name in ("nought", "double", "haunt")]
     context = [("x", NAT)]
     environments = [{"x": program.eval_expr(parse_expression(source))}
                     for source in ("O", "S O", "S (S O)")]
     pruned = prune_components(components, [NAT], program.types, BOOL)
-    assert [c.name for c in pruned] == ["is_zero", "double"]
+    assert [c.name for c in pruned] == ["nought", "double"]
 
     full_pool = TermPool(program, components, context, environments, max_size=5)
     pruned_pool = TermPool(program, pruned, context, environments, max_size=5)

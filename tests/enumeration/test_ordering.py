@@ -1,5 +1,7 @@
 """The diagonal enumerator: the same assignments as the plain recursive
-sweep, in the same order, at a cost proportional to what it yields."""
+sweep, in the same order, at a cost proportional to what it yields; and the
+tester's bounded walk over it, which only adds deadline polls and
+structure counts."""
 
 import math
 import os
@@ -9,7 +11,9 @@ import sys
 import pytest
 
 import repro.enumeration.ordering as ordering
-from repro.enumeration.ordering import diagonal_product
+from repro.core.config import Deadline, InferenceTimeout
+from repro.core.stats import InferenceStats
+from repro.enumeration.ordering import DEADLINE_POLL, checked_product, diagonal_product
 
 
 def _reference_product(pools, max_total):
@@ -97,3 +101,44 @@ def test_two_pools_cost_at_most_two_calls_per_assignment():
 def test_three_pools_cost_at_most_six_calls_per_assignment():
     # The plain recursive sweep makes 10.3 calls per assignment here.
     assert _calls_per_assignment((120, 7, 7), 900) <= 6
+
+
+def _walk(pools, budget, skip=0, structures=1, deadline=None):
+    stats = InferenceStats()
+    walk = checked_product(pools, budget, deadline or Deadline(None), stats,
+                           structures, skip)
+    return walk, stats
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_walk_yields_the_diagonal_assignments_past_the_skip(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        sizes = [rng.randint(0, 9) for _ in range(rng.randint(1, 5))]
+        budget = rng.choice([-1, 0, 1, rng.randint(2, 500)])
+        pools = _pools(sizes)
+        expected = list(diagonal_product(pools, budget))
+        for skip in (0, 1, rng.randint(0, len(expected) + 1)):
+            walk, _ = _walk(pools, budget, skip)
+            assert list(walk) == expected[skip:], (sizes, budget, skip)
+
+
+def test_walk_polls_an_expired_deadline_at_the_poll_interval():
+    assert DEADLINE_POLL == 128
+    expired = Deadline(0.0, started_at=0.0)
+    walk, _ = _walk(_pools((40, 40)), 10_000, deadline=expired)
+    for _ in range(DEADLINE_POLL - 1):
+        next(walk)
+    with pytest.raises(InferenceTimeout):
+        next(walk)
+
+
+def test_walk_counts_structures_per_yielded_assignment_only():
+    walk, stats = _walk(_pools((9, 9, 9)), 300, skip=50, structures=3)
+    assert stats.structures_tested == 0
+    for produced in range(1, 101):
+        next(walk)
+        assert stats.structures_tested == 3 * produced
+    rest = sum(1 for _ in walk)
+    assert rest == 300 - 50 - 100
+    assert stats.structures_tested == 3 * (300 - 50)

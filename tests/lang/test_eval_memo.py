@@ -19,7 +19,7 @@ from repro.experiments import runner
 from repro.gen.diff import outcome_fingerprint
 from repro.inductive.relation import ConditionalInductivenessChecker
 from repro.lang import eval as evaluation
-from repro.lang.errors import EvalDepthExceeded, FuelExhausted
+from repro.lang.errors import EvalDepthExceeded, FuelExhausted, TypeError_
 from repro.lang.eval import EvalBudget, memo_table
 from repro.lang.program import Program
 from repro.lang.values import VClosure, VCtor, int_of_nat, nat_of_int, v_list
@@ -158,16 +158,18 @@ def test_very_deep_argument_is_stored_and_hit(program):
         assert len(table) == 1
 
 
-def test_rebinding_a_global_empties_the_table():
+def test_rebinding_a_global_is_rejected_and_keeps_the_table():
+    # Stored calls stay right because no global is ever rebound.
     program = Program.from_source(
         "let g (x : nat) : nat = S x\nlet f (x : nat) : nat = g x")
     one = nat_of_int(1)
     with memo_table() as table:
         assert program.call("f", one) == nat_of_int(2)
-        assert table
-        program.extend("let g (x : nat) : nat = O")
-        assert not table
-        assert program.call("f", one) == nat_of_int(0)
+        stored = dict(table)
+        with pytest.raises(TypeError_, match="duplicate definition: g"):
+            program.extend("let g (x : nat) : nat = O")
+        assert table == stored
+        assert program.call("f", one) == nat_of_int(2)
 
 
 def test_full_table_answers_but_stores_nothing_more(program, monkeypatch):
