@@ -24,6 +24,16 @@ Both of the algorithm's checks are instances:
 Because the implementation verifies by bounded enumerative testing
 (Section 4.3), the check enumerates argument tuples rather than deciding the
 relation exactly; this mirrors the original tool's unsound verifier.
+
+Section 4.2's contracts are needed only at argument positions of a
+functional type that mentions the abstract type (``fold``'s
+``nat -> t -> t``, say): only there can abstract values cross the boundary
+during the call.  An operation with such a position takes the contract path
+(:meth:`ConditionalInductivenessChecker._apply_operation`), which wraps those
+arguments and logs every crossing.  Every other operation, ``map`` over
+``nat -> nat`` included, is applied directly: its result is checked against
+``Q`` and its abstract arguments are collected only for a counterexample.
+No operation of the shipped built-ins or examples has a contract position.
 """
 
 from __future__ import annotations
@@ -195,9 +205,12 @@ class ConditionalInductivenessChecker:
         # Section 4.3 counts data structures processed; function positions
         # supply enumerated closures, not structures.
         structures = sum(1 for t in argument_types if not isinstance(t, TArrow))
+        walk = checked_product(pools, self.bounds.max_applications_per_operation,
+                               self.deadline, self.stats, structures)
+        if not any(wrapped_positions):
+            return self._check_first_order(operation, operation_value, walk, q)
 
-        for assignment in checked_product(pools, self.bounds.max_applications_per_operation,
-                                          self.deadline, self.stats, structures):
+        for assignment in walk:
             outcome = self._apply_operation(
                 operation_value, assignment, argument_types, wrapped_positions, result_type)
             if outcome is None:
@@ -217,6 +230,40 @@ class ConditionalInductivenessChecker:
                 witness_inputs = supplied + client_to_module
                 return InductivenessCounterexample(operation.name, witness_inputs, violations)
 
+        return VALID
+
+    def _check_first_order(self, operation: Operation, operation_value: Value,
+                           walk: Iterable[Tuple[object, ...]],
+                           q: PredicateFn) -> CheckResult:
+        """The per-application loop of an operation with no contract position.
+
+        No value crosses a higher-order boundary, so an application supplies
+        only its arguments and produces only its result: it is applied as
+        is, ``q`` runs on each abstract value of the result, and the
+        supplied witnesses are collected only for a counterexample.  The
+        outcome is the contract path's, application for application."""
+        apply = self.instance.program.apply
+        argument_types = operation.argument_types
+        result_type = operation.result_type
+        result_is_abstract = isinstance(result_type, TAbstract)
+        for assignment in walk:
+            try:
+                result = apply(operation_value, *assignment)
+            except LangError:
+                continue
+            if result_is_abstract:
+                if q(result):
+                    continue
+                violations = (result,)
+            else:
+                violations = tuple([v for v in collect_abstract(result, result_type)
+                                    if not q(v)])
+                if not violations:
+                    continue
+            supplied: List[Value] = []
+            for value, interface_type in zip(assignment, argument_types):
+                supplied.extend(collect_abstract(value, interface_type))
+            return InductivenessCounterexample(operation.name, tuple(supplied), violations)
         return VALID
 
     def _apply_operation(self, operation_value: Value, assignment: Tuple[object, ...],

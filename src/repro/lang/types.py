@@ -18,12 +18,24 @@ representation is:
 Interface signatures (``tau_m``) mention :class:`TAbstract`; module code and
 values never do - they use the concrete type.  :func:`substitute_abstract`
 performs the substitution ``tau[alpha -> tau_c]`` from the paper.
+
+Types are hash-consed the way constructor and tuple values are (see
+:mod:`repro.lang.values`): building a type looks its class and fields up in a
+process-wide intern table and returns the one object equal to it.  Equality
+is therefore the identity test and the hash is ``object``'s, both C slots, so
+the pool buckets, seen-vectors, memo keys and checker tables that key on
+types never run Python code to probe.  The table is a plain dict: types come
+from program text and are few.  The look-up and the store are not one atomic
+step, so types must be built on one thread (the parallel runner uses
+processes).  Pickling and ``copy.deepcopy`` go through the constructor and
+return the interned object.  The dataclass ``repr`` is kept, because the
+disk-store keys and ``repro lint --hash`` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 __all__ = [
     "Type",
@@ -40,14 +52,40 @@ __all__ = [
 ]
 
 
+#: ``(class, fields...)`` -> the one type with those fields.
+_types: Dict[tuple, "Type"] = {}
+_set_field = object.__setattr__
+_new_object = object.__new__
+
+
 class Type:
-    """Base class of all object-language types.  Instances are immutable."""
+    """Base class of all object-language types.  Instances are immutable and
+    hash-consed: a subclass is a frozen dataclass whose fields its
+    constructor takes positionally, and equal types are one object, so
+    equality and hash are ``object``'s."""
+
+    def __new__(cls, *fields) -> "Type":
+        key = (cls, *fields)
+        ty = _types.get(key)
+        if ty is None:
+            names = cls.__dataclass_fields__
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} field(s), "
+                                f"got {len(fields)}")
+            ty = _new_object(cls)
+            for name, value in zip(names, fields):
+                _set_field(ty, name, value)
+            _types[key] = ty
+        return ty
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return str(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TData(Type):
     """A named, user-declared algebraic data type (``nat``, ``bool``, ``list``...)."""
 
@@ -57,7 +95,7 @@ class TData(Type):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TAbstract(Type):
     """The designated abstract type ``alpha`` of a module interface."""
 
@@ -65,21 +103,22 @@ class TAbstract(Type):
         return "'t"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TProd(Type):
     """An n-ary product type ``t1 * t2 * ... * tn`` (n >= 2)."""
 
     items: Tuple[Type, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.items) < 2:
+    def __new__(cls, items: Tuple[Type, ...]) -> "TProd":
+        if len(items) < 2:
             raise ValueError("TProd requires at least two components")
+        return super().__new__(cls, items)
 
     def __str__(self) -> str:
         return "(" + " * ".join(str(t) for t in self.items) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TArrow(Type):
     """A function type ``arg -> result``."""
 

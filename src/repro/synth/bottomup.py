@@ -116,8 +116,8 @@ class TermPool:
         #: entries grouped by (result type, size)
         self._by_type_size: Dict[Tuple[Type, int], List[TermEntry]] = {}
         #: result type -> behaviour vector -> its entry.  Keyed per type so
-        #: that an application probes a dict the caller fetched once: a type
-        #: hashes in Python, a vector of hash-consed values in C.
+        #: that an application probes a dict the caller fetched once, and
+        #: hashes only its vector of hash-consed values.
         self._seen: Dict[Type, Dict[Tuple[Value, ...], TermEntry]] = {}
         #: every added entry with its result type, in insertion order (the
         #: replayable term structure of this pool)

@@ -92,8 +92,11 @@ let cand (l : list) : bool =
 
 
 def test_higher_order_operations_are_checked_via_contracts():
-    """The +hofs benchmark's map/filter operations run under contracts; the
-    expected invariant remains fully inductive."""
+    """The +hofs benchmark's map/filter operations are checked with
+    enumerated functional arguments; the expected invariant remains fully
+    inductive.  Their arguments are ``nat -> nat`` and ``nat -> bool``, which
+    do not mention the abstract type, so they run under no contract (see
+    ``test_contract_path.py`` for an operation that does)."""
     definition = get_benchmark("/coq/unique-list-::-set+hofs")
     instance = definition.instantiate()
     checker = ConditionalInductivenessChecker(instance, bounds=FAST_VERIFIER_BOUNDS)

@@ -36,10 +36,11 @@ def test_pool_work_counts_match_the_golden_values(name):
 
 
 def test_type_hashes_per_application_build_do_not_grow_with_applications(monkeypatch):
-    # A type hashes in Python (a frozen dataclass), so the pool probes its
-    # seen-vectors through a dict fetched once per component and argument
-    # sizes: each build hashes a type per argument pool, one for the result
-    # type and one per entry it adds, however many combinations it tries.
+    # The pool probes its seen-vectors through a dict fetched once per
+    # component and argument sizes: each build hashes a type per argument
+    # pool, one for the result type and one per entry it adds, however many
+    # combinations it tries.  Types hash by identity, in C, but the count
+    # still pins how often a build probes a type-keyed table.
     program = get_benchmark("/coq/unique-list-::-set").instantiate().program
     components = [TypedComponent(name, program.global_type(name), program.global_value(name))
                   for name in ("nat_eq", "lookup", "nat_leq", "plus")]
