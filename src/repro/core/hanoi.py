@@ -29,7 +29,7 @@ The loop terminates when a candidate passes both phases: that candidate is a
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from ..lang.values import Value, value_order
 # Re-exported only because perfbench/layers.py wraps canonical_hash here.
@@ -64,6 +64,7 @@ class HanoiInference(InferenceRun):
         # (the default) skips even the import, so runs without persistence
         # pay nothing.
         self.persistent = None
+        self._disk_cache_warning = _disk_cache_warner(self.events, self.emitter)
         if self.config.cache_dir and (self.eval_cache is not None
                                       or self.pool_cache is not None):
             try:
@@ -108,9 +109,6 @@ class HanoiInference(InferenceRun):
         except Exception as error:
             self._disk_cache_warning("persistent cache write failed",
                                      {"error": repr(error)})
-
-    def _disk_cache_warning(self, message: str, detail: dict) -> None:
-        self._log("disk-cache-warning", None, message=message, **detail)
 
     def _emit_cache_snapshot(self) -> None:
         """Final cache occupancy, for the analyzer's growth reporting."""
@@ -288,15 +286,34 @@ class HanoiInference(InferenceRun):
         negatives.update(replacement)
 
     def _log(self, event: str, candidate: Optional[object], **details: object) -> None:
-        """Append one entry to the loop log, and mirror it as a ``loop``
-        trace record when tracing is on."""
-        data: dict = {}
-        if candidate is not None:
-            data["candidate_size"] = getattr(candidate, "size", None)
-        data.update(details)
-        self.events.append({"event": event, **data})
-        if self.emitter.enabled:
-            self.emitter.emit(event, data, cat="loop")
+        _log_to(self.events, self.emitter, event, candidate, **details)
+
+
+def _log_to(events: List[dict], emitter: object, event: str,
+            candidate: Optional[object], **details: object) -> None:
+    """Append one entry to a run's loop log, and mirror it as a ``loop``
+    trace record when tracing is on."""
+    data: dict = {}
+    if candidate is not None:
+        data["candidate_size"] = getattr(candidate, "size", None)
+    data.update(details)
+    events.append({"event": event, **data})
+    if emitter.enabled:
+        emitter.emit(event, data, cat="loop")
+
+
+def _disk_cache_warner(events: List[dict],
+                       emitter: object) -> Callable[[str, dict], None]:
+    """The disk store's warning sink: logs a ``disk-cache-warning`` entry.
+
+    It holds the run's loop log and emitter, never the run.  The run holds
+    the binding, the binding the store and the store this sink, so a sink
+    that reached the run would make the run's whole state one reference
+    cycle, kept alive after the run returns until a full collection.
+    """
+    def warn(message: str, detail: dict) -> None:
+        _log_to(events, emitter, "disk-cache-warning", None, message=message, **detail)
+    return warn
 
 
 def _shown(values: Set[Value]) -> List[str]:

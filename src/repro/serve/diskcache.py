@@ -10,7 +10,12 @@ The in-memory caches (:mod:`repro.verify.evalcache`,
   complete entry from a truncated, corrupted, or foreign one *before*
   unpickling it.  Anything suspicious is reported through the ``warn``
   callback and treated as a miss - corruption costs speed, never
-  correctness, and never a crash.
+  correctness, and never a crash.  A run's ``warn`` appends a
+  ``disk-cache-warning`` entry to its loop log and mirrors it to its trace
+  emitter (:func:`repro.core.hanoi._disk_cache_warner`).  It holds those
+  two, not the run: the run holds the binding and the binding the store,
+  so a callback that reached the run would keep the run's whole state
+  alive in a reference cycle after the run returns.
 
 * :class:`PersistentCacheBinding` - the policy layer.  It computes one
   content key per cache *section* from the per-declaration dependency

@@ -35,22 +35,22 @@ def subvalues_at_type(value: Value, value_type: Type, target: Type,
     The walk is type-directed: constructor payloads are traversed at their
     declared payload types, tuple components at their component types.  This
     is how trace completeness discovers the recursive sub-structures (tails
-    of lists, subtrees of trees) that need example entries.
+    of lists, subtrees of trees) that need example entries.  Sub-values come
+    in pre-order (a value before its payload, tuple components left to
+    right), from an explicit stack: a deep value takes no Python frames.
     """
     found: List[Value] = []
-
-    def walk(v: Value, ty: Type) -> None:
+    stack: List[Tuple[Value, Type]] = [(value, value_type)]
+    while stack:
+        v, ty = stack.pop()
         if ty == target:
             found.append(v)
         if isinstance(ty, TData) and isinstance(v, VCtor) and ty.name in types.datatypes:
             info = types.ctors.get(v.ctor)
             if info is not None and info.payload is not None and v.payload is not None:
-                walk(v.payload, info.payload)
+                stack.append((v.payload, info.payload))
         elif isinstance(ty, TProd) and isinstance(v, VTuple):
-            for item, item_type in zip(v.items, ty.items):
-                walk(item, item_type)
-
-    walk(value, value_type)
+            stack.extend(reversed(list(zip(v.items, ty.items))))
     return found
 
 

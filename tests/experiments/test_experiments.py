@@ -111,16 +111,17 @@ def test_figure5_renders_every_event_kind_golden():
 
 
 def test_every_logged_event_kind_is_rendered():
-    """`_log(...)` call sites in the loop and `trace_lines` branches must
-    stay in sync: a newly logged kind needs a rendering (and a line in the
-    golden test above)."""
+    """`_log(...)`/`_log_to(...)` call sites in the loop and `trace_lines`
+    branches must stay in sync: a newly logged kind needs a rendering (and a
+    line in the golden test above)."""
     import re
 
     from repro.core import hanoi
     from repro.experiments import figure5
 
-    logged = set(re.findall(r'self\._log\(\s*"([a-z-]+)"',
+    logged = set(re.findall(r'(?:self\._log|_log_to)\((?:\s*\w+,)*\s*"([a-z-]+)"',
                             inspect_source(hanoi)))
+    assert "disk-cache-warning" in logged
     rendered = set(re.findall(r'kind (?:==|in) \(?"?([a-z-]+(?:", "[a-z-]+)*)"?\)?',
                               inspect_source(figure5)))
     flattened = set()
