@@ -16,9 +16,8 @@ inductiveness checks.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Optional, Set
 
-from ..core.config import InferenceTimeout
 from ..core.predicate import Predicate
 from ..core.result import InferenceResult, Status
 from ..core.run import InferenceRun
@@ -60,69 +59,50 @@ class ConjunctiveStrengtheningInference(InferenceRun):
 
     MODE = "conj-str"
 
-    def _infer(self) -> InferenceResult:
+    def _infer(self) -> Optional[InferenceResult]:
         positives: Set[Value] = set()
         negatives: Set[Value] = set()
-        iterations = 0
-        try:
-            while iterations < self.config.max_iterations:
-                iterations += 1
-                self.deadline.check()
+        while self._step():
+            # Find a candidate that is at least sufficient.
+            base = self.synthesizer.synthesize(positives, negatives)[0]
+            self.stats.candidates_proposed += 1
+            sufficiency = self.verifier.check_sufficiency(base)
+            if isinstance(sufficiency, SufficiencyCounterexample):
+                witnesses = set(sufficiency.witnesses)
+                fresh = witnesses - positives
+                if not fresh:
+                    return self._result(Status.SPEC_VIOLATION, None,
+                                        "constructible specification violation")
+                negatives |= fresh
+                self.stats.negatives_added += len(fresh)
+                continue
 
-                # Find a candidate that is at least sufficient.
-                base = self.synthesizer.synthesize(positives, negatives)[0]
-                self.stats.candidates_proposed += 1
-                sufficiency = self.verifier.check_sufficiency(base)
-                if isinstance(sufficiency, SufficiencyCounterexample):
-                    witnesses = set(sufficiency.witnesses)
-                    fresh = witnesses - positives
-                    if not fresh:
-                        return self._result(Status.SPEC_VIOLATION, None, iterations,
-                                            "constructible specification violation")
-                    negatives |= fresh
-                    self.stats.negatives_added += len(fresh)
-                    continue
-
-                # Strengthen by conjunction until inductive or over-strengthened.
-                candidate = ConjunctivePredicate([base])
-                restarted = False
-                while iterations < self.config.max_iterations:
-                    iterations += 1
-                    self.deadline.check()
-                    check = self.checker.check(p=candidate, q=candidate, p_pool=None)
-                    if not isinstance(check, InductivenessCounterexample):
-                        return self._result(Status.SUCCESS, candidate, iterations)
-                    inputs = set(check.inputs)
-                    outputs = set(check.outputs)
-                    if inputs <= positives or not (inputs - positives):
-                        # Over-strengthened: the rejected outputs are constructible.
-                        new_positives = outputs - positives
-                        positives |= new_positives
-                        self.stats.positives_added += len(new_positives)
-                        negatives = set()
-                        restarted = True
-                        break
-                    # Conjoin a predicate separating the positives from the inputs
-                    # that caused the violation.
+            # Strengthen by conjunction until inductive or over-strengthened.
+            candidate = ConjunctivePredicate([base])
+            while self._step():
+                check = self.checker.check(p=candidate, q=candidate, p_pool=None)
+                if not isinstance(check, InductivenessCounterexample):
+                    return self._result(Status.SUCCESS, candidate)
+                outputs = set(check.outputs)
+                fresh = set(check.inputs) - positives
+                # Conjoin a predicate separating the positives from the inputs
+                # that caused the violation.
+                conjunct = None
+                if fresh:
                     try:
-                        conjunct = self.synthesizer.synthesize(positives, inputs - positives)[0]
+                        conjunct = self.synthesizer.synthesize(positives, fresh)[0]
                     except SynthesisFailure:
-                        new_positives = outputs - positives
-                        if not new_positives:
+                        if not (outputs - positives):
                             raise
-                        positives |= new_positives
-                        self.stats.positives_added += len(new_positives)
-                        negatives = set()
-                        restarted = True
-                        break
-                    self.stats.candidates_proposed += 1
-                    candidate = ConjunctivePredicate(candidate.conjuncts + [conjunct])
-                if restarted:
-                    continue
-            return self._result(Status.FAILURE, None, iterations, "iteration limit reached")
-        except InferenceTimeout as timeout:
-            return self._result(Status.TIMEOUT, None, iterations, str(timeout))
-        except SynthesisFailure as failure:
-            return self._result(Status.SYNTHESIS_FAILURE, None, iterations, str(failure))
-        except NotImplementedError as unsupported:
-            return self._result(Status.FAILURE, None, iterations, str(unsupported))
+                if conjunct is None:
+                    # Over-strengthened (the inputs are all in V+), or no
+                    # conjunct separates them: the rejected outputs are
+                    # constructible, so restart from the grown V+.
+                    new_positives = outputs - positives
+                    positives |= new_positives
+                    self.stats.positives_added += len(new_positives)
+                    negatives = set()
+                    break
+                self.stats.candidates_proposed += 1
+                candidate = ConjunctivePredicate(candidate.conjuncts + [conjunct])
+        return None

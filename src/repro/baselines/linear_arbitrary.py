@@ -19,13 +19,11 @@ measures.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Optional, Set
 
-from ..core.config import InferenceTimeout
 from ..core.result import InferenceResult, Status
 from ..core.run import InferenceRun
 from ..lang.values import Value
-from ..synth.base import SynthesisFailure
 from ..verify.result import InductivenessCounterexample, SufficiencyCounterexample
 
 __all__ = ["LinearArbitraryInference"]
@@ -36,51 +34,40 @@ class LinearArbitraryInference(InferenceRun):
 
     MODE = "linear-arbitrary"
 
-    def _infer(self) -> InferenceResult:
+    def _infer(self) -> Optional[InferenceResult]:
         positives: Set[Value] = set()
         negatives: Set[Value] = set()
-        iterations = 0
-        try:
-            while iterations < self.config.max_iterations:
-                iterations += 1
-                self.deadline.check()
+        while self._step():
+            candidate = self.synthesizer.synthesize(positives, negatives)[0]
+            self.stats.candidates_proposed += 1
 
-                candidate = self.synthesizer.synthesize(positives, negatives)[0]
-                self.stats.candidates_proposed += 1
+            sufficiency = self.verifier.check_sufficiency(candidate)
+            if isinstance(sufficiency, SufficiencyCounterexample):
+                witnesses = set(sufficiency.witnesses)
+                fresh = witnesses - positives
+                if not fresh:
+                    return self._result(Status.SPEC_VIOLATION, None,
+                                        "constructible specification violation")
+                negatives |= fresh
+                self.stats.negatives_added += len(fresh)
+                continue
 
-                sufficiency = self.verifier.check_sufficiency(candidate)
-                if isinstance(sufficiency, SufficiencyCounterexample):
-                    witnesses = set(sufficiency.witnesses)
-                    fresh = witnesses - positives
-                    if not fresh:
-                        return self._result(Status.SPEC_VIOLATION, None, iterations,
-                                            "constructible specification violation")
+            check = self.checker.check(p=candidate, q=candidate, p_pool=None)
+            if isinstance(check, InductivenessCounterexample):
+                inputs = set(check.inputs)
+                outputs = set(check.outputs)
+                if inputs <= positives:
+                    # The counterexample happens to be visible: resolve it the
+                    # only correct way, by adding the outputs to V+.
+                    new_positives = outputs - positives
+                    positives |= new_positives
+                    self.stats.positives_added += len(new_positives)
+                    negatives -= positives
+                else:
+                    fresh = inputs - positives
                     negatives |= fresh
                     self.stats.negatives_added += len(fresh)
-                    continue
+                continue
 
-                check = self.checker.check(p=candidate, q=candidate, p_pool=None)
-                if isinstance(check, InductivenessCounterexample):
-                    inputs = set(check.inputs)
-                    outputs = set(check.outputs)
-                    if inputs <= positives:
-                        # The counterexample happens to be visible: resolve it the
-                        # only correct way, by adding the outputs to V+.
-                        new_positives = outputs - positives
-                        positives |= new_positives
-                        self.stats.positives_added += len(new_positives)
-                        negatives -= positives
-                    else:
-                        fresh = inputs - positives
-                        negatives |= fresh
-                        self.stats.negatives_added += len(fresh)
-                    continue
-
-                return self._result(Status.SUCCESS, candidate, iterations)
-            return self._result(Status.FAILURE, None, iterations, "iteration limit reached")
-        except InferenceTimeout as timeout:
-            return self._result(Status.TIMEOUT, None, iterations, str(timeout))
-        except SynthesisFailure as failure:
-            return self._result(Status.SYNTHESIS_FAILURE, None, iterations, str(failure))
-        except NotImplementedError as unsupported:
-            return self._result(Status.FAILURE, None, iterations, str(unsupported))
+            return self._result(Status.SUCCESS, candidate)
+        return None

@@ -17,15 +17,12 @@ full inductiveness) and report failure when it does not hold.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import List
 
-from ..core.config import HanoiConfig, InferenceTimeout
-from ..core.module import ModuleDefinition
 from ..core.result import InferenceResult, Status
-from ..core.run import InferenceRun, SynthesizerFactory
+from ..core.run import InferenceRun
 from ..lang.types import mentions_abstract
 from ..lang.values import Value, bool_of_value
-from ..synth.base import SynthesisFailure
 from ..verify.result import Valid
 
 __all__ = ["OneShotInference"]
@@ -39,43 +36,31 @@ class OneShotInference(InferenceRun):
 
     MODE = "oneshot"
 
-    def __init__(self, module: ModuleDefinition, config: Optional[HanoiConfig] = None,
-                 synthesizer_factory: Optional[SynthesizerFactory] = None,
-                 sample_size: int = ONESHOT_SAMPLE,
-                 emitter: Optional[object] = None):
-        super().__init__(module, config, synthesizer_factory, emitter=emitter)
-        self.sample_size = sample_size
-
     def _infer(self) -> InferenceResult:
         definition = self.definition
         if definition.spec_abstract_arity != 1:
             return self._result(
-                Status.FAILURE, None, 0,
+                Status.FAILURE, None,
                 "OneShot only applies when the specification quantifies over a "
                 "single abstract value",
             )
-        try:
-            positives, negatives = self._label_samples()
-            candidates = self.synthesizer.synthesize(positives, negatives)
-            self.stats.candidates_proposed += 1
-            candidate = candidates[0]
+        # One synthesis call, counted as one iteration however it ends.
+        self.iterations = 1
+        positives, negatives = self._label_samples()
+        candidates = self.synthesizer.synthesize(positives, negatives)
+        self.stats.candidates_proposed += 1
+        candidate = candidates[0]
 
-            # Post-hoc validation: is the one-shot invariant actually sufficient
-            # and inductive?  (The paper's evaluation counts it as a failure
-            # otherwise.)
-            if not isinstance(self.verifier.check_sufficiency(candidate), Valid):
-                return self._result(Status.FAILURE, candidate, 1,
-                                    "one-shot invariant is not sufficient")
-            if not isinstance(self.checker.check(p=candidate, q=candidate, p_pool=None), Valid):
-                return self._result(Status.FAILURE, candidate, 1,
-                                    "one-shot invariant is not inductive")
-            return self._result(Status.SUCCESS, candidate, 1)
-        except InferenceTimeout as timeout:
-            return self._result(Status.TIMEOUT, None, 1, str(timeout))
-        except SynthesisFailure as failure:
-            return self._result(Status.SYNTHESIS_FAILURE, None, 1, str(failure))
-        except NotImplementedError as unsupported:
-            return self._result(Status.FAILURE, None, 1, str(unsupported))
+        # Post-hoc validation: is the one-shot invariant actually sufficient
+        # and inductive?  (The paper's evaluation counts it as a failure
+        # otherwise.)
+        if not isinstance(self.verifier.check_sufficiency(candidate), Valid):
+            return self._result(Status.FAILURE, candidate,
+                                "one-shot invariant is not sufficient")
+        if not isinstance(self.checker.check(p=candidate, q=candidate, p_pool=None), Valid):
+            return self._result(Status.FAILURE, candidate,
+                                "one-shot invariant is not inductive")
+        return self._result(Status.SUCCESS, candidate)
 
     # -- labelling -------------------------------------------------------------------
 
@@ -104,7 +89,7 @@ class OneShotInference(InferenceRun):
                 ))
             )
 
-        samples = self.enumerator.smallest(self.instance.concrete_type, self.sample_size)
+        samples = self.enumerator.smallest(self.instance.concrete_type, ONESHOT_SAMPLE)
         positives, negatives = [], []
         with self.emitter.span("oneshot-labelling",
                                {"samples": len(samples)} if self.emitter.enabled else None):

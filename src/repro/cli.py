@@ -99,11 +99,11 @@ from typing import Iterator, List, Optional, Sequence
 
 from .core.result import InferenceResult
 from .obs import analyze as trace_analyze
-from .experiments.figure8 import completion_series
 from .experiments.parallel import ParallelRunner
 from .experiments.report import (
     FIGURE7_HEADERS,
     MODE_SUMMARY_HEADERS,
+    completion_series,
     figure7_rows,
     format_table,
     group_by_mode,
@@ -113,7 +113,6 @@ from .experiments.report import (
 )
 from .experiments.runner import (
     FIGURE8_MODES,
-    MODE_DESCRIPTIONS,
     MODES,
     PROFILES,
     execute_tasks,
@@ -553,8 +552,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
         print(f"{len(MODES)} modes:")
         print(format_table(
             ["Mode", "Figure 8", "Description"],
-            [[mode, "yes" if mode in FIGURE8_MODES else "", MODE_DESCRIPTIONS.get(mode, "")]
-             for mode in MODES]))
+            [[name, "yes" if name in FIGURE8_MODES else "", mode.description]
+             for name, mode in MODES.items()]))
     return 0
 
 

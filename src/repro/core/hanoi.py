@@ -37,7 +37,7 @@ from ..analysis.canon import canonical_hash  # noqa: F401
 from ..synth.base import SynthesisFailure
 from ..synth.cache import SynthesisResultCache
 from ..verify.result import InductivenessCounterexample, SufficiencyCounterexample
-from .config import HanoiConfig, InferenceTimeout
+from .config import HanoiConfig
 from .module import ModuleDefinition
 from .predicate import Predicate
 from .result import InferenceResult, Status
@@ -94,7 +94,7 @@ class HanoiInference(InferenceRun):
         return self._traced(self._infer_and_persist)
 
     def _infer_and_persist(self) -> InferenceResult:
-        result = self._infer()
+        result = self._outcome()
         self._persist_caches()
         if self.emitter.enabled:
             self._emit_cache_snapshot()
@@ -120,30 +120,17 @@ class HanoiInference(InferenceRun):
         if data:
             self.emitter.emit("cache-snapshot", data, cat="cache")
 
-    def _infer(self) -> InferenceResult:
+    def _infer(self) -> Optional[InferenceResult]:
         emitter = self.emitter
         positives: Set[Value] = set()
         negatives: Set[Value] = set()
-        iterations = 0
-        try:
-            while iterations < self.config.max_iterations:
-                iterations += 1
-                self.deadline.check()
-                with emitter.span("iteration",
-                                  {"index": iterations} if emitter.enabled else None):
-                    outcome = self._iterate(positives, negatives)
-                if outcome is not None:
-                    status, invariant, message = outcome
-                    return self._result(status, invariant, iterations, message=message)
-
-            return self._result(Status.FAILURE, None, iterations,
-                                message="iteration limit reached")
-        except InferenceTimeout as timeout:
-            return self._result(Status.TIMEOUT, None, iterations, message=str(timeout))
-        except SynthesisFailure as failure:
-            return self._result(Status.SYNTHESIS_FAILURE, None, iterations, message=str(failure))
-        except NotImplementedError as unsupported:
-            return self._result(Status.FAILURE, None, iterations, message=str(unsupported))
+        while self._step():
+            with emitter.span("iteration",
+                              {"index": self.iterations} if emitter.enabled else None):
+                outcome = self._iterate(positives, negatives)
+            if outcome is not None:
+                return self._result(*outcome)
+        return None
 
     def _iterate(self, positives: Set[Value],
                  negatives: Set[Value]) -> Optional[tuple]:
@@ -173,12 +160,8 @@ class HanoiInference(InferenceRun):
             new_positives = set(closure.outputs) - positives
             if not new_positives:
                 raise
-            self._log("synthesis-recovery", None,
-                      operation=closure.operation,
-                      added=_shown(new_positives))
-            positives |= new_positives
-            self.stats.positives_added += len(new_positives)
-            self._replace_negatives(negatives, new_positives, positives)
+            self._weaken("synthesis-recovery", None, closure.operation,
+                         new_positives, positives, negatives)
             return None
         self.stats.candidates_proposed += 1
 
@@ -187,13 +170,8 @@ class HanoiInference(InferenceRun):
             p=lambda v: v in positives, q=candidate, p_pool=positives
         )
         if isinstance(visible, InductivenessCounterexample):
-            new_positives = set(visible.outputs) - positives
-            self._log("visible-counterexample", candidate,
-                      operation=visible.operation,
-                      added=_shown(new_positives))
-            positives |= new_positives
-            self.stats.positives_added += len(new_positives)
-            self._replace_negatives(negatives, new_positives, positives)
+            self._weaken("visible-counterexample", candidate, visible.operation,
+                         set(visible.outputs) - positives, positives, negatives)
             return None
 
         # -- NoNegatives: sufficiency, then full inductiveness ------------------
@@ -209,18 +187,13 @@ class HanoiInference(InferenceRun):
                 self._log("spec-violation", candidate, witnesses=shown)
                 return (Status.SPEC_VIOLATION, None,
                         "constructible specification violation: " + ", ".join(shown))
-            self._log("sufficiency-counterexample", candidate,
-                      added=_shown(new_negatives))
-            negatives |= new_negatives
-            self.stats.negatives_added += len(new_negatives)
-            if self.trace is not None:
-                self.trace.record(candidate, new_negatives)
+            self._strengthen("sufficiency-counterexample", candidate, new_negatives,
+                             negatives)
             return None
 
         inductive = self.checker.check(p=candidate, q=candidate, p_pool=None)
         if isinstance(inductive, InductivenessCounterexample):
-            witnesses = set(inductive.inputs)
-            new_negatives = witnesses - positives
+            new_negatives = set(inductive.inputs) - positives
             if not new_negatives:
                 # Should be impossible once the candidate is visibly
                 # inductive (Lemma B.11); with a bounded, unsound
@@ -230,20 +203,11 @@ class HanoiInference(InferenceRun):
                 if not new_positives:
                     return (Status.FAILURE, None,
                             "inductiveness counterexample entirely inside V+")
-                self._log("late-visible-counterexample", candidate,
-                          operation=inductive.operation,
-                          added=_shown(new_positives))
-                positives |= new_positives
-                self.stats.positives_added += len(new_positives)
-                self._replace_negatives(negatives, new_positives, positives)
+                self._weaken("late-visible-counterexample", candidate,
+                             inductive.operation, new_positives, positives, negatives)
                 return None
-            self._log("inductiveness-counterexample", candidate,
-                      operation=inductive.operation,
-                      added=_shown(new_negatives))
-            negatives |= new_negatives
-            self.stats.negatives_added += len(new_negatives)
-            if self.trace is not None:
-                self.trace.record(candidate, new_negatives)
+            self._strengthen("inductiveness-counterexample", candidate, new_negatives,
+                             negatives, operation=inductive.operation)
             return None
 
         # Both checks passed: the candidate is a (likely) sufficient
@@ -267,23 +231,29 @@ class HanoiInference(InferenceRun):
         self._log("synthesized", candidates[0], alternatives=len(candidates))
         return candidates[0]
 
-    def _reset_negatives(self, new_positives: Set[Value], positives: Set[Value]) -> Set[Value]:
-        """V- after a weakening step: empty without counterexample list
-        caching, otherwise the replayed prefix of the current trace."""
-        if self.trace is None:
-            return set()
-        replayed = self.trace.replay(new_positives) - positives
-        self.stats.trace_replays += 1
-        self._log("trace-replay", None, kept=len(replayed))
-        return set(replayed)
-
-    def _replace_negatives(self, negatives: Set[Value], new_positives: Set[Value],
-                           positives: Set[Value]) -> None:
-        """In-place version of :meth:`_reset_negatives` (the iteration helper
-        shares the caller's set)."""
-        replacement = self._reset_negatives(new_positives, positives)
+    def _weaken(self, event: str, candidate: Optional[Predicate], operation: str,
+                new_positives: Set[Value], positives: Set[Value],
+                negatives: Set[Value]) -> None:
+        """Grow V+ by ``new_positives`` and replace V-: without
+        counterexample list caching V- empties, otherwise it becomes the
+        replayed prefix of the current trace."""
+        self._log(event, candidate, operation=operation, added=_shown(new_positives))
+        positives |= new_positives
+        self.stats.positives_added += len(new_positives)
         negatives.clear()
-        negatives.update(replacement)
+        if self.trace is not None:
+            negatives.update(self.trace.replay(new_positives) - positives)
+            self.stats.trace_replays += 1
+            self._log("trace-replay", None, kept=len(negatives))
+
+    def _strengthen(self, event: str, candidate: Predicate, new_negatives: Set[Value],
+                    negatives: Set[Value], **operation: str) -> None:
+        """Grow V- by ``new_negatives`` and record them in the trace."""
+        self._log(event, candidate, **operation, added=_shown(new_negatives))
+        negatives |= new_negatives
+        self.stats.negatives_added += len(new_negatives)
+        if self.trace is not None:
+            self.trace.record(candidate, new_negatives)
 
     def _log(self, event: str, candidate: Optional[object], **details: object) -> None:
         _log_to(self.events, self.emitter, event, candidate, **details)

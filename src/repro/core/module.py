@@ -222,8 +222,5 @@ class ModuleInstance:
             for name in self.definition.synthesis_components
         }
 
-    def call_operation(self, op: Operation, *args: Value) -> Value:
-        return self.program.call(op.name, *args)
-
     def call_spec(self, *args: Value) -> Value:
         return self.program.call(self.definition.spec_name, *args)

@@ -6,10 +6,12 @@ OneShot; Section 5.5) as other loops over the same two components.
 :class:`InferenceRun` builds that shared stack once - the module instance,
 the value enumerator, the verifier, the conditional-inductiveness checker,
 the optional evaluation and pool caches, the synthesizer, the stats and the
-deadline - and records the run the same way for every mode: one ``run``
-span enclosing ``run-start`` and ``run-end`` (which carries the final
+deadline - and runs the loop the same way for every mode: it counts the
+iterations (:meth:`InferenceRun._step`), maps how the loop stopped to a
+status, and records the run in one ``run`` span enclosing ``run-start`` and
+``run-end`` (which carries the final
 :meth:`~repro.core.stats.InferenceStats.counters`).  A mode subclasses it
-and supplies only its loop, as ``_infer``.
+and supplies only its loop body, as ``_infer``.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from ..enumeration.functions import FunctionEnumerator
 from ..enumeration.values import ValueEnumerator
 from ..inductive.relation import ConditionalInductivenessChecker
 from ..obs.sinks import emitter_for_run
+from ..synth.base import SynthesisFailure
 from ..synth.myth import MythSynthesizer
 from ..synth.poolcache import SynthesisEvaluationCache
 from ..verify.evalcache import EvaluationCache
 from ..verify.tester import Verifier
-from .config import Deadline, HanoiConfig
+from .config import Deadline, HanoiConfig, InferenceTimeout
 from .module import ModuleDefinition, ModuleInstance
-from .result import InferenceResult
+from .result import InferenceResult, Status
 from .stats import InferenceStats
 
 __all__ = ["InferenceRun", "SynthesizerFactory"]
@@ -36,6 +39,11 @@ SynthesizerFactory = Callable[..., object]
 
 class InferenceRun:
     """One configured inference run over one module; subclasses add the loop.
+
+    A subclass defines ``_infer``: it returns the run's result, or ``None``
+    when :meth:`_step` ran out of iterations.  It may raise
+    ``InferenceTimeout``, ``SynthesisFailure`` or ``NotImplementedError``;
+    :meth:`_outcome` turns each into a status.
 
     ``emitter`` defaults to a live emitter over the installed trace sinks
     (or the shared null emitter when none is installed).  ``events`` is the
@@ -58,6 +66,7 @@ class InferenceRun:
         self.emitter = emitter if emitter is not None else (
             emitter_for_run(f"{module.name}/{self.mode_name}"))
         self.events: List[dict] = []
+        self.iterations = 0
 
         self.enumerator = ValueEnumerator(self.instance.program.types)
         self.eval_cache: Optional[EvaluationCache] = (
@@ -91,10 +100,30 @@ class InferenceRun:
 
     def infer(self) -> InferenceResult:
         """Run the mode's loop and return the outcome."""
-        return self._traced(self._infer)
+        return self._traced(self._outcome)
 
-    def _infer(self) -> InferenceResult:
-        raise NotImplementedError
+    def _step(self) -> bool:
+        """Start the next iteration: ``False`` once ``max_iterations`` ran,
+        otherwise count it and poll the deadline."""
+        if self.iterations >= self.config.max_iterations:
+            return False
+        self.iterations += 1
+        self.deadline.check()
+        return True
+
+    def _outcome(self) -> InferenceResult:
+        """Run ``_infer``, mapping how it stopped to a status."""
+        try:
+            result = self._infer()
+        except InferenceTimeout as timeout:
+            return self._result(Status.TIMEOUT, None, str(timeout))
+        except SynthesisFailure as failure:
+            return self._result(Status.SYNTHESIS_FAILURE, None, str(failure))
+        except NotImplementedError as unsupported:
+            return self._result(Status.FAILURE, None, str(unsupported))
+        if result is None:
+            return self._result(Status.FAILURE, None, "iteration limit reached")
+        return result
 
     def _traced(self, body: Callable[[], InferenceResult]) -> InferenceResult:
         """Run ``body`` inside the ``run`` span, between ``run-start`` and
@@ -111,7 +140,7 @@ class InferenceRun:
                                      "stats": self.stats.counters()}, cat="run")
         return result
 
-    def _result(self, status: str, invariant: Optional[object], iterations: int,
+    def _result(self, status: str, invariant: Optional[object],
                 message: str = "") -> InferenceResult:
         self.stats.finish()
         return InferenceResult(
@@ -121,6 +150,6 @@ class InferenceRun:
             invariant=invariant,
             stats=self.stats,
             message=message,
-            iterations=iterations,
+            iterations=self.iterations,
             events=self.events,
         )

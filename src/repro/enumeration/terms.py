@@ -4,11 +4,9 @@ This is a small, generic, purely syntactic enumerator: given a typing context
 and a set of typed components (functions that candidate terms may call), it
 yields well-typed expressions of a goal type in size order.
 
-It is used where example-directed pruning is unavailable:
-
-* enumerating candidate *functional arguments* for higher-order operations
-  during inductiveness checking (``enumeration.functions``);
-* the OneShot baseline's fallback when no examples route to a branch.
+It is used where example-directed pruning is unavailable: enumerating
+candidate *functional arguments* for higher-order operations during
+inductiveness checking (``enumeration.functions``), its only user.
 
 The main synthesizer (``repro.synth.myth``) uses its own bottom-up enumeration
 with observational-equivalence pruning, which needs evaluation and therefore

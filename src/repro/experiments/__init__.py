@@ -1,24 +1,24 @@
 """Experiment harnesses that regenerate the paper's tables and figures.
 
-* :mod:`repro.experiments.runner` - the shared task model (``ExperimentTask``,
-  ``expand_tasks``, ``execute_tasks``) and the serial execution path.
+* :mod:`repro.experiments.runner` - the mode table (``MODES``), the shared
+  task model (``ExperimentTask``, ``expand_tasks``, ``execute_tasks``) and
+  the serial execution path.
 * :mod:`repro.experiments.parallel` - the multiprocessing pool with hard
   per-task timeouts (``ParallelRunner``).
 * :mod:`repro.experiments.store` - append-only JSONL persistence with resume
   support (``ResultStore``).
-* :mod:`repro.experiments.report` - the Figure-7 / Figure-8 table rendering.
-* :mod:`repro.experiments.figure7` - the per-benchmark results table.
-* :mod:`repro.experiments.figure8` - benchmarks completed versus time per mode.
+* :mod:`repro.experiments.report` - the Figure-7 / Figure-8 tables and the
+  Figure-8 completion series.
 * :mod:`repro.experiments.figure5` - counterexample-list-caching traces.
 """
 
 from .figure5 import run_figure5, trace_lines
-from .figure7 import figure7_rows, run_figure7
-from .figure8 import completion_series, mode_summary, run_figure8
 from .parallel import ParallelRunner
 from .report import (
     FIGURE7_HEADERS,
     MODE_SUMMARY_HEADERS,
+    completion_series,
+    figure7_rows,
     format_table,
     group_by_mode,
     mode_summary_rows,
@@ -27,7 +27,6 @@ from .report import (
 )
 from .runner import (
     FIGURE8_MODES,
-    MODE_DESCRIPTIONS,
     MODES,
     PROFILES,
     ExperimentTask,
@@ -37,7 +36,6 @@ from .runner import (
     paper_config,
     quick_config,
     run_benchmark,
-    run_many,
     run_module,
 )
 from .store import ResultStore
@@ -50,9 +48,7 @@ __all__ = [
     "execute_tasks",
     "run_module",
     "run_benchmark",
-    "run_many",
     "MODES",
-    "MODE_DESCRIPTIONS",
     "FIGURE8_MODES",
     "PROFILES",
     "quick_config",
@@ -61,15 +57,12 @@ __all__ = [
     "ParallelRunner",
     "ResultStore",
     # figures
-    "run_figure7",
-    "figure7_rows",
-    "run_figure8",
-    "completion_series",
-    "mode_summary",
     "run_figure5",
     "trace_lines",
     # reporting
     "FIGURE7_HEADERS",
+    "figure7_rows",
+    "completion_series",
     "MODE_SUMMARY_HEADERS",
     "format_table",
     "rows_to_csv",

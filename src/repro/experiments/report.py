@@ -1,12 +1,13 @@
 """Plain-text and CSV rendering of experiment results.
 
 This module owns every presentation concern of the harness: the fixed-width
-tables of the paper's Figure 7, the per-mode summary of Figure 8, and the CSV
-exports.  It renders :class:`~repro.core.result.InferenceResult` objects
-regardless of where they came from - a live serial run, the parallel runner,
-or a JSONL file loaded through :class:`~repro.experiments.store.ResultStore` -
-which is what lets ``python -m repro report results.jsonl`` regenerate the
-tables of a sweep long after it finished.
+tables of the paper's Figure 7, the per-mode summary and completion series of
+Figure 8, and the CSV exports.  It renders
+:class:`~repro.core.result.InferenceResult` objects regardless of where they
+came from - a live serial run, the parallel runner, or a JSONL file loaded
+through :class:`~repro.experiments.store.ResultStore` - which is what lets
+``python -m repro report results.jsonl`` regenerate the tables of a sweep
+long after it finished.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "figure7_rows",
     "group_by_mode",
     "mode_summary_rows",
+    "completion_series",
     "render_results",
 ]
 
@@ -128,6 +130,16 @@ def mode_summary_rows(grouped: Dict[str, List[InferenceResult]]) -> List[List[ob
         mean_time = (sum(r.stats.total_time for r in solved) / len(solved)) if solved else None
         rows.append([mode, len(solved), len(mode_results), mean_time, total_time])
     return rows
+
+
+def completion_series(grouped: Dict[str, List[InferenceResult]]) -> Dict[str, List[float]]:
+    """For each mode, the sorted list of completion times of solved benchmarks.
+
+    The cumulative curve of Figure 8 is exactly: after ``t`` seconds the mode
+    has completed ``len([x for x in series if x <= t])`` benchmarks.
+    """
+    return {mode: sorted(r.stats.total_time for r in mode_results if r.succeeded)
+            for mode, mode_results in grouped.items()}
 
 
 def render_results(results: Sequence[InferenceResult]) -> str:

@@ -1,32 +1,18 @@
 """Running benchmarks under the different inference modes.
 
-The evaluation of Section 5 compares six modes on the same benchmark suite:
-
-======================  ====================================================
-mode name               meaning
-======================  ====================================================
-``hanoi``               the full Hanoi tool (both optimizations enabled)
-``hanoi-src``           Hanoi with synthesis result caching disabled
-``hanoi-clc``           Hanoi with counterexample list caching disabled
-``conj-str``            the ∧Str (LoopInvGen-style) baseline
-``linear-arbitrary``    the LA (LinearArbitrary-style) baseline
-``oneshot``             the OneShot baseline
-``hanoi-fold``          Hanoi with the fold-capable prototype synthesizer
-                        (Section 5.4; not part of Figure 8 but reported in
-                        the text)
-======================  ====================================================
-
-Two configuration profiles are provided: ``quick`` (small verifier bounds and
-short timeouts, suitable for CI and for the ``perfbench/`` workloads) and
-``paper`` (the bounds of Section 4.3 and a 30-minute timeout, matching the
-paper's experimental setup).
+The evaluation of Section 5 compares six modes on the same benchmark suite,
+plus the fold-capable prototype of Section 5.4; :data:`MODES` holds one row
+per mode.  Two configuration profiles are provided: ``quick`` (small
+verifier bounds and short timeouts, suitable for CI and for the
+``perfbench/`` workloads) and ``paper`` (the bounds of Section 4.3 and a
+30-minute timeout, matching the paper's experimental setup).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
 from ..baselines.conj_str import ConjunctiveStrengtheningInference
 from ..baselines.linear_arbitrary import LinearArbitraryInference
@@ -35,20 +21,20 @@ from ..core.config import FAST_VERIFIER_BOUNDS, HanoiConfig, PAPER_VERIFIER_BOUN
 from ..core.hanoi import HanoiInference
 from ..core.module import ModuleDefinition
 from ..core.result import InferenceResult
+from ..core.run import InferenceRun, SynthesizerFactory
 from ..lang.eval import memo_table
 from ..suite.registry import all_benchmark_names, get_benchmark
 from ..synth.folds import FoldSynthesizer
 
 __all__ = [
     "MODES",
-    "MODE_DESCRIPTIONS",
+    "Mode",
     "PROFILES",
     "ExperimentTask",
     "quick_config",
     "paper_config",
     "run_module",
     "run_benchmark",
-    "run_many",
     "expand_tasks",
     "execute_task",
     "execute_tasks",
@@ -71,62 +57,48 @@ PROFILES: Dict[str, Callable[[Optional[float]], HanoiConfig]] = {
 }
 
 
-def _run_hanoi(definition: ModuleDefinition, config: HanoiConfig) -> InferenceResult:
-    return HanoiInference(definition, config=config, mode_name="hanoi").infer()
+@dataclass(frozen=True)
+class Mode:
+    """One inference mode: the loop it runs, the configuration ablation it
+    applies, and the synthesizer it runs with (``None``: the default Myth
+    synthesizer).  Calling it runs one module definition under the mode."""
+
+    name: str
+    inference: Type[InferenceRun]
+    description: str
+    ablation: Optional[Callable[[HanoiConfig], HanoiConfig]] = None
+    synthesizer: Optional[SynthesizerFactory] = None
+
+    def __call__(self, definition: ModuleDefinition, config: HanoiConfig) -> InferenceResult:
+        if self.ablation is not None:
+            config = self.ablation(config)
+        return self.inference(definition, config=config, synthesizer_factory=self.synthesizer,
+                              mode_name=self.name).infer()
 
 
-def _run_hanoi_src(definition: ModuleDefinition, config: HanoiConfig) -> InferenceResult:
-    config = config.without_synthesis_result_caching()
-    return HanoiInference(definition, config=config, mode_name="hanoi-src").infer()
-
-
-def _run_hanoi_clc(definition: ModuleDefinition, config: HanoiConfig) -> InferenceResult:
-    config = config.without_counterexample_list_caching()
-    return HanoiInference(definition, config=config, mode_name="hanoi-clc").infer()
-
-
-def _run_hanoi_fold(definition: ModuleDefinition, config: HanoiConfig) -> InferenceResult:
-    return HanoiInference(
-        definition, config=config, synthesizer_factory=FoldSynthesizer, mode_name="hanoi-fold"
-    ).infer()
-
-
-def _run_conj_str(definition: ModuleDefinition, config: HanoiConfig) -> InferenceResult:
-    return ConjunctiveStrengtheningInference(definition, config=config).infer()
-
-
-def _run_linear_arbitrary(definition: ModuleDefinition, config: HanoiConfig) -> InferenceResult:
-    return LinearArbitraryInference(definition, config=config).infer()
-
-
-def _run_oneshot(definition: ModuleDefinition, config: HanoiConfig) -> InferenceResult:
-    return OneShotInference(definition, config=config).infer()
-
-
-MODES: Dict[str, Callable[[ModuleDefinition, HanoiConfig], InferenceResult]] = {
-    "hanoi": _run_hanoi,
-    "hanoi-src": _run_hanoi_src,
-    "hanoi-clc": _run_hanoi_clc,
-    "conj-str": _run_conj_str,
-    "linear-arbitrary": _run_linear_arbitrary,
-    "oneshot": _run_oneshot,
-    "hanoi-fold": _run_hanoi_fold,
-}
+#: Every mode by name, in the order ``python -m repro list --modes`` shows.
+MODES: Dict[str, Mode] = {mode.name: mode for mode in (
+    Mode("hanoi", HanoiInference,
+         "the full Hanoi tool (both Section 4.4 optimizations enabled)"),
+    Mode("hanoi-src", HanoiInference,
+         "Hanoi with synthesis result caching disabled (ablation)",
+         ablation=HanoiConfig.without_synthesis_result_caching),
+    Mode("hanoi-clc", HanoiInference,
+         "Hanoi with counterexample list caching disabled (ablation)",
+         ablation=HanoiConfig.without_counterexample_list_caching),
+    Mode("conj-str", ConjunctiveStrengtheningInference,
+         "the ∧Str (LoopInvGen-style) conjunctive strengthening baseline"),
+    Mode("linear-arbitrary", LinearArbitraryInference,
+         "the LA (LinearArbitrary-style) decision-tree baseline"),
+    Mode("oneshot", OneShotInference,
+         "the OneShot baseline (single synthesis call, no CEGIS loop)"),
+    Mode("hanoi-fold", HanoiInference,
+         "Hanoi with the fold-capable prototype synthesizer (Section 5.4)",
+         synthesizer=FoldSynthesizer),
+)}
 
 #: The six modes plotted in Figure 8, in the legend's order.
 FIGURE8_MODES = ["hanoi", "hanoi-src", "hanoi-clc", "conj-str", "linear-arbitrary", "oneshot"]
-
-#: One-line description per mode (the module docstring's table, programmatically;
-#: rendered by ``python -m repro list`` and docs/modes.md).
-MODE_DESCRIPTIONS: Dict[str, str] = {
-    "hanoi": "the full Hanoi tool (both Section 4.4 optimizations enabled)",
-    "hanoi-src": "Hanoi with synthesis result caching disabled (ablation)",
-    "hanoi-clc": "Hanoi with counterexample list caching disabled (ablation)",
-    "conj-str": "the ∧Str (LoopInvGen-style) conjunctive strengthening baseline",
-    "linear-arbitrary": "the LA (LinearArbitrary-style) decision-tree baseline",
-    "oneshot": "the OneShot baseline (single synthesis call, no CEGIS loop)",
-    "hanoi-fold": "Hanoi with the fold-capable prototype synthesizer (Section 5.4)",
-}
 
 
 def run_module(definition: ModuleDefinition, mode: str = "hanoi",
@@ -275,11 +247,3 @@ def run_benchmark(name: str, mode: str = "hanoi",
     """Run one benchmark under one mode and return the result."""
     return execute_task(ExperimentTask(benchmark=name, mode=mode, config=config))
 
-
-def run_many(names: Optional[Iterable[str]] = None, mode: str = "hanoi",
-             config: Optional[HanoiConfig] = None,
-             progress: Optional[Callable[[InferenceResult], None]] = None,
-             store=None) -> List[InferenceResult]:
-    """Run a list of benchmarks (all of them by default) under one mode."""
-    return execute_tasks(expand_tasks(names, modes=mode, config=config),
-                         progress=progress, store=store)

@@ -81,9 +81,6 @@ class TypeEnvironment:
             raise TypeError_(f"unknown data type: {name}") from None
         return tuple(self.ctors[c.name] for c in decl.ctors)
 
-    def is_datatype(self, ty: Type) -> bool:
-        return isinstance(ty, TData) and ty.name in self.datatypes
-
     def copy(self) -> "TypeEnvironment":
         return TypeEnvironment(dict(self.datatypes), dict(self.ctors), dict(self.globals))
 

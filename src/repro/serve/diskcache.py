@@ -181,7 +181,7 @@ class DiskCacheStore:
             return False
 
     def stats(self) -> Dict[str, int]:
-        """Entry counts per section (for the service's cache endpoint)."""
+        """Entry counts per section, for inspecting a store's contents."""
         counts: Dict[str, int] = {}
         version_root = os.path.join(self.root, f"v{STORE_VERSION}")
         try:

@@ -153,17 +153,15 @@ class MythSynthesizer:
     def _candidate_bodies(self, oracle: ExampleOracle) -> List[Expr]:
         """All candidate invariant bodies, smallest first.
 
-        The example oracle is stashed on the instance for the duration of the
-        call so the recursive-call component can consult it.  The oracle-
-        interpreting function value for the recursive call is one object per
+        The oracle-interpreting function value for the recursive call is
+        stashed on the instance for the duration of the call, so the
+        recursive-call component can use it.  It is one object per
         *oracle mapping*: shared by every branch pool of the call (so the
         evaluation cache can memoize its applications), reused across calls
         whose examples are identical (their pools replay wholesale), and
         fresh whenever the mapping changed (so no cache entry is ever
         answered by a stale oracle).
         """
-        self.__oracle = oracle
-
         fingerprint = frozenset(oracle.mapping.items())
         recursive_fn = self._oracle_fns.get(fingerprint)
         if recursive_fn is None:
@@ -195,7 +193,6 @@ class MythSynthesizer:
             bodies.sort(key=expr_size)
             return bodies
         finally:
-            del self.__oracle
             del self.__recursive_fn
 
     # -- match skeletons -----------------------------------------------------------------
@@ -470,12 +467,6 @@ class MythSynthesizer:
             self.__recursive_fn,
             argument_restrictions=(frozenset(decreasing),),
         )
-
-    # The oracle used to interpret recursive calls; set for the duration of a
-    # synthesize() invocation by ``_candidate_bodies``.
-    @property
-    def _current_oracle(self) -> ExampleOracle:
-        return self.__oracle
 
     # -- naming -----------------------------------------------------------------------------
 

@@ -4,10 +4,25 @@ import pytest
 
 from repro.core.config import FAST_VERIFIER_BOUNDS, HanoiConfig
 from repro.experiments.figure5 import run_figure5, trace_lines
-from repro.experiments.figure7 import HEADERS, figure7_rows, run_figure7
-from repro.experiments.figure8 import completion_series, mode_summary, run_figure8
-from repro.experiments.report import format_seconds, format_table, rows_to_csv
-from repro.experiments.runner import FIGURE8_MODES, MODES, PROFILES, quick_config, run_benchmark
+from repro.experiments.report import (
+    FIGURE7_HEADERS as HEADERS,
+    completion_series,
+    figure7_rows,
+    format_seconds,
+    format_table,
+    group_by_mode,
+    mode_summary_rows,
+    rows_to_csv,
+)
+from repro.experiments.runner import (
+    FIGURE8_MODES,
+    MODES,
+    PROFILES,
+    execute_tasks,
+    expand_tasks,
+    quick_config,
+    run_benchmark,
+)
 
 CONFIG = HanoiConfig(verifier_bounds=FAST_VERIFIER_BOUNDS, timeout_seconds=60)
 SMALL = ["/coq/unique-list-::-set", "/other/sized-list"]
@@ -28,7 +43,7 @@ def test_run_benchmark_rejects_unknown_mode():
 
 
 def test_figure7_rows_have_all_columns():
-    results = run_figure7(SMALL, config=CONFIG)
+    results = execute_tasks(expand_tasks(SMALL, modes="hanoi", config=CONFIG))
     rows = figure7_rows(results)
     assert len(rows) == len(SMALL)
     assert all(len(row) == len(HEADERS) for row in rows)
@@ -41,9 +56,10 @@ def test_figure7_rows_have_all_columns():
 
 
 def test_figure8_summary_and_series():
-    results = run_figure8(["/coq/unique-list-::-set"],
-                          modes=["hanoi", "conj-str", "oneshot"], config=CONFIG)
-    summary = {row[0]: row for row in mode_summary(results)}
+    results = group_by_mode(execute_tasks(expand_tasks(
+        ["/coq/unique-list-::-set"], modes=["hanoi", "conj-str", "oneshot"], config=CONFIG)))
+    assert list(results) == ["hanoi", "conj-str", "oneshot"]
+    summary = {row[0]: row for row in mode_summary_rows(results)}
     assert summary["hanoi"][1] == 1  # solved
     series = completion_series(results)
     assert len(series["hanoi"]) == 1
@@ -111,17 +127,18 @@ def test_figure5_renders_every_event_kind_golden():
 
 
 def test_every_logged_event_kind_is_rendered():
-    """`_log(...)`/`_log_to(...)` call sites in the loop and `trace_lines`
-    branches must stay in sync: a newly logged kind needs a rendering (and a
-    line in the golden test above)."""
+    """`_log(...)`/`_log_to(...)`/`_weaken(...)`/`_strengthen(...)` call
+    sites in the loop and `trace_lines` branches must stay in sync: a newly
+    logged kind needs a rendering (and a line in the golden test above)."""
     import re
 
     from repro.core import hanoi
     from repro.experiments import figure5
 
-    logged = set(re.findall(r'(?:self\._log|_log_to)\((?:\s*\w+,)*\s*"([a-z-]+)"',
-                            inspect_source(hanoi)))
-    assert "disk-cache-warning" in logged
+    call = r'(?:self\._(?:log|weaken|strengthen)|_log_to)\((?:\s*\w+,)*\s*"([a-z-]+)"'
+    logged = set(re.findall(call, inspect_source(hanoi)))
+    assert {"disk-cache-warning", "visible-counterexample",
+            "inductiveness-counterexample"} <= logged
     rendered = set(re.findall(r'kind (?:==|in) \(?"?([a-z-]+(?:", "[a-z-]+)*)"?\)?',
                               inspect_source(figure5)))
     flattened = set()

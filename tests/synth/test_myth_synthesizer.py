@@ -272,10 +272,9 @@ def test_branch_bodies_do_not_rematch_the_enclosing_scrutinee(listset):
     oracle = ExampleOracle.build(
         [L(2, 1), L(3, 2, 1)], [L(1, 1), L(2, 2, 1)],
         listset.concrete_type, listset.program.types)
-    # _candidate_bodies normally installs the oracle and its interpreting
+    # _candidate_bodies normally installs the oracle's interpreting
     # function for the duration of a synthesize() call; mirror that here.
     from repro.lang.values import VNative, v_bool
-    synthesizer._MythSynthesizer__oracle = oracle
     synthesizer._MythSynthesizer__recursive_fn = VNative(
         lambda value: v_bool(oracle.expected(value)), name="inv")
 
