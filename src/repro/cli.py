@@ -173,22 +173,18 @@ def _tracing(args: argparse.Namespace) -> Iterator[None]:
                 sink.close()
 
 
-def _add_sweep_arguments(parser: argparse.ArgumentParser, default_output: str) -> None:
-    """Flags shared by the sweep-running subcommands (``run`` and ``figure8``)."""
-    parser.add_argument("--benchmarks", nargs="*", default=None, metavar="NAME",
-                        help="explicit benchmark names (see `python -m repro list`)")
-    parser.add_argument("--group", default=None, metavar="GROUP",
-                        help="run one benchmark group (vfa, vfa-extended, coq, "
-                             "other, or a pack's group)")
-    parser.add_argument("--all", action="store_true",
-                        help="run all registered benchmarks instead of the fast subset")
-    parser.add_argument("--pack", default=None, metavar="DIR",
-                        help="register a directory of .hanoi benchmark definition "
-                             "files; without other selectors, runs that pack")
+def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
+    """The bounds/timeout flags of every inference-running subcommand."""
     parser.add_argument("--profile", choices=sorted(PROFILES), default="quick",
                         help="verifier bounds / timeout profile (default: quick)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                         help="per-task timeout in seconds (overrides the profile's)")
+
+
+def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    """The configuration flags of ``run``, ``figure8`` and ``infer``: the
+    profile flags plus the cache switches :func:`_config_from_args` reads."""
+    _add_profile_arguments(parser)
     parser.add_argument("--no-eval-cache", action="store_true",
                         help="disable the cross-iteration spec-verdict cache "
                              "of sufficiency checks (the ablation; outcomes "
@@ -202,6 +198,21 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser, default_output: str) -
                              "snapshot the evaluation and pool caches per "
                              "declaration so unchanged declarations replay "
                              "across processes (docs/service.md)")
+
+
+def _add_sweep_arguments(parser: argparse.ArgumentParser, default_output: str) -> None:
+    """Flags shared by the sweep-running subcommands (``run`` and ``figure8``)."""
+    parser.add_argument("--benchmarks", nargs="*", default=None, metavar="NAME",
+                        help="explicit benchmark names (see `python -m repro list`)")
+    parser.add_argument("--group", default=None, metavar="GROUP",
+                        help="run one benchmark group (vfa, vfa-extended, coq, "
+                             "other, or a pack's group)")
+    parser.add_argument("--all", action="store_true",
+                        help="run all registered benchmarks instead of the fast subset")
+    parser.add_argument("--pack", default=None, metavar="DIR",
+                        help="register a directory of .hanoi benchmark definition "
+                             "files; without other selectors, runs that pack")
+    _add_config_arguments(parser)
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: all CPUs; 1 = serial in-process)")
     parser.add_argument("--output", default=default_output, metavar="PATH",
@@ -247,19 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="benchmark definition file (see docs/format.md)")
     infer.add_argument("--mode", choices=sorted(MODES), default="hanoi",
                        help="inference mode (default: hanoi)")
-    infer.add_argument("--profile", choices=sorted(PROFILES), default="quick",
-                       help="verifier bounds / timeout profile (default: quick)")
-    infer.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="timeout in seconds (overrides the profile's)")
-    infer.add_argument("--no-eval-cache", action="store_true",
-                       help="disable the cross-iteration spec-verdict cache")
-    infer.add_argument("--no-pool-cache", action="store_true",
-                       help="disable cross-iteration synthesis term-pool caching")
-    infer.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="persistent content-addressed disk cache: a "
-                            "second run (or a run after an edit) replays "
-                            "unchanged declarations' work from disk "
-                            "(docs/service.md)")
+    _add_config_arguments(infer)
     _add_trace_arguments(infer)
     infer.set_defaults(func=_cmd_infer)
 
@@ -322,10 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "against cold, warm, and corrupted persistent "
                            "disk-cache stores; all outcomes must equal the "
                            "persistence-free run (docs/service.md)")
-    fuzz.add_argument("--profile", choices=sorted(PROFILES), default="quick",
-                      help="verifier bounds / timeout profile (default: quick)")
-    fuzz.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                      help="per-task timeout in seconds (overrides the profile's)")
+    _add_profile_arguments(fuzz)
     fuzz.add_argument("--jobs", type=int, default=None, metavar="N",
                       help="worker processes (default: all CPUs; 1 = serial "
                            "in-process)")
@@ -385,6 +381,14 @@ def _register_pack(directory: str):
                          f"their own names with a `benchmark \"...\"` directive")
 
 
+def _validate_modes(modes: Sequence[str]) -> None:
+    if not modes:
+        raise SystemExit("--modes needs at least one mode (see `python -m repro list --modes`)")
+    for mode in modes:
+        if mode not in MODES:
+            raise SystemExit(f"unknown mode {mode!r} (see `python -m repro list --modes`)")
+
+
 def _validate_group(group: str) -> None:
     if group not in GROUPS:
         raise SystemExit(f"unknown group {group!r}; known: {', '.join(sorted(GROUPS))}")
@@ -413,17 +417,18 @@ def _select_benchmarks(args: argparse.Namespace, pack=None) -> List[str]:
 
 
 def _config_from_args(args: argparse.Namespace):
-    """The :class:`HanoiConfig` the ``infer``/``run``/``figure8`` flags ask for.
+    """The :class:`HanoiConfig` a command's configuration flags ask for.
 
     Only overrides the profile's timeout when one was given explicitly;
-    ``profile()`` keeps the default (quick: 60 s, paper: 1800 s)."""
+    ``profile()`` keeps the default (quick: 60 s, paper: 1800 s).  ``fuzz``
+    declares only the profile flags: it sweeps the cache switches itself."""
     profile = PROFILES[args.profile]
     config = profile() if args.timeout is None else profile(args.timeout)
-    if args.no_eval_cache:
+    if getattr(args, "no_eval_cache", False):
         config = config.without_evaluation_caching()
-    if args.no_pool_cache:
+    if getattr(args, "no_pool_cache", False):
         config = config.without_synthesis_evaluation_caching()
-    if args.cache_dir:
+    if getattr(args, "cache_dir", None):
         config = config.with_cache_dir(args.cache_dir)
     return config
 
@@ -445,14 +450,11 @@ def _execute_sweep(args: argparse.Namespace, tasks, store: ResultStore,
     ``shape`` describes the task grid and ``unit`` names one task in the
     progress lines.  With ``retry_failed``, resuming re-runs stored tasks
     whose status is not success."""
-    sweep_keys = {task.resume_key for task in tasks}
+    sweep_keys = {task.key for task in tasks}
     if args.resume:
-        if retry_failed:
-            completed = {(r.benchmark, r.mode, r.pack, r.variant)
-                         for r in store.load() if r.succeeded}
-        else:
-            completed = store.completed_keys()
-        remaining = [task for task in tasks if task.resume_key not in completed]
+        completed = {result.key for result in store.load()
+                     if result.succeeded or not retry_failed}
+        remaining = [task for task in tasks if task.key not in completed]
         skipped = len(tasks) - len(remaining)
         if skipped:
             print(f"resume: skipping {skipped} completed {unit}(s) found in {store.path}")
@@ -470,9 +472,7 @@ def _execute_sweep(args: argparse.Namespace, tasks, store: ResultStore,
     # Report only this sweep's keys: the store may also hold rows from
     # earlier sweeps with different benchmarks/modes (or a same-named pack
     # benchmark) written to the same file.
-    return [result for result in store.load()
-            if (result.benchmark, result.mode, result.pack, result.variant)
-            in sweep_keys]
+    return [result for result in store.load() if result.key in sweep_keys]
 
 
 def _run_sweep(args: argparse.Namespace, modes: Sequence[str]) -> List[InferenceResult]:
@@ -481,17 +481,12 @@ def _run_sweep(args: argparse.Namespace, modes: Sequence[str]) -> List[Inference
     if args.retry_failed and not args.resume:
         raise SystemExit("--retry-failed only applies with --resume "
                          "(it re-runs stored pairs whose status is not success)")
+    _validate_modes(modes)
     pack = _register_pack(args.pack) if args.pack else None
     names = _select_benchmarks(args, pack=pack)
     tasks = expand_tasks(names, modes=list(modes), config=_config_from_args(args),
-                         pack=pack.path if pack is not None else None,
-                         pack_benchmarks=pack.benchmark_names if pack is not None else None,
-                         pack_name=pack.name if pack is not None else None)
-    store = ResultStore(
-        args.output,
-        pack=pack.name if pack is not None else None,
-        pack_benchmarks=pack.benchmark_names if pack is not None else None)
-    return _execute_sweep(args, tasks, store, unit="pair",
+                         pack=pack)
+    return _execute_sweep(args, tasks, ResultStore(args.output), unit="pair",
                           shape=f"{len(names)} benchmark(s) x {len(modes)} mode(s)",
                           retry_failed=args.retry_failed)
 
@@ -500,11 +495,6 @@ def _run_sweep(args: argparse.Namespace, modes: Sequence[str]) -> List[Inference
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if not args.modes:
-        raise SystemExit("--modes needs at least one mode (see `python -m repro list --modes`)")
-    for mode in args.modes:
-        if mode not in MODES:
-            raise SystemExit(f"unknown mode {mode!r} (see `python -m repro list --modes`)")
     results = _run_sweep(args, modes=args.modes)
     print()
     print(render_results(results))
@@ -628,9 +618,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_figure8(args: argparse.Namespace) -> int:
     modes = args.modes if args.modes else list(FIGURE8_MODES)
-    for mode in modes:
-        if mode not in MODES:
-            raise SystemExit(f"unknown mode {mode!r} (see `python -m repro list --modes`)")
     results = _run_sweep(args, modes=modes)
     grouped = group_by_mode(results)
     grouped = {mode: grouped.get(mode, []) for mode in modes}
@@ -747,12 +734,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .gen.diff import (CACHE_MATRIX, PERSISTENCE_VARIANTS, compare_stored,
                            differential)
     from .gen.modgen import generate_corpus, write_corpus
-    from .gen.shrink import shrink_module, write_reproducer
-
     modes = args.modes if args.modes else list(DEFAULT_FUZZ_MODES)
-    for mode in modes:
-        if mode not in MODES:
-            raise SystemExit(f"unknown mode {mode!r} (see `python -m repro list --modes`)")
+    _validate_modes(modes)
     if args.count < 1:
         raise SystemExit("--count must be at least 1")
 
@@ -765,15 +748,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     pack = _register_pack(corpus_dir)
     definitions = {module.name: module.definition for module in corpus}
 
-    profile = PROFILES[args.profile]
-    config = profile() if args.timeout is None else profile(args.timeout)
+    config = _config_from_args(args)
     tasks = [ExperimentTask(benchmark=name, mode=mode,
                             config=prepare(definitions[name], config)[1],
                             pack=pack.path, pack_name=pack.name, variant=tag)
              for mode in modes for name in pack.benchmark_names
              for tag, prepare in CACHE_MATRIX.members]
-    store = ResultStore(os.path.join(args.out, "results.jsonl"), pack=pack.name,
-                        pack_benchmarks=pack.benchmark_names)
+    store = ResultStore(os.path.join(args.out, "results.jsonl"))
     results = _execute_sweep(
         args, tasks, store, unit="cell",
         shape=f"{len(corpus)} module(s) x {len(modes)} mode(s) x "
@@ -791,27 +772,19 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     print(report.describe())
 
     if report.mismatches and args.shrink:
-        reproducer_dir = os.path.join(args.out, "reproducers")
         shrunk = set()
         for mismatch in report.mismatches:
             if mismatch.benchmark in shrunk:
                 continue
             shrunk.add(mismatch.benchmark)
-            definition = definitions[mismatch.benchmark]
 
             def still_fails(candidate, _mismatch=mismatch):
                 rerun = differential(candidate, _mismatch.variants,
                                      modes=(_mismatch.mode,), config=config)
                 return bool(rerun.mismatches)
 
-            try:
-                minimal = shrink_module(definition, still_fails)
-            except ValueError as exc:
-                # A store-only mismatch that does not reproduce in-process
-                # (e.g. a flaky timeout); report it, keep the full module.
-                print(f"  shrink: {mismatch.benchmark}: {exc}")
-                minimal = definition
-            path = write_reproducer(minimal, reproducer_dir)
+            minimal, path = _shrink_to_reproducer(
+                definitions[mismatch.benchmark], still_fails, args.out)
             print(f"  reproducer: {path} "
                   f"({len(minimal.operations)} operation(s), "
                   f"{len(minimal.source.strip().splitlines())} source line(s))")
@@ -827,7 +800,6 @@ def _fuzz_lint(corpus, args: argparse.Namespace) -> int:
     module is shrunk to a minimal ``.hanoi`` reproducer that still triggers
     one of the same diagnostic codes."""
     from .analysis.lint import analyze_definition
-    from .gen.shrink import shrink_module, write_reproducer
 
     dirty = []
     for module in corpus:
@@ -843,7 +815,6 @@ def _fuzz_lint(corpus, args: argparse.Namespace) -> int:
         return 0
 
     if args.shrink:
-        reproducer_dir = os.path.join(args.out, "reproducers")
         for module, report in dirty:
             codes = {d.code for d in report.diagnostics if d.rank >= 1}
 
@@ -852,14 +823,25 @@ def _fuzz_lint(corpus, args: argparse.Namespace) -> int:
                 return any(d.code in _codes and d.rank >= 1
                            for d in rerun.diagnostics)
 
-            try:
-                minimal = shrink_module(module.definition, still_warns)
-            except ValueError as exc:
-                print(f"  shrink: {module.name}: {exc}")
-                minimal = module.definition
-            path = write_reproducer(minimal, reproducer_dir)
+            _, path = _shrink_to_reproducer(module.definition, still_warns, args.out)
             print(f"  reproducer: {path} (codes: {', '.join(sorted(codes))})")
     return 1
+
+
+def _shrink_to_reproducer(definition, still_fails, out: str):
+    """Shrink ``definition`` while ``still_fails`` holds and write the result
+    under ``OUT/reproducers``; return the module written and its path.
+
+    A failure that does not reproduce in process (e.g. a store-only flaky
+    timeout) is reported, and the full module is written instead."""
+    from .gen.shrink import shrink_module, write_reproducer
+
+    try:
+        minimal = shrink_module(definition, still_fails)
+    except ValueError as exc:
+        print(f"  shrink: {definition.name}: {exc}")
+        minimal = definition
+    return minimal, write_reproducer(minimal, os.path.join(out, "reproducers"))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

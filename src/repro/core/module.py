@@ -103,7 +103,7 @@ class ModuleDefinition:
         Optional object-language source of a known sufficient representation
         invariant, used by the test suite as an oracle and for documentation.
     description:
-        Human-readable summary used by reports and EXPERIMENTS.md.
+        Human-readable summary, carried into exported ``.hanoi`` files.
     """
 
     name: str

@@ -9,7 +9,7 @@ trace illustrations are rendered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .stats import InferenceStats
 
@@ -64,13 +64,21 @@ class InferenceResult:
     iterations: int = 0
     events: List[Dict[str, object]] = field(default_factory=list)
     #: Name of the benchmark pack the benchmark came from (None = built-in
-    #: suite).  Stamped by the result store when a sweep runs with ``--pack``.
+    #: suite).  Stamped by ``execute_task`` (or the pool, for a task it
+    #: killed) from the task's ``pack_name``.
     pack: Optional[str] = None
     #: Configuration-variant tag (None = the sweep's single configuration).
     #: The differential fuzzer runs every benchmark under several cache
     #: configurations; the tag keeps their rows distinct in the store the way
     #: ``pack`` keeps same-named benchmarks distinct.
     variant: Optional[str] = None
+
+    @property
+    def key(self) -> Tuple[str, str, Optional[str], Optional[str]]:
+        """The ``(benchmark, mode, pack, variant)`` identity of a stored row:
+        what the result store deduplicates on and what ``--resume`` matches
+        an :attr:`~repro.experiments.runner.ExperimentTask.key` against."""
+        return (self.benchmark, self.mode, self.pack, self.variant)
 
     @property
     def succeeded(self) -> bool:
@@ -87,18 +95,6 @@ class InferenceResult:
             return "(none)"
         render = getattr(self.invariant, "render", None)
         return render() if callable(render) else str(self.invariant)
-
-    def as_row(self) -> Dict[str, object]:
-        """A flat dictionary with the Figure-7 columns (plus bookkeeping)."""
-        row: Dict[str, object] = {
-            "name": self.benchmark,
-            "mode": self.mode,
-            "status": self.status,
-            "size": self.invariant_size,
-            "iterations": self.iterations,
-        }
-        row.update(self.stats.as_dict())
-        return row
 
     # -- serialization ----------------------------------------------------------
 

@@ -46,13 +46,17 @@ __all__ = ["ParallelRunner", "WorkerHandle", "DEFAULT_TIMEOUT_GRACE",
 
 #: Seconds granted beyond a task's cooperative timeout before the parent kills
 #: the worker: the cooperative deadline should fire first, the pool-level kill
-#: is the backstop for workers stuck somewhere that never polls it.
+#: is the backstop for workers stuck somewhere that never polls it.  A task
+#: whose config has no timeout gets no hard budget.
 DEFAULT_TIMEOUT_GRACE = 30.0
 
 #: Seconds between a worker's heartbeat records.  Heartbeats ride the same
 #: event queue as trace records, so even a worker wedged inside one long
 #: evaluation keeps telling the parent it is alive (and when it last spoke).
 DEFAULT_HEARTBEAT_INTERVAL = 15.0
+
+#: Seconds the parent waits for worker output before it checks budgets again.
+POLL_INTERVAL = 0.05
 
 
 def _result_payload(task: ExperimentTask, status: str, message: str,
@@ -68,12 +72,12 @@ def _result_payload(task: ExperimentTask, status: str, message: str,
         invariant=None,
         stats=stats,
         message=message,
+        pack=task.pack_name,
         variant=task.variant,
     ).to_dict()
 
 
-def _heartbeat_loop(sink: QueueSink, label: str, interval: float,
-                    stop: threading.Event) -> None:
+def _heartbeat_loop(sink: QueueSink, label: str, stop: threading.Event) -> None:
     """Emit one ``stream``-category heartbeat record per interval until told
     to stop.  Runs on a daemon thread, so a worker wedged inside one long
     evaluation (never returning to Python-level instrumentation) still
@@ -81,7 +85,7 @@ def _heartbeat_loop(sink: QueueSink, label: str, interval: float,
     runner-level records, not part of any emitter's ordered stream."""
     start = time.monotonic()
     seq = 0
-    while not stop.wait(interval):
+    while not stop.wait(DEFAULT_HEARTBEAT_INTERVAL):
         seq += 1
         sink.handle({
             "v": SCHEMA_VERSION,
@@ -95,8 +99,7 @@ def _heartbeat_loop(sink: QueueSink, label: str, interval: float,
         })
 
 
-def _worker(task: ExperimentTask, conn, events=None,
-            heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL) -> None:
+def _worker(task: ExperimentTask, conn, events=None) -> None:
     """Worker entry point: run one task, send its dict payload, exit.
 
     When an event queue is supplied the worker streams: it drops any sinks
@@ -112,7 +115,7 @@ def _worker(task: ExperimentTask, conn, events=None,
         stop = threading.Event()
         threading.Thread(
             target=_heartbeat_loop,
-            args=(sink, task.label, heartbeat_interval, stop),
+            args=(sink, task.label, stop),
             daemon=True,
         ).start()
     try:
@@ -128,13 +131,12 @@ def _worker(task: ExperimentTask, conn, events=None,
         conn.close()
 
 
-def _default_context():
-    """Prefer ``fork`` (workers inherit the loaded benchmark registry for
-    free); fall back to the platform default where fork is unavailable."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
+# Prefer ``fork`` (workers inherit the loaded benchmark registry for free);
+# fall back to the platform default where fork is unavailable.
+try:
+    _CONTEXT = multiprocessing.get_context("fork")
+except ValueError:  # pragma: no cover - non-POSIX platforms
+    _CONTEXT = multiprocessing.get_context()
 
 
 class WorkerHandle:
@@ -151,15 +153,11 @@ class WorkerHandle:
         self.started = started
 
     @classmethod
-    def spawn(cls, ctx, task: ExperimentTask, events=None,
-              heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
-              ) -> "WorkerHandle":
-        """Start a worker for ``task`` under the multiprocessing context."""
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker,
-            args=(task, child_conn, events, heartbeat_interval),
-            daemon=True)
+    def spawn(cls, task: ExperimentTask, events=None) -> "WorkerHandle":
+        """Start a worker for ``task``."""
+        parent_conn, child_conn = _CONTEXT.Pipe(duplex=False)
+        process = _CONTEXT.Process(target=_worker, args=(task, child_conn, events),
+                                   daemon=True)
         process.start()
         child_conn.close()
         return cls(process, parent_conn, time.monotonic())
@@ -207,51 +205,26 @@ class WorkerHandle:
 
 
 class ParallelRunner:
-    """Fan ``(benchmark, mode)`` tasks out over a pool of worker processes.
+    """Fan ``(benchmark, mode)`` tasks out over ``jobs`` worker processes
+    (default: ``os.cpu_count()``).
 
-    Parameters
-    ----------
-    jobs:
-        Worker process count; defaults to ``os.cpu_count()``.
-    task_timeout:
-        Hard wall-clock budget per task, in seconds.  When ``None`` the budget
-        is derived from each task's config: its cooperative
-        ``timeout_seconds`` plus :data:`DEFAULT_TIMEOUT_GRACE` (no hard budget
-        for configs without a timeout).
-    mp_context:
-        A ``multiprocessing`` context, for tests or platform overrides.
-    stream_events:
-        Whether workers stream trace records back to the parent.  ``None``
-        (the default) streams exactly when the parent has sinks installed -
-        a sweep without ``--trace``/``--live`` keeps workers at true
-        zero-cost tracing.  ``True`` forces streaming (the last-event
-        bookkeeping still improves timeout reports even with no sinks);
-        ``False`` disables it.
+    Each task's hard wall-clock budget is its config's cooperative
+    ``timeout_seconds`` plus :data:`DEFAULT_TIMEOUT_GRACE`.  Workers stream
+    their trace records to the parent exactly when the parent has sinks
+    installed, so a sweep without ``--trace``/``--live`` keeps workers at
+    zero-cost tracing.
     """
 
-    def __init__(self, jobs: Optional[int] = None,
-                 task_timeout: Optional[float] = None,
-                 timeout_grace: float = DEFAULT_TIMEOUT_GRACE,
-                 mp_context=None,
-                 poll_interval: float = 0.05,
-                 stream_events: Optional[bool] = None,
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL):
+    def __init__(self, jobs: Optional[int] = None):
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.task_timeout = task_timeout
-        self.timeout_grace = timeout_grace
-        self.poll_interval = poll_interval
-        self.stream_events = stream_events
-        self.heartbeat_interval = heartbeat_interval
-        self._ctx = mp_context if mp_context is not None else _default_context()
 
-    def _budget_for(self, task: ExperimentTask) -> Optional[float]:
-        if self.task_timeout is not None:
-            return self.task_timeout
+    @staticmethod
+    def _budget_for(task: ExperimentTask) -> Optional[float]:
         # Tasks without an explicit config run under execute_task's
         # quick_config() fallback; derive the backstop from the same default.
         config = task.config if task.config is not None else quick_config()
         if config.timeout_seconds is not None:
-            return config.timeout_seconds + self.timeout_grace
+            return config.timeout_seconds + DEFAULT_TIMEOUT_GRACE
         return None
 
     def run(self, tasks: Sequence[ExperimentTask],
@@ -267,9 +240,7 @@ class ParallelRunner:
         results: List[Optional[InferenceResult]] = [None] * len(tasks)
         queue = deque(enumerate(tasks))
         live: Dict[int, WorkerHandle] = {}
-        stream = (self.stream_events if self.stream_events is not None
-                  else bool(installed_sinks()))
-        events = self._ctx.Queue() if stream else None
+        events = _CONTEXT.Queue() if installed_sinks() else None
         last_event: Dict[str, dict] = {}
 
         def finish(index: int, payload: dict) -> None:
@@ -284,13 +255,12 @@ class ParallelRunner:
             while queue or live:
                 while queue and len(live) < self.jobs:
                     index, task = queue.popleft()
-                    live[index] = WorkerHandle.spawn(
-                        self._ctx, task, events, self.heartbeat_interval)
+                    live[index] = WorkerHandle.spawn(task, events)
 
                 # Sleep until some worker has output ready (or a short poll
                 # tick passes, so timeout enforcement stays responsive).
                 connection_wait([handle.conn for handle in live.values()],
-                                timeout=self.poll_interval)
+                                timeout=POLL_INTERVAL)
                 self._drain_events(events, last_event)
 
                 for index in list(live):

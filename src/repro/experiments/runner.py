@@ -10,7 +10,6 @@ verifier bounds and short timeouts, suitable for CI and for the
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
@@ -23,6 +22,7 @@ from ..core.module import ModuleDefinition
 from ..core.result import InferenceResult
 from ..core.run import InferenceRun, SynthesizerFactory
 from ..lang.eval import memo_table
+from ..spec.pack import Pack, register_pack
 from ..suite.registry import all_benchmark_names, get_benchmark
 from ..synth.folds import FoldSynthesizer
 
@@ -128,12 +128,13 @@ class ExperimentTask:
     through the serial runner, the multiprocessing pool, and the result store's
     resume bookkeeping.
 
-    ``pack`` carries the directory of the benchmark pack the benchmark comes
-    from (None for the built-in suite); ``execute_task`` registers the pack
+    ``pack`` carries the directory of the benchmark pack the sweep registered
+    (None for a built-in-only sweep); ``execute_task`` registers the pack
     before resolving the name, so tasks stay self-contained even in worker
     processes that did not inherit the parent's registry.  ``pack_name`` is
-    the pack's registered name (the tag the result store writes), so resume
-    bookkeeping can tell a pack benchmark from a same-named built-in.
+    the registered pack's name when the benchmark comes from it, and becomes
+    the result's ``pack`` tag, so a pack benchmark and a same-named built-in
+    keep separate rows.
 
     ``variant`` tags a configuration variant: the differential fuzzer runs
     the same ``(benchmark, mode)`` pair under several cache configurations
@@ -149,10 +150,10 @@ class ExperimentTask:
     variant: Optional[str] = None
 
     @property
-    def key(self) -> Tuple[str, str]:
-        """The bare ``(benchmark, mode)`` identity (pack-blind; prefer
-        :attr:`resume_key` for dedup/resume bookkeeping)."""
-        return (self.benchmark, self.mode)
+    def key(self) -> Tuple[str, str, Optional[str], Optional[str]]:
+        """The :attr:`~repro.core.result.InferenceResult.key` this task's
+        result carries: ``(benchmark, mode, pack, variant)``."""
+        return (self.benchmark, self.mode, self.pack_name, self.variant)
 
     @property
     def label(self) -> str:
@@ -161,64 +162,45 @@ class ExperimentTask:
         base = f"{self.benchmark}/{self.mode}"
         return f"{base}#{self.variant}" if self.variant is not None else base
 
-    @property
-    def resume_key(self) -> Tuple[str, str, Optional[str], Optional[str]]:
-        """The identity used for resume bookkeeping.
-
-        Includes the pack tag, so a pack benchmark named like a built-in
-        neither supersedes it in the store nor causes ``--resume`` to skip
-        the other one, and the variant tag, so one cache configuration's row
-        never satisfies a resume check for another.
-        """
-        return (self.benchmark, self.mode, self.pack_name, self.variant)
-
 
 def expand_tasks(names: Optional[Iterable[str]] = None,
                  modes: Union[str, Sequence[str]] = "hanoi",
                  config: Optional[HanoiConfig] = None,
-                 pack: Optional[str] = None,
-                 pack_benchmarks: Optional[Iterable[str]] = None,
-                 pack_name: Optional[str] = None) -> List[ExperimentTask]:
+                 pack: Optional[Pack] = None) -> List[ExperimentTask]:
     """The full task list of a sweep: every benchmark under every mode.
 
     Modes vary in the outer loop (matching how Figure 8 is collected: one mode
     finishes its pass over the suite before the next starts), benchmarks in the
     inner loop, so serial and parallel sweeps enumerate identically.
 
-    ``pack`` is attached to tasks so pack benchmarks resolve inside pool
-    workers (see :class:`ExperimentTask`); ``pack_benchmarks`` restricts the
-    pack tag to those benchmark names (a mixed built-in + pack sweep tags only
-    the pack's tasks), and ``pack_name`` sets the tag resume bookkeeping
-    matches against stored rows (defaults to the pack directory's basename).
+    ``pack`` is the sweep's registered pack: every task carries its directory,
+    so pack benchmarks resolve inside pool workers, and the pack's own
+    benchmarks carry its name (a mixed built-in + pack sweep tags only those).
     """
     names = list(names if names is not None else all_benchmark_names())
     mode_list = [modes] if isinstance(modes, str) else list(modes)
     for mode in mode_list:
         if mode not in MODES:
             raise KeyError(f"unknown mode {mode!r}; known: {sorted(MODES)}")
-    if pack is not None and pack_name is None:
-        # Mirror how Pack.name is derived (basename of the *resolved* path),
-        # so default resume keys match the tag the result store writes even
-        # for symlinked or relative pack directories.
-        pack_name = os.path.basename(os.path.realpath(pack))
-    from_pack = (frozenset(pack_benchmarks) if pack_benchmarks is not None
-                 else frozenset(names if pack is not None else ()))
-    return [ExperimentTask(benchmark=name, mode=mode, config=config, pack=pack,
-                           pack_name=pack_name if name in from_pack else None)
+    if pack is None:
+        return [ExperimentTask(benchmark=name, mode=mode, config=config)
+                for mode in mode_list for name in names]
+    return [ExperimentTask(benchmark=name, mode=mode, config=config, pack=pack.path,
+                           pack_name=pack.name if name in pack.definitions else None)
             for mode in mode_list for name in names]
 
 
 def execute_task(task: ExperimentTask) -> InferenceResult:
-    """Run one task to completion in the current process."""
-    if task.pack is not None:
-        from ..spec.pack import ensure_pack_registered
+    """Run one task to completion in the current process.
 
-        ensure_pack_registered(task.pack)
+    The task's pack and variant tags are stamped here (not in the store), so
+    they survive the worker boundary: the parallel runner ships results as
+    dict payloads."""
+    if task.pack is not None:
+        register_pack(task.pack)
     result = run_module(get_benchmark(task.benchmark), mode=task.mode, config=task.config)
-    if task.variant is not None:
-        # Stamped here (not in the store) so the tag survives the worker
-        # boundary: the parallel runner ships results as dict payloads.
-        result.variant = task.variant
+    result.pack = task.pack_name
+    result.variant = task.variant
     return result
 
 

@@ -3,23 +3,27 @@
 A :class:`ResultStore` wraps one JSONL file.  Each completed
 :class:`~repro.core.result.InferenceResult` is appended as a single JSON line
 (via ``InferenceResult.to_dict``) the moment it lands, so an interrupted sweep
-loses at most the in-flight benchmarks.  On restart, :meth:`completed_pairs`
-tells the harness which ``(benchmark, mode)`` pairs are already done and can
-be skipped (the ``--resume`` flag of ``python -m repro run``).
+loses at most the in-flight benchmarks.  On restart, the keys of
+:meth:`ResultStore.load`'s rows tell the harness which tasks are already done
+and can be skipped (the ``--resume`` flag of ``python -m repro run``).
 
 A partially written final line - the signature of a run killed mid-append -
-is tolerated and skipped on load.
+is tolerated and skipped on load, and so is a JSON line that is not a result
+row.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List
 
 from ..core.result import InferenceResult
 
 __all__ = ["ResultStore"]
+
+#: The fields ``InferenceResult.from_dict`` cannot do without.
+_ROW_FIELDS = frozenset(("benchmark", "mode", "status"))
 
 
 class ResultStore:
@@ -31,16 +35,8 @@ class ResultStore:
     still writing it.
     """
 
-    def __init__(self, path: str, pack: Optional[str] = None,
-                 pack_benchmarks: Optional[Sequence[str]] = None):
+    def __init__(self, path: str):
         self.path = os.fspath(path)
-        #: When set, results appended through this store are tagged with the
-        #: benchmark pack they came from (``repro run --pack`` sweeps).
-        #: ``pack_benchmarks`` restricts the tag to those benchmark names, so
-        #: a mixed built-in + pack sweep tags only the pack's rows.
-        self.pack = pack
-        self.pack_benchmarks = (frozenset(pack_benchmarks)
-                                if pack_benchmarks is not None else None)
 
     # -- writing ----------------------------------------------------------------
 
@@ -49,19 +45,10 @@ class ResultStore:
         closed immediately)."""
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        record = result.to_dict()
-        if (self.pack is not None and not record.get("pack")
-                and (self.pack_benchmarks is None
-                     or result.benchmark in self.pack_benchmarks)):
-            record["pack"] = self.pack
-        line = json.dumps(record, separators=(",", ":"), default=str)
+        line = json.dumps(result.to_dict(), separators=(",", ":"), default=str)
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             handle.flush()
-
-    def extend(self, results: Sequence[InferenceResult]) -> None:
-        for result in results:
-            self.append(result)
 
     # -- reading ----------------------------------------------------------------
 
@@ -77,18 +64,22 @@ class ResultStore:
                 if not line:
                     continue
                 try:
-                    yield json.loads(line)
+                    record = json.loads(line)
                 except json.JSONDecodeError:
                     # A truncated trailing line from an interrupted append;
                     # the pair it would have recorded simply re-runs.
                     continue
+                # A JSON line that is not a result row is skipped the same way.
+                if isinstance(record, dict) and _ROW_FIELDS <= record.keys():
+                    yield record
 
     def load(self) -> List[InferenceResult]:
         """Every stored result, in file (completion) order.
 
-        Later entries win over earlier ones for the same ``(benchmark, mode,
-        pack, variant)`` key, so re-running a pair into the same store
-        supersedes its old row.  The pack tag is part of the key: a pack
+        Later entries win over earlier ones for the same
+        :attr:`~repro.core.result.InferenceResult.key`, ``(benchmark, mode,
+        pack, variant)``, so re-running a pair into the same store supersedes
+        its old row.  The pack tag is part of the key: a pack
         benchmark named like a built-in coexists with it instead of silently
         superseding it.  So is the variant tag: the differential fuzzer's
         cache-configuration rows for one pair all coexist.
@@ -96,26 +87,8 @@ class ResultStore:
         by_key = {}
         for record in self._iter_records():
             result = InferenceResult.from_dict(record)
-            by_key[(result.benchmark, result.mode, result.pack, result.variant)] = result
+            by_key[result.key] = result
         return list(by_key.values())
-
-    def completed_keys(self) -> Set[Tuple[str, str, Optional[str], Optional[str]]]:
-        """The ``(benchmark, mode, pack, variant)`` keys already recorded -
-        what ``--resume`` matches an :class:`~repro.experiments.runner
-        .ExperimentTask.resume_key` against."""
-        return {(record.get("benchmark"), record.get("mode"), record.get("pack"),
-                 record.get("variant"))
-                for record in self._iter_records()}
-
-    def completed_pairs(self) -> Set[Tuple[str, str]]:
-        """The bare ``(benchmark, mode)`` pairs already recorded.
-
-        Pack-blind; kept for callers that do not sweep packs.  The resume
-        path uses :meth:`completed_keys` so a pack benchmark and a same-named
-        built-in are tracked separately.
-        """
-        return {(record.get("benchmark"), record.get("mode"))
-                for record in self._iter_records()}
 
     def __len__(self) -> int:
         return sum(1 for _ in self._iter_records())

@@ -64,8 +64,6 @@ __all__ = [
     "OracleFailure",
     "FuzzReport",
     "differential",
-    "fuzz_module",
-    "fuzz_corpus",
     "compare_stored",
 ]
 
@@ -431,43 +429,3 @@ def compare_stored(results: Sequence[InferenceResult],
                     reference["invariant"], report)
     return report
 
-
-# -- in-process sweeps -----------------------------------------------------------
-
-
-def fuzz_module(definition: ModuleDefinition,
-                modes: Sequence[str] = DEFAULT_FUZZ_MODES,
-                config: Optional[HanoiConfig] = None,
-                require_success: Sequence[str] = ("hanoi",),
-                fault: Optional[FaultHook] = None,
-                check_oracle: bool = True) -> FuzzReport:
-    """Run one module through ``modes`` x the cache matrix, in process,
-    judged for success and against the ground truth."""
-    return differential(definition, CACHE_MATRIX, modes, config,
-                        require_success=require_success, fault=fault,
-                        check_oracle=check_oracle)
-
-
-def fuzz_corpus(definitions: Sequence[ModuleDefinition],
-                modes: Sequence[str] = DEFAULT_FUZZ_MODES,
-                config: Optional[HanoiConfig] = None,
-                require_success: Sequence[str] = ("hanoi",),
-                fault: Optional[FaultHook] = None,
-                check_oracle: bool = True,
-                progress: Optional[Callable[[str, FuzzReport], None]] = None,
-                ) -> FuzzReport:
-    """Run a corpus serially through :func:`fuzz_module`, merging reports.
-
-    Accepts bare :class:`ModuleDefinition`\\ s or the generator's
-    :class:`~repro.gen.modgen.GeneratedModule` wrappers.
-    """
-    total = FuzzReport()
-    for definition in definitions:
-        definition = getattr(definition, "definition", definition)
-        report = fuzz_module(definition, modes=modes, config=config,
-                             require_success=require_success, fault=fault,
-                             check_oracle=check_oracle)
-        total.merge(report)
-        if progress is not None:
-            progress(definition.name, report)
-    return total

@@ -1,9 +1,9 @@
 """Human-readable pretty printing of declarations, expressions, and values.
 
 The dataclass ``__str__`` methods already render compact single-line forms;
-this module adds the multi-line OCaml-like rendering used by the examples,
-the experiment reports, and EXPERIMENTS.md (for example when printing an
-inferred invariant the way the paper presents them).
+this module adds the multi-line OCaml-like rendering used by the examples
+and the experiment reports (for example when printing an inferred invariant
+the way the paper presents them).
 """
 
 from __future__ import annotations

@@ -145,9 +145,11 @@ class DiskCacheStore:
                          section=section, key=key)
             return None
         try:
-            # The checksum already proved the payload is byte-for-byte what
-            # this process family wrote, so unpickling it is as safe as
-            # having produced it locally.
+            # The checksum only catches accidental damage: it is unkeyed
+            # and stored beside the payload, so anyone who can write the
+            # cache directory can forge a matching entry, and unpickling
+            # that entry runs their code.  Trust the directory, not the
+            # check.
             return pickle.loads(payload)
         except Exception as error:  # stale class layout, interrupted write
             self._report("unreadable disk-cache entry skipped",

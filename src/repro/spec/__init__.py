@@ -20,7 +20,7 @@ from .common import SPEC_FILE_SUFFIX, module_filename
 from .errors import SpecFileError
 from .export import export_all, export_benchmark, render_module
 from .loader import load_module_file, load_module_text
-from .pack import Pack, ensure_pack_registered, load_pack, register_pack, unregister_pack
+from .pack import Pack, load_pack, register_pack, unregister_pack
 
 __all__ = [
     "SPEC_FILE_SUFFIX",
@@ -34,6 +34,5 @@ __all__ = [
     "Pack",
     "load_pack",
     "register_pack",
-    "ensure_pack_registered",
     "unregister_pack",
 ]

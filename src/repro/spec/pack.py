@@ -8,10 +8,9 @@ registering it installs each definition in
 result store - works on pack benchmarks exactly as on the built-in 28.
 
 Registration is idempotent per resolved directory path and remembered in
-:data:`_REGISTERED`; :func:`ensure_pack_registered` is what
-``execute_task`` calls inside pool workers, so packs resolve even under a
-``spawn`` multiprocessing context where workers do not inherit the parent's
-registry mutations.
+:data:`_REGISTERED`; ``execute_task`` calls :func:`register_pack` inside pool
+workers too, so packs resolve even under a ``spawn`` multiprocessing context
+where workers do not inherit the parent's registry mutations.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from .common import SPEC_FILE_SUFFIX
 from .errors import SpecFileError
 from .loader import load_module_file
 
-__all__ = ["Pack", "load_pack", "register_pack", "ensure_pack_registered",
-           "unregister_pack"]
+__all__ = ["Pack", "load_pack", "register_pack", "unregister_pack"]
 
 
 @dataclass(frozen=True)
@@ -110,11 +108,6 @@ def register_pack(directory: str) -> Pack:
 def _factory(definition: ModuleDefinition):
     """A registry factory for an already-loaded (immutable) definition."""
     return lambda: definition
-
-
-def ensure_pack_registered(directory: str) -> Pack:
-    """Idempotently register a pack; the worker-process entry point."""
-    return register_pack(directory)
 
 
 def unregister_pack(directory: str) -> None:

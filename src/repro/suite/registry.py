@@ -91,8 +91,8 @@ FAST_BENCHMARKS: List[str] = [
     "/vfa-extended/trie-::-table",
 ]
 
-#: The paper's Figure 7 headline results, used by EXPERIMENTS.md and by the
-#: comparison report: whether Hanoi solved the benchmark within 30 minutes,
+#: The paper's Figure 7 headline results, used by ``repro list`` and by the
+#: Figure-7 report's "Paper" column: whether Hanoi solved the benchmark within 30 minutes,
 #: and the reported invariant size (None = timeout).
 PAPER_RESULTS: Dict[str, Optional[int]] = {
     "/coq/bst-::-set*": None,

@@ -11,10 +11,10 @@ derives catamorphism-style aggregate functions (the maximum, minimum, and
 count of the natural-number labels stored in a value) and exposes them to the
 term search as additional components.  The derived functions are installed
 into the module program under reserved ``fold_*`` names so that synthesized
-invariants that mention them remain executable and printable.  DESIGN.md
-documents this as a behaviour-preserving substitution: both the original
-prototype and this one extend the hypothesis space with accumulator-computed
-aggregates of the data structure.
+invariants that mention them remain executable and printable.  This is a
+substitution that keeps the prototype's behaviour (docs/modes.md, the
+``hanoi-fold`` mode): both the original prototype and this one extend the
+hypothesis space with accumulator-computed aggregates of the data structure.
 """
 
 from __future__ import annotations

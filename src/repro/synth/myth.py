@@ -20,11 +20,11 @@ equivalent component built from scratch:
   candidates (best first) so the results can be cached and replayed
   (Section 4.4).
 
-Differences from Myth proper are intentional simplifications and are
-documented in DESIGN.md: branch bodies are found either as single enumerated
-terms or as bounded conjunctions of enumerated atoms, which covers the
-invariant shapes exercised by the benchmark suite (no-duplicates, sortedness,
-heap ordering, cached-size consistency, ...).
+Differences from Myth proper are intentional simplifications: branch
+bodies are found either as single enumerated terms or as bounded
+conjunctions of enumerated atoms, which covers the invariant shapes
+exercised by the benchmark suite (no-duplicates, sortedness, heap ordering,
+cached-size consistency, ...).
 """
 
 from __future__ import annotations

@@ -14,10 +14,11 @@ grow between iterations.  Two stores exploit that:
   re-catches on every iteration.  It keeps one ``args -> outcome`` table per
   component function value: first-order module globals are one stable
   object per run (so their applications replay across iterations), while
-  the synthesizer's oracle-interpreted recursive call is a fresh
-  ``VNative`` per synthesis call (so its applications replay only within
-  one call, never against a stale oracle - the oracle's expected values
-  change as examples grow).  A pool fetches a component's table once and
+  the synthesizer's oracle-interpreted recursive call is one ``VNative``
+  per oracle mapping (``MythSynthesizer._oracle_fns``: calls with the same
+  examples share it, and a changed mapping gets a fresh one, so its
+  applications never replay against a stale oracle - the oracle's expected
+  values change as examples grow).  A pool fetches a component's table once and
   then looks up argument tuples only.
 
 * :class:`PoolMemo` reuses whole pool skeletons: when a later synthesis call
@@ -84,8 +85,8 @@ class ApplicationMemo:
 
     Outcomes live in one table per function value, keyed by the tuple of
     first-order argument values.  Function values hash by identity (module
-    globals are one object per run; a fresh oracle ``VNative`` per synthesis
-    call keys its own table) and argument values hash structurally, so a
+    globals are one object per run; each oracle mapping's ``VNative`` keys
+    its own table) and argument values hash structurally, so a
     pool that fetches a component's :meth:`table` once hashes only argument
     tuples afterwards.  ``max_entries`` bounds the entries of all tables
     together: a full memo keeps answering lookups but stops storing new
@@ -132,7 +133,7 @@ class ApplicationMemo:
         ``names`` maps ``id(fn)`` to the module-global name bound to that
         function value, so identity-hashed keys can be re-bound to the fresh
         function objects of another process.  Tables keyed by anything else
-        (the synthesizer's per-call oracle ``VNative``, enumerated function
+        (the synthesizer's per-mapping oracle ``VNative``, enumerated function
         arguments) are skipped - their identities are meaningless outside
         this run.  Output order is hash-seed-independent.
         """

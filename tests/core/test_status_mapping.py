@@ -4,7 +4,8 @@ Each of the 7 modes runs one small built-in four ways: with a zero time
 budget, with a synthesizer that raises ``SynthesisFailure``, with an
 iteration budget of one, and with a synthesizer that raises
 ``NotImplementedError``.  Each result's ``status``, ``iterations`` and
-``message`` are pinned.
+``message`` are pinned, and a result that is not a success carries no
+invariant.
 
 ``/other/nat-nat-option-::-range`` is the built-in where Hanoi's synthesis
 recovery runs out of new positives quickly (after 30 iterations), so a
@@ -75,3 +76,5 @@ def test_status_iterations_and_message(mode, scenario, monkeypatch):
     result = run_module(get_benchmark(BENCHMARK), mode=mode, config=config)
     assert (result.status, result.iterations, result.message) == EXPECTED[scenario][mode]
     assert result.mode == mode
+    if result.status != "success":
+        assert result.invariant is None

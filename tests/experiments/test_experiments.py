@@ -1,5 +1,8 @@
 """Tests for the experiment harnesses (runner, Figure 7, Figure 8, Figure 5)."""
 
+import os
+import re
+
 import pytest
 
 from repro.core.config import FAST_VERIFIER_BOUNDS, HanoiConfig
@@ -35,6 +38,16 @@ def test_modes_and_profiles_registered():
     assert quick_config(30).timeout_seconds == 30
     paper = PROFILES["paper"](None)
     assert paper.verifier_bounds.max_structures_single == 3000
+
+
+def test_docs_mode_table_names_exactly_the_modes():
+    """docs/modes.md's table is the one written copy of the mode table: it
+    names every key of MODES once, and its Figure 8 column matches."""
+    path = os.path.join(os.path.dirname(__file__), "..", "..", "docs", "modes.md")
+    with open(path, encoding="utf-8") as handle:
+        rows = re.findall(r"^\| `([^`]+)` \|.*\| (yes|no) \|$", handle.read(), re.M)
+    assert [name for name, _ in rows] == list(MODES)
+    assert [name for name, in_figure8 in rows if in_figure8 == "yes"] == FIGURE8_MODES
 
 
 def test_run_benchmark_rejects_unknown_mode():

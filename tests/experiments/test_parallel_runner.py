@@ -8,12 +8,16 @@ import pytest
 from repro import cli
 from repro.core.config import FAST_VERIFIER_BOUNDS, HanoiConfig
 from repro.core.result import Status
+from repro.experiments import parallel
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import ExperimentTask, execute_tasks, expand_tasks
 from repro.experiments.store import ResultStore
 from repro.suite import registry
 
 CONFIG = HanoiConfig(verifier_bounds=FAST_VERIFIER_BOUNDS, timeout_seconds=60)
+#: A config whose hard pool budget (timeout plus the monkeypatched grace) is
+#: short enough for a hung worker to be killed within the test.
+SHORT = HanoiConfig(verifier_bounds=FAST_VERIFIER_BOUNDS, timeout_seconds=0.5)
 SMALL = ["/coq/unique-list-::-set", "/other/sized-list"]
 
 
@@ -29,7 +33,7 @@ def test_parallel_matches_serial_results():
     assert len(parallel) == len(serial) == len(tasks)
     for par, ser, task in zip(parallel, serial, tasks):
         # Results come back in task order regardless of completion order.
-        assert (par.benchmark, par.mode) == task.key
+        assert par.key == task.key
         assert par.status == ser.status == Status.SUCCESS
         assert par.invariant_size == ser.invariant_size
         assert par.iterations == ser.iterations
@@ -41,27 +45,32 @@ def test_parallel_reports_progress_and_persists(tmp_path):
     store = ResultStore(str(tmp_path / "sweep.jsonl"))
     seen = []
     ParallelRunner(jobs=2).run(tasks, progress=seen.append, store=store)
-    assert {(r.benchmark, r.mode) for r in seen} == {t.key for t in tasks}
-    assert store.completed_pairs() == {t.key for t in tasks}
+    assert {r.key for r in seen} == {t.key for t in tasks}
+    assert {r.key for r in store.load()} == {t.key for t in tasks}
 
 
 @pytest.mark.skipif(not _has_fork(), reason="hanging-benchmark fixture needs fork")
-def test_timeout_isolation_kills_hung_worker_without_stalling_sweep():
+def test_timeout_isolation_kills_hung_worker_without_stalling_sweep(monkeypatch):
     def hanging_factory():
         time.sleep(300)
 
+    monkeypatch.setattr(parallel, "DEFAULT_TIMEOUT_GRACE", 1.5)
     registry.BENCHMARKS["/test/hang"] = hanging_factory
     try:
-        tasks = [ExperimentTask("/test/hang", "hanoi", CONFIG),
+        # The hung task carries a pack tag: the row the pool fabricates for
+        # it must carry the tag too, or --resume would not match it.
+        tasks = [ExperimentTask("/test/hang", "hanoi", SHORT, pack_name="hang-pack"),
                  ExperimentTask(SMALL[0], "hanoi", CONFIG)]
         started = time.monotonic()
-        results = ParallelRunner(jobs=2, task_timeout=2.0).run(tasks)
+        results = ParallelRunner(jobs=2).run(tasks)
         elapsed = time.monotonic() - started
     finally:
         del registry.BENCHMARKS["/test/hang"]
 
     assert results[0].status == Status.TIMEOUT
     assert "killed by the pool" in results[0].message
+    assert "hard budget 2.0s" in results[0].message
+    assert results[0].key == tasks[0].key == ("/test/hang", "hanoi", "hang-pack", None)
     # The healthy task completed normally alongside the hung one.
     assert results[1].status == Status.SUCCESS
     # The sweep did not wait out the hung worker's 300s sleep.
@@ -122,17 +131,23 @@ def test_parallel_without_sinks_does_not_stream():
 
 
 @pytest.mark.skipif(not _has_fork(), reason="hanging-benchmark fixture needs fork")
-def test_timeout_report_names_last_streamed_event():
+def test_timeout_report_names_last_streamed_event(monkeypatch):
+    from repro.obs.sinks import InMemorySink, install_sink, reset_sinks
+
     def hanging_factory():
         time.sleep(300)
 
+    monkeypatch.setattr(parallel, "DEFAULT_TIMEOUT_GRACE", 0.5)
+    monkeypatch.setattr(parallel, "DEFAULT_HEARTBEAT_INTERVAL", 0.2)
     registry.BENCHMARKS["/test/hang"] = hanging_factory
+    # An installed sink is what makes workers stream.
+    reset_sinks()
+    install_sink(InMemorySink())
     try:
-        results = ParallelRunner(
-            jobs=1, task_timeout=1.0, timeout_grace=0.5,
-            stream_events=True, heartbeat_interval=0.2,
-        ).run([ExperimentTask("/test/hang", "hanoi", CONFIG)])
+        results = ParallelRunner(jobs=1).run(
+            [ExperimentTask("/test/hang", "hanoi", SHORT)])
     finally:
+        reset_sinks()
         del registry.BENCHMARKS["/test/hang"]
 
     result = results[0]

@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import FAST_VERIFIER_BOUNDS, HanoiConfig
 from repro.core.result import InferenceResult, Status, StoredInvariant
 from repro.core.stats import InferenceStats
+from repro.experiments.report import figure7_rows
 from repro.experiments.runner import run_benchmark
 from repro.experiments.store import ResultStore
 
@@ -37,7 +38,7 @@ def test_result_dict_round_trip_preserves_everything(solved_result):
     # Events survive verbatim (the Figure-5 traces are rendered from them).
     assert restored.events == solved_result.events
     # Every Figure-7 column survives exactly, including derived means.
-    assert restored.as_row() == solved_result.as_row()
+    assert figure7_rows([restored]) == figure7_rows([solved_result])
 
 
 def test_stats_round_trip_freezes_total_time(solved_result):
@@ -54,17 +55,15 @@ def test_stats_round_trip_freezes_total_time(solved_result):
 def test_store_append_load_and_completed_pairs(tmp_path, solved_result):
     store = ResultStore(str(tmp_path / "results.jsonl"))
     assert not store.exists()
-    assert store.completed_pairs() == set()
     assert store.load() == []
 
     store.append(solved_result)
     assert store.exists()
     assert len(store) == 1
-    assert store.completed_pairs() == {(BENCHMARK, "hanoi")}
 
     loaded = store.load()
-    assert len(loaded) == 1
-    assert loaded[0].as_row() == solved_result.as_row()
+    assert [result.key for result in loaded] == [(BENCHMARK, "hanoi", None, None)]
+    assert figure7_rows(loaded) == figure7_rows([solved_result])
 
 
 def test_store_tolerates_truncated_trailing_line(tmp_path, solved_result):
@@ -74,8 +73,17 @@ def test_store_tolerates_truncated_trailing_line(tmp_path, solved_result):
     # Simulate a sweep killed mid-append: a partial JSON line at the end.
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"benchmark": "/other/rational", "mode": "han')
-    assert store.completed_pairs() == {(BENCHMARK, "hanoi")}
-    assert len(store.load()) == 1
+    assert [result.key for result in store.load()] == [(BENCHMARK, "hanoi", None, None)]
+
+
+def test_store_skips_json_lines_that_are_not_rows(tmp_path, solved_result):
+    path = tmp_path / "results.jsonl"
+    store = ResultStore(str(path))
+    store.append(solved_result)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"note": "not a result"}\n[1, 2]\n"text"\n')
+    assert [result.key for result in store.load()] == [solved_result.key]
+    assert len(store) == 1
 
 
 def test_store_later_entries_supersede_earlier_ones(tmp_path, solved_result):
@@ -97,7 +105,8 @@ def test_pack_benchmark_does_not_collide_with_same_named_builtin(tmp_path, solve
     ResultStore(path).append(solved_result)
     packed = InferenceResult.from_dict(solved_result.to_dict())
     packed.message = "from the pack"
-    ResultStore(path, pack="my-pack").append(packed)
+    packed.pack = "my-pack"
+    ResultStore(path).append(packed)
 
     store = ResultStore(path)
     loaded = store.load()
@@ -106,24 +115,21 @@ def test_pack_benchmark_does_not_collide_with_same_named_builtin(tmp_path, solve
     assert by_pack[None].message == solved_result.message
     assert by_pack["my-pack"].message == "from the pack"
 
-    assert store.completed_keys() == {
+    assert {result.key for result in loaded} == {
         (BENCHMARK, "hanoi", None, None),
         (BENCHMARK, "hanoi", "my-pack", None),
     }
-    # The pack-blind view still collapses them (legacy callers).
-    assert store.completed_pairs() == {(BENCHMARK, "hanoi")}
 
 
 def test_pack_rows_supersede_within_their_pack_only(tmp_path, solved_result):
     path = str(tmp_path / "results.jsonl")
-    pack_store = ResultStore(path, pack="my-pack")
-    first = InferenceResult.from_dict(solved_result.to_dict())
-    first.message = "first pack run"
-    pack_store.append(first)
-    second = InferenceResult.from_dict(solved_result.to_dict())
-    second.message = "second pack run"
-    pack_store.append(second)
-    ResultStore(path).append(solved_result)
+    store = ResultStore(path)
+    for message in ("first pack run", "second pack run"):
+        packed = InferenceResult.from_dict(solved_result.to_dict())
+        packed.message = message
+        packed.pack = "my-pack"
+        store.append(packed)
+    store.append(solved_result)
 
     loaded = ResultStore(path).load()
     assert len(loaded) == 2
@@ -133,19 +139,21 @@ def test_pack_rows_supersede_within_their_pack_only(tmp_path, solved_result):
 
 def test_task_resume_keys_distinguish_packs(solved_result):
     from repro.experiments.runner import ExperimentTask, expand_tasks
+    from repro.spec.pack import Pack
 
     builtin = ExperimentTask(benchmark=BENCHMARK, mode="hanoi")
     packed = ExperimentTask(benchmark=BENCHMARK, mode="hanoi",
                             pack="/tmp/my-pack", pack_name="my-pack")
-    assert builtin.key == packed.key  # the pack-blind identity
-    assert builtin.resume_key != packed.resume_key
-    assert packed.resume_key == (BENCHMARK, "hanoi", "my-pack", None)
+    assert builtin.key != packed.key
+    assert packed.key == (BENCHMARK, "hanoi", "my-pack", None)
+    # A task's key is the key of the result it produces.
+    assert builtin.key == solved_result.key
 
     # expand_tasks tags only the pack's benchmarks with the pack name.
-    tasks = expand_tasks([BENCHMARK, "pack-only"], modes="hanoi",
-                         pack="/tmp/my-pack", pack_benchmarks=["pack-only"])
+    pack = Pack(name="my-pack", path="/tmp/my-pack", definitions={"pack-only": None})
+    tasks = expand_tasks([BENCHMARK, "pack-only"], modes="hanoi", pack=pack)
     keyed = {task.benchmark: task for task in tasks}
-    assert keyed[BENCHMARK].resume_key == (BENCHMARK, "hanoi", None, None)
-    assert keyed["pack-only"].resume_key == ("pack-only", "hanoi", "my-pack", None)
+    assert keyed[BENCHMARK].key == (BENCHMARK, "hanoi", None, None)
+    assert keyed["pack-only"].key == ("pack-only", "hanoi", "my-pack", None)
     # Both carry the pack path so pool workers can register it.
     assert all(task.pack == "/tmp/my-pack" for task in tasks)

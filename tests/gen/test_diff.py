@@ -18,8 +18,7 @@ from repro.gen.diff import (
     CACHE_MATRIX,
     FAULT_ENV_VAR,
     compare_stored,
-    fuzz_corpus,
-    fuzz_module,
+    differential,
     outcome_fingerprint,
 )
 from repro.gen.modgen import generate_corpus, generate_module
@@ -92,8 +91,9 @@ def test_fingerprint_ignores_stats():
 
 
 def test_clean_generated_module_fuzzes_ok(fast_config, module_zero):
-    report = fuzz_module(module_zero.definition, modes=("hanoi",),
-                         config=fast_config)
+    report = differential(module_zero.definition, CACHE_MATRIX, ("hanoi",),
+                          fast_config, require_success=("hanoi",),
+                          check_oracle=True)
     assert report.ok, report.summary()
     assert report.runs == len(CACHE_MATRIX.members)
     assert report.benchmarks == [module_zero.name]
@@ -106,9 +106,8 @@ def test_fault_hook_surfaces_as_mismatch(fast_config, module_zero):
             return dict(fingerprint, status="fault-injected")
         return fingerprint
 
-    report = fuzz_module(module_zero.definition, modes=("hanoi",),
-                         config=fast_config, require_success=(),
-                         check_oracle=False, fault=corrupt)
+    report = differential(module_zero.definition, CACHE_MATRIX, ("hanoi",),
+                          fast_config, fault=corrupt)
     assert not report.ok
     assert len(report.mismatches) == 1
     described = report.mismatches[0].describe()
@@ -119,29 +118,19 @@ def test_env_fault_hook_targets_named_operation(fast_config, module_zero,
                                                 monkeypatch):
     operation = module_zero.definition.operations[0].name
     monkeypatch.setenv(FAULT_ENV_VAR, operation)
-    report = fuzz_module(module_zero.definition, modes=("hanoi",),
-                         config=fast_config, require_success=(),
-                         check_oracle=False)
+    report = differential(module_zero.definition, CACHE_MATRIX, ("hanoi",),
+                          fast_config)
     assert len(report.mismatches) == 1
     monkeypatch.setenv(FAULT_ENV_VAR, "no_module_defines_this")
-    report = fuzz_module(module_zero.definition, modes=("hanoi",),
-                         config=fast_config, require_success=(),
-                         check_oracle=False)
+    report = differential(module_zero.definition, CACHE_MATRIX, ("hanoi",),
+                          fast_config)
     assert report.ok
-
-
-def test_fuzz_corpus_accepts_generated_wrappers(fast_config, module_zero):
-    seen = []
-    report = fuzz_corpus([module_zero], modes=("hanoi",), config=fast_config,
-                         progress=lambda name, rep: seen.append(name))
-    assert report.ok
-    assert seen == [module_zero.name]
 
 
 def test_non_inductive_ground_truth_is_reported(fast_config):
     definition = load_module_text(NON_INDUCTIVE_MODULE, path="<dup>")
-    report = fuzz_module(definition, modes=(), config=fast_config,
-                         require_success=())
+    report = differential(definition, CACHE_MATRIX, (), fast_config,
+                          check_oracle=True)
     assert [f.reason for f in report.oracle_failures] == [
         "ground-truth invariant is not inductive"]
 
@@ -201,9 +190,11 @@ def test_compare_stored_reports_unparsable_invariant(fast_config, module_zero,
 @pytest.mark.skipif(not os.environ.get("FUZZ_FULL"),
                     reason="deep in-process sweep; set FUZZ_FULL=1 (nightly CI)")
 def test_deep_corpus_differential_sweep(fast_config):
-    report = fuzz_corpus(generate_corpus(1, 8), modes=("hanoi", "oneshot"),
-                         config=fast_config)
-    assert report.ok, report.describe()
+    for module in generate_corpus(1, 8):
+        report = differential(module.definition, CACHE_MATRIX, ("hanoi", "oneshot"),
+                              fast_config, require_success=("hanoi",),
+                              check_oracle=True)
+        assert report.ok, report.describe()
 
 
 def test_compare_stored_requires_success_when_asked(module_zero):

@@ -161,3 +161,31 @@ def test_infer_too_deep_file_prints_error_not_traceback(tmp_path):
     assert completed.returncode != 0
     assert "error:" in completed.stderr
     assert "Traceback" not in completed.stdout + completed.stderr
+
+
+CONFIG_FLAGS = ["--profile", "paper", "--timeout", "5", "--no-eval-cache",
+                "--no-pool-cache", "--cache-dir", "store"]
+
+
+def test_config_flags_mean_the_same_for_run_figure8_and_infer():
+    from repro.cli import _config_from_args, build_parser
+    from repro.experiments.runner import paper_config
+
+    parser = build_parser()
+    configs = [_config_from_args(parser.parse_args(argv + CONFIG_FLAGS))
+               for argv in (["run"], ["figure8"], ["infer", STACK])]
+    expected = (paper_config(5).without_evaluation_caching()
+                .without_synthesis_evaluation_caching().with_cache_dir("store"))
+    assert configs == [expected] * 3
+
+
+def test_fuzz_config_takes_only_the_profile_flags():
+    from repro.cli import _config_from_args, build_parser
+    from repro.experiments.runner import paper_config
+
+    parser = build_parser()
+    args = parser.parse_args(["fuzz", "--profile", "paper", "--timeout", "5"])
+    assert _config_from_args(args) == paper_config(5)
+    # The cache switches are what fuzz sweeps, so it does not take them.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["fuzz", "--no-eval-cache"])

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.result import InferenceResult, Status
 from repro.core.stats import InferenceStats
-from repro.experiments.runner import execute_task, expand_tasks
+from repro.experiments.runner import execute_task, execute_tasks, expand_tasks
 from repro.experiments.store import ResultStore
 from repro.spec import SpecFileError, load_pack, register_pack, unregister_pack
 from repro.suite import registry
@@ -127,17 +127,19 @@ def test_register_pack_rejects_name_collision_with_builtin(tmp_path):
 
 def test_tasks_resolve_pack_benchmarks(registered):
     tasks = expand_tasks(registered.benchmark_names, modes="oneshot",
-                         pack=registered.path)
+                         pack=registered)
     assert [t.benchmark for t in tasks] == ["/pack/counter", "/pack/toggle"]
     assert all(t.pack == registered.path for t in tasks)
+    assert all(t.pack_name == "mypack" for t in tasks)
     result = execute_task(tasks[0])
     assert result.benchmark == "/pack/counter"
+    assert result.key == tasks[0].key
 
 
 def test_execute_task_registers_pack_on_demand(pack_dir):
     # Simulates a spawn-context worker: the registry has never seen the pack.
     unregister_pack(pack_dir)
-    task = expand_tasks(["/pack/toggle"], modes="oneshot", pack=pack_dir)[0]
+    task = expand_tasks(["/pack/toggle"], modes="oneshot", pack=load_pack(pack_dir))[0]
     try:
         result = execute_task(task)
         assert result.benchmark == "/pack/toggle"
@@ -151,12 +153,13 @@ def _result(benchmark):
                            stats=InferenceStats())
 
 
-def test_store_tags_pack_results(tmp_path):
+def test_store_tags_pack_results(tmp_path, registered):
+    """A mixed built-in + pack sweep tags only the pack's rows."""
     path = str(tmp_path / "results.jsonl")
-    store = ResultStore(path, pack="mypack",
-                        pack_benchmarks=["/pack/counter"])
-    store.append(_result("/pack/counter"))
-    store.append(_result("/coq/unique-list-::-set"))
+    store = ResultStore(path)
+    tasks = expand_tasks(["/pack/counter", "/other/sized-list"], modes="oneshot",
+                         pack=registered)
+    execute_tasks(tasks, store=store)
 
     records = [json.loads(line) for line in open(path, encoding="utf-8")]
     assert records[0]["pack"] == "mypack"
@@ -164,7 +167,8 @@ def test_store_tags_pack_results(tmp_path):
 
     by_name = {r.benchmark: r for r in store.load()}
     assert by_name["/pack/counter"].pack == "mypack"
-    assert by_name["/coq/unique-list-::-set"].pack is None
+    assert by_name["/other/sized-list"].pack is None
+    assert [r.key for r in store.load()] == [task.key for task in tasks]
 
 
 def test_store_without_pack_is_untagged(tmp_path):
