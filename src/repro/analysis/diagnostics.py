@@ -18,7 +18,8 @@ HAN003    warning   definition unused by the module interface
 HAN004    warning   recursive definition without a provable structural
                     decrease (possible non-termination under evaluation)
 HAN005    info      synthesis component that can never appear in a term
-                    of the goal type (pruned before pool construction)
+                    of the goal type: exactly the set the synthesizer
+                    drops before pool construction
 ========  ========  ====================================================
 
 Severities: ``error`` (the module is unusable), ``warning`` (runtime

@@ -6,7 +6,9 @@ checks the module source, then runs:
 
 * match exhaustiveness / unreachable branches (HAN001, HAN002),
 * call-graph reachability and structural recursion (HAN003, HAN004),
-* component-usefulness reachability for the synthesis goal (HAN005),
+* component-usefulness reachability for the synthesis goal (HAN005): the
+  components :func:`repro.synth.myth.interface_components` finds useless,
+  which are exactly the ones the synthesizer drops,
 * the module's structural content key (:mod:`repro.analysis.canon`),
   reported as its ``content_hash``.
 
@@ -21,18 +23,17 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..core.module import ModuleDefinition
-from ..lang.ast import FunDecl, free_vars
+from ..lang.ast import FunDecl
 from ..lang.errors import LangError
-from ..lang.parser import parse_program
 from ..lang.program import Program
 from ..lang.typecheck import TypeChecker
-from ..lang.types import TArrow, TData, Type
+from ..lang.types import TData
 from ..obs import NULL_EMITTER
+from ..synth.myth import interface_components
 from .callgraph import scan_module_declarations
 from .canon import canonical_hash
 from .diagnostics import Diagnostic, worst_severity
 from .matches import scan_declaration
-from .reachability import split_components
 
 __all__ = ["AnalysisReport", "analyze_definition", "analyze_file"]
 
@@ -63,64 +64,6 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _Component:
-    """A (name, signature) view satisfying the reachability protocol."""
-
-    name: str
-    argument_types: Tuple[Type, ...]
-    result_type: Type
-
-
-def _uncurry_signature(signature: Type) -> Tuple[Tuple[Type, ...], Type]:
-    args: List[Type] = []
-    while isinstance(signature, TArrow):
-        args.append(signature.arg)
-        signature = signature.result
-    return tuple(args), signature
-
-
-def _first_order(args: Tuple[Type, ...], result: Type) -> bool:
-    return not isinstance(result, TArrow) and \
-        not any(isinstance(a, TArrow) for a in args)
-
-
-def interface_components(definition: ModuleDefinition,
-                         program: Program) -> List[_Component]:
-    """The first-order synthesis components, as signature views, plus the
-    synthetic recursive-invariant component the synthesizer always adds."""
-    components: List[_Component] = []
-    for name in definition.synthesis_components:
-        signature = program.types.globals.get(name)
-        if signature is None:
-            continue
-        args, result = _uncurry_signature(signature)
-        if _first_order(args, result):
-            components.append(_Component(name, args, result))
-    components.append(_Component(
-        "<invariant>", (definition.concrete_type,), GOAL_TYPE))
-    return components
-
-
-def _oracle_references(definition: ModuleDefinition) -> List[str]:
-    """Names the expected-invariant oracle block references.
-
-    The oracle is part of the definition (the test suite typechecks it
-    against the module program), so module functions it calls are live
-    even when no interface root reaches them."""
-    if not definition.expected_invariant:
-        return []
-    try:
-        oracle_decls = parse_program(definition.expected_invariant)
-    except LangError:
-        return []
-    names: List[str] = []
-    for decl in oracle_decls:
-        if isinstance(decl, FunDecl):
-            names.extend(free_vars(decl.body))
-    return names
-
-
 def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
                        emitter=NULL_EMITTER) -> AnalysisReport:
     """Run all analysis passes over one module definition."""
@@ -146,31 +89,21 @@ def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
                     diagnostics.extend(scan_declaration(checker, decl))
 
         with emitter.span("analysis-callgraph", cat="analysis"):
-            roots = ([op.name for op in definition.operations]
-                     + [definition.spec_name]
-                     + list(definition.synthesis_components)
-                     + list(definition.helper_functions)
-                     + _oracle_references(definition))
-            diagnostics.extend(scan_module_declarations(decls, roots))
+            diagnostics.extend(scan_module_declarations(
+                decls, definition.interface_roots))
 
         with emitter.span("analysis-components", cat="analysis"):
-            components = interface_components(definition, program)
-            _, dropped = split_components(
-                components, [definition.concrete_type], program.types,
-                GOAL_TYPE, destructure=True)
+            components, unusable = interface_components(program, definition)
             decl_lines = {d.name: d.line for d in decls
                           if isinstance(d, FunDecl)}
-            pruned = tuple(c.name for c in dropped if c.name != "<invariant>")
-            for component in dropped:
-                if component.name == "<invariant>":
-                    continue
+            pruned = tuple(c.name for c in components if c.name in unusable)
+            for name in pruned:
                 diagnostics.append(Diagnostic(
                     "HAN005",
-                    f"synthesis component {component.name!r} can never "
+                    f"synthesis component {name!r} can never "
                     f"appear in a term of type {GOAL_TYPE}: its result "
                     f"feeds no goal-reaching signature",
-                    line=decl_lines.get(component.name),
-                    decl=component.name))
+                    line=decl_lines.get(name), decl=name))
 
         with emitter.span("analysis-canon", cat="analysis"):
             content_hash = canonical_hash(definition, decls)

@@ -17,23 +17,25 @@ This pass computes two fixpoints over the *declared signatures* only:
   useful when its result feeds the goal (directly or through other useful
   components' arguments) *and* all of its arguments are constructible.
 
-``prune_components`` keeps exactly the useful components.  Because both
-closures over-approximate, the surviving set is a superset of the
+``split_components`` separates the useful components from the rest, order
+preserved, and the synthesizer keeps the useful ones
+(:func:`repro.synth.myth.interface_components`).  Because both closures
+over-approximate, the surviving set is a superset of the
 components that can actually appear in any well-typed pool term, which is
 what makes replacing the component list with the pruned one sound: the
 enumerated term streams — and hence the inferred invariants — are
 identical.  The equivalence is additionally checked empirically across the
-built-in suite (``tests/analysis/test_reachability.py``).
+built-in suite (``tests/analysis/test_pruning.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from ..lang.typecheck import TypeEnvironment
 from ..lang.types import TData, TProd, Type
 
-__all__ = ["constructible_types", "split_components", "prune_components"]
+__all__ = ["constructible_types", "split_components"]
 
 
 def _destructured(seeds: Iterable[Type], env: TypeEnvironment) -> Set[Type]:
@@ -109,12 +111,3 @@ def split_components(components: Sequence[object], seeds: Iterable[Type],
     dropped = [c for i, c in enumerate(components) if i not in useful]
     return kept, dropped
 
-
-def prune_components(components: Sequence[object], seeds: Iterable[Type],
-                     env: TypeEnvironment, goal: Type,
-                     destructure: bool = False) -> List[object]:
-    """The components that can contribute to a term of ``goal`` — order
-    preserved, so downstream enumeration order is unchanged."""
-    kept, _ = split_components(components, seeds, env, goal,
-                               destructure=destructure)
-    return kept

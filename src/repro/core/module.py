@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
+from ..lang.ast import FunDecl, free_vars
+from ..lang.errors import LangError
 from ..lang.parser import parse_program
 from ..lang.prelude import DEFAULT_SYNTHESIS_COMPONENTS
 from ..lang.program import Program
 from ..lang.types import (
-    TArrow,
     Type,
     arrow_args,
     arrow_result,
@@ -61,11 +62,6 @@ class Operation:
     def produces_abstract(self) -> bool:
         """True when the operation can return values of the abstract type."""
         return mentions_abstract(self.result_type)
-
-    @property
-    def consumes_abstract(self) -> bool:
-        """True when some argument position mentions the abstract type."""
-        return any(mentions_abstract(t) for t in self.argument_types)
 
 
 @dataclass(frozen=True)
@@ -137,19 +133,31 @@ class ModuleDefinition:
         return tuple(parse_program(self.source))
 
     @property
-    def has_higher_order_operations(self) -> bool:
-        """True when some operation takes a functional argument."""
-        return any(
-            isinstance(t, TArrow) for op in self.operations for t in op.argument_types
-        )
+    def interface_roots(self) -> Tuple[str, ...]:
+        """The names the module's interface reaches directly: operations,
+        the specification, synthesis components, helpers, and the free
+        names of the expected-invariant oracle (minus each oracle
+        function's parameters and its own name).
 
-    @property
-    def has_binary_operations(self) -> bool:
-        """True when some operation takes two or more abstract arguments."""
-        return any(
-            sum(1 for t in op.argument_types if mentions_abstract(t)) >= 2
-            for op in self.operations
-        )
+        The oracle is part of the definition (the test suite type checks it
+        against the module program), so module functions it calls are live.
+        An oracle that does not parse pins nothing down.  Lint's HAN003 and
+        the shrinker's dead-declaration pass both walk from these roots.
+        """
+        roots = [op.name for op in self.operations]
+        roots.append(self.spec_name)
+        roots.extend(self.synthesis_components)
+        roots.extend(self.helper_functions)
+        if self.expected_invariant:
+            try:
+                oracle = parse_program(self.expected_invariant)
+            except LangError:
+                oracle = []
+            for decl in oracle:
+                if isinstance(decl, FunDecl):
+                    bound = {name for name, _ in decl.params} | {decl.name}
+                    roots.extend(sorted(free_vars(decl.body) - bound))
+        return tuple(roots)
 
     @property
     def spec_abstract_arity(self) -> int:
@@ -203,24 +211,10 @@ class ModuleInstance:
     def operation_value(self, op: Operation) -> Value:
         return self.program.global_value(op.name)
 
-    def operation_concrete_signature(self, op: Operation) -> Type:
-        """The operation's type with the abstract type replaced by ``tau_c``."""
-        return substitute_abstract(op.signature, self.concrete_type)
-
-    def spec_value(self) -> Value:
-        return self.program.global_value(self.definition.spec_name)
-
     def spec_concrete_signature(self) -> Tuple[Type, ...]:
         return tuple(
             substitute_abstract(t, self.concrete_type) for t in self.definition.spec_signature
         )
-
-    def component_types(self) -> Dict[str, Type]:
-        """Concrete types of every synthesis component (for the synthesizer)."""
-        return {
-            name: self.program.global_type(name)
-            for name in self.definition.synthesis_components
-        }
 
     def call_spec(self, *args: Value) -> Value:
         return self.program.call(self.definition.spec_name, *args)

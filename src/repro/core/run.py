@@ -8,9 +8,9 @@ the value enumerator, the verifier, the conditional-inductiveness checker,
 the optional evaluation and pool caches, the synthesizer, the stats and the
 deadline - and runs the loop the same way for every mode: it counts the
 iterations (:meth:`InferenceRun._step`), maps how the loop stopped to a
-status, and records the run in one ``run`` span enclosing ``run-start`` and
-``run-end`` (which carries the final
-:meth:`~repro.core.stats.InferenceStats.counters`).  A mode subclasses it
+status, owns the run's evaluator memo table, and records the run in one
+``run`` span enclosing ``run-start`` and ``run-end`` (which carries the
+final :meth:`~repro.core.stats.InferenceStats.counters`).  A mode subclasses it
 and supplies only its loop body, as ``_infer``.
 """
 
@@ -21,6 +21,7 @@ from typing import Callable, List, Optional
 from ..enumeration.functions import FunctionEnumerator
 from ..enumeration.values import ValueEnumerator
 from ..inductive.relation import ConditionalInductivenessChecker
+from ..lang.eval import memo_table
 from ..obs.sinks import emitter_for_run
 from ..synth.base import SynthesisFailure
 from ..synth.myth import MythSynthesizer
@@ -126,19 +127,26 @@ class InferenceRun:
         return result
 
     def _traced(self, body: Callable[[], InferenceResult]) -> InferenceResult:
-        """Run ``body`` inside the ``run`` span, between ``run-start`` and
-        ``run-end``; with tracing off, just run it."""
-        emitter = self.emitter
-        if not emitter.enabled:
-            return body()
-        identity = {"benchmark": self.definition.name, "mode": self.mode_name}
-        with emitter.span("run", identity, cat="run"):
-            emitter.emit("run-start", identity, cat="run")
-            result = body()
-            emitter.emit("run-end", {"status": result.status,
-                                     "iterations": result.iterations,
-                                     "stats": self.stats.counters()}, cat="run")
-        return result
+        """Run ``body`` over the run's memo table, inside the ``run`` span,
+        between ``run-start`` and ``run-end``; with tracing off, no span.
+
+        The table (:func:`repro.lang.eval.memo_table`) opens here, so every
+        entry point (``infer_invariant``, a mode, ``run_module``) memoizes
+        the same way; it is dropped on return or on a raise, because the
+        result keeps the module's program alive.
+        """
+        with memo_table():
+            emitter = self.emitter
+            if not emitter.enabled:
+                return body()
+            identity = {"benchmark": self.definition.name, "mode": self.mode_name}
+            with emitter.span("run", identity, cat="run"):
+                emitter.emit("run-start", identity, cat="run")
+                result = body()
+                emitter.emit("run-end", {"status": result.status,
+                                         "iterations": result.iterations,
+                                         "stats": self.stats.counters()}, cat="run")
+            return result
 
     def _result(self, status: str, invariant: Optional[object],
                 message: str = "") -> InferenceResult:

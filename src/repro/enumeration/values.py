@@ -76,10 +76,6 @@ class ValueEnumerator:
         """The ``count`` smallest values of ``ty`` (bounded by ``max_size``)."""
         return list(self.enumerate(ty, max_size=max_size, max_count=count))
 
-    def count_up_to(self, ty: Type, max_size: int) -> int:
-        """How many values of ``ty`` have at most ``max_size`` nodes."""
-        return sum(len(self.values_of_size(ty, s)) for s in range(1, max_size + 1))
-
     def size_bound(self, ty: Type) -> Optional[int]:
         """The largest node count any value of ``ty`` can have.
 

@@ -21,7 +21,6 @@ from ..core.hanoi import HanoiInference
 from ..core.module import ModuleDefinition
 from ..core.result import InferenceResult
 from ..core.run import InferenceRun, SynthesizerFactory
-from ..lang.eval import memo_table
 from ..spec.pack import Pack, register_pack
 from ..suite.registry import all_benchmark_names, get_benchmark
 from ..synth.folds import FoldSynthesizer
@@ -105,16 +104,15 @@ def run_module(definition: ModuleDefinition, mode: str = "hanoi",
                config: Optional[HanoiConfig] = None) -> InferenceResult:
     """Run one module definition (registered or hand-built) under one mode.
 
-    This is the single dispatch point every harness goes through: the serial
-    runner, the parallel runner's workers, the ``perfbench/`` workloads, and
-    the examples all end up here.  Every mode runs with a memo table open
-    (:func:`repro.lang.eval.memo_table`); it is dropped on return, because the
-    result keeps the module's program alive.
+    This is the dispatch point the serial runner, the parallel runner's
+    workers, the ``perfbench/`` workloads and ``examples/quickstart.py`` go
+    through.  The run owns its
+    evaluator memo table (:meth:`repro.core.run.InferenceRun._traced`), so a
+    mode called directly, or ``infer_invariant``, memoizes the same way.
     """
     if mode not in MODES:
         raise KeyError(f"unknown mode {mode!r}; known: {sorted(MODES)}")
-    with memo_table():
-        return MODES[mode](definition, config or quick_config())
+    return MODES[mode](definition, config or quick_config())
 
 
 # -- the shared task model ------------------------------------------------------

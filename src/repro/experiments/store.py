@@ -76,7 +76,8 @@ class ResultStore:
     def load(self) -> List[InferenceResult]:
         """Every stored result, in file (completion) order.
 
-        Later entries win over earlier ones for the same
+        A row sits where its key was last written.  Later entries win over
+        earlier ones for the same
         :attr:`~repro.core.result.InferenceResult.key`, ``(benchmark, mode,
         pack, variant)``, so re-running a pair into the same store supersedes
         its old row.  The pack tag is part of the key: a pack
@@ -87,6 +88,7 @@ class ResultStore:
         by_key = {}
         for record in self._iter_records():
             result = InferenceResult.from_dict(record)
+            by_key.pop(result.key, None)
             by_key[result.key] = result
         return list(by_key.values())
 

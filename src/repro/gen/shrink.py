@@ -9,8 +9,10 @@ oracle rejects - the raw generated module is rarely the smallest witness.
 * drop an interface operation (always keeping at least one);
 * drop a helper function or an extra synthesis component;
 * clear the expected invariant and the description;
-* delete object-language function declarations that nothing reachable uses
-  (dead code left behind by the earlier removals).
+* delete object-language function declarations the interface does not reach
+  (:attr:`ModuleDefinition.interface_roots` walked by
+  :func:`repro.analysis.callgraph.unused_definitions`; dead code left behind
+  by the earlier removals).
 
 Every candidate is validated by rendering it with
 :func:`repro.spec.export.render_module` and re-loading the text through
@@ -26,12 +28,12 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
+from ..analysis.callgraph import unused_definitions
 from ..core.module import ModuleDefinition
-from ..lang.ast import FunDecl, free_vars
+from ..lang.ast import FunDecl
 from ..lang.errors import LangError
-from ..lang.parser import parse_program
 from ..lang.prelude import DEFAULT_SYNTHESIS_COMPONENTS
 from ..spec.common import module_filename
 from ..spec.errors import SpecFileError
@@ -70,58 +72,16 @@ def _source_blocks(source: str) -> List[Tuple[Optional[str], str]]:
     return [(name, "\n".join(lines).strip("\n")) for name, lines in blocks]
 
 
-def _decl_dependencies(source: str) -> Dict[str, frozenset]:
-    """Free global names used by each top-level function declaration."""
-    deps: Dict[str, frozenset] = {}
-    for decl in parse_program(source):
-        if isinstance(decl, FunDecl):
-            bound = {name for name, _ in decl.params} | {decl.name}
-            deps[decl.name] = free_vars(decl.body) - frozenset(bound)
-    return deps
-
-
-def _reachable_functions(definition: ModuleDefinition) -> frozenset:
-    """Function names transitively reachable from the module's interface.
-
-    Roots are the operations, the specification, the synthesis components and
-    helper functions, and anything the expected invariant mentions.  Type
-    declarations are never considered dead - constructor reachability is not
-    tracked, and keeping them is always safe.
-    """
-    deps = _decl_dependencies(definition.source)
-    roots = set(op.name for op in definition.operations)
-    roots.add(definition.spec_name)
-    roots.update(definition.synthesis_components)
-    roots.update(definition.helper_functions)
-    if definition.expected_invariant:
-        try:
-            for decl in parse_program(definition.expected_invariant):
-                if isinstance(decl, FunDecl):
-                    bound = {name for name, _ in decl.params} | {decl.name}
-                    roots.update(free_vars(decl.body) - frozenset(bound))
-        except LangError:
-            # An unparsable oracle cannot pin anything down; the candidate
-            # validator decides whether the module still loads without it.
-            pass
-    seen = set()
-    frontier = [name for name in roots if name in deps]
-    while frontier:
-        name = frontier.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        frontier.extend(dep for dep in deps[name] if dep in deps and dep not in seen)
-    return frozenset(seen)
-
-
 def _without_dead_decls(definition: ModuleDefinition) -> Optional[ModuleDefinition]:
-    """Drop unreachable function declarations from the source, if any."""
+    """Drop the function declarations the interface does not reach, if any.
+
+    Type declarations are never dropped: keeping them is always safe."""
     try:
-        reachable = _reachable_functions(definition)
-        deps = _decl_dependencies(definition.source)
+        decls = definition.declarations
     except LangError:
         return None
-    dead = {name for name in deps if name not in reachable}
+    dead = {decl.name for decl in unused_definitions(decls, definition.interface_roots)
+            if isinstance(decl, FunDecl)}
     if not dead:
         return None
     kept = [text for name, text in _source_blocks(definition.source)

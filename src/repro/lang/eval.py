@@ -36,7 +36,7 @@ replaced, is its test oracle.  A native function value
 (:class:`~repro.lang.values.VNative`) is applied by calling its callable.
 
 Applications of first-order top-level functions are memoized while a memo
-table is open (:func:`memo_table`; ``runner.run_module`` opens one per run),
+table is open (:func:`memo_table`; every inference run opens its own),
 after Michie's memo functions (*Nature*, 1968).  The program marks the code of
 the innermost body of such a function's curried chain; its parameter and
 result types admit no function values, so the key ``(code, captured values,

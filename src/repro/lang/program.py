@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ast import EFun, Expr, FunDecl, TypeDecl, expr_size
+from .ast import EFun, Expr, FunDecl, TypeDecl
 from .errors import TypeError_
 from .eval import DEFAULT_FUEL, EvalBudget, Evaluator
 from .parser import parse_program
@@ -126,14 +126,6 @@ class Program:
             if isinstance(decl, FunDecl):
                 self.evaluator.globals[decl.name] = self._compile_fun(decl)
 
-    def define_function(self, decl: FunDecl) -> Value:
-        """Type check and install a programmatically-built function declaration."""
-        self._checker.check_declarations([decl])
-        self.declarations.append(decl)
-        value = self._compile_fun(decl)
-        self.evaluator.globals[decl.name] = value
-        return value
-
     def _compile_fun(self, decl: FunDecl) -> Value:
         """Turn a top-level definition into a runtime value.
 
@@ -201,12 +193,3 @@ class Program:
         """Evaluate an expression against the program's globals."""
         budget = EvalBudget(fuel if fuel is not None else self.evaluator.default_fuel)
         return self.evaluator.eval(expr, env, budget)
-
-    # -- reporting ---------------------------------------------------------------------
-
-    def function_size(self, name: str) -> int:
-        """AST size of a top-level definition (body plus one node per parameter)."""
-        for decl in self.declarations:
-            if isinstance(decl, FunDecl) and decl.name == name:
-                return expr_size(decl.body) + len(decl.params) + 1
-        raise TypeError_(f"unknown global: {name}")

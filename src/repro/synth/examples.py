@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..lang.typecheck import TypeEnvironment
 from ..lang.types import TData, TProd, Type
-from ..lang.values import Value, VCtor, VTuple, value_order, value_size
+from ..lang.values import Value, VCtor, VTuple, value_order
 from .base import SynthesisFailure
 
 __all__ = ["ExampleOracle", "subvalues_at_type"]
@@ -105,10 +105,6 @@ class ExampleOracle:
 
     def lookup(self, value: Value) -> Optional[bool]:
         return self.mapping.get(value)
-
-    @property
-    def all_values(self) -> List[Value]:
-        return sorted(self.mapping, key=value_size)
 
     def consistent(self, predicate) -> bool:
         """Is a predicate consistent with the original (non-padded) examples?"""

@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.reachability import split_components
 from ..core.config import Deadline, SynthesisBounds
-from ..core.module import ModuleInstance
+from ..core.module import ModuleDefinition, ModuleInstance
 from ..core.predicate import INVARIANT_NAME, Predicate
 from ..core.stats import InferenceStats
 from ..enumeration.ordering import diagonal_product
@@ -51,6 +51,7 @@ from ..lang.ast import (
     expr_size,
     free_vars,
 )
+from ..lang.program import Program
 from ..lang.types import TArrow, TData, TProd, Type, arrow
 from ..lang.values import FALSE, TRUE, Value, VCtor, VNative, VTuple, v_bool, value_size
 from ..obs.events import NULL_EMITTER
@@ -59,7 +60,7 @@ from .bottomup import TermPool, TypedComponent
 from .examples import ExampleOracle
 from .poolcache import SynthesisEvaluationCache
 
-__all__ = ["MythSynthesizer"]
+__all__ = ["MythSynthesizer", "interface_components"]
 
 #: Maximum branch-body candidates kept per branch before combining branches.
 _PER_BRANCH_CANDIDATES = 4
@@ -93,10 +94,10 @@ class MythSynthesizer:
         #: mappings lets the pool cache replay recursive-call pools across
         #: synthesize() calls whose examples did not change.
         self._oracle_fns: Dict[frozenset, Value] = {}
-        #: Memoized reachability pruning: component-name set it was computed
-        #: for, and the unusable names it found.
-        self._unusable_for: Optional[frozenset] = None
-        self._unusable: frozenset = frozenset()
+        #: The usable first-order components, worked out on the first pool
+        #: (not here: the run attaches its emitter after construction, and the
+        #: ``components-pruned`` event belongs in its trace).
+        self._fixed_components: Optional[Tuple[TypedComponent, ...]] = None
         self.param = self._fresh_name("x")
 
     # -- public API ----------------------------------------------------------------
@@ -410,53 +411,30 @@ class MythSynthesizer:
     # -- components -------------------------------------------------------------------------
 
     def _components(self, decreasing: frozenset) -> List[TypedComponent]:
-        components: List[TypedComponent] = []
-        names = list(self.instance.definition.synthesis_components)
-        names.extend(
-            name for name in self.instance.definition.helper_functions if name not in names
-        )
-        for name in names:
-            signature = self.program.global_type(name)
-            if _is_first_order_function(signature):
-                components.append(
-                    TypedComponent(name, signature, self.program.global_value(name))
-                )
-        for name, (signature, fn) in self.extra_components.items():
-            if _is_first_order_function(signature):
-                components.append(TypedComponent(name, signature, fn))
-        if self.bounds.component_pruning:
-            unusable = self._unusable_component_names(components)
-            if unusable:
-                components = [c for c in components if c.name not in unusable]
+        """The pool components of one branch: the module's usable
+        first-order components, plus the recursive call when the branch
+        binds structurally smaller variables."""
+        if self._fixed_components is None:
+            self._fixed_components = self._usable_components()
+        components = list(self._fixed_components)
         if decreasing:
             components.append(self._recursive_component(decreasing))
         return components
 
-    def _unusable_component_names(self, components: List[TypedComponent]) -> frozenset:
-        """Components that type-inhabitation reachability proves useless.
-
-        Every branch context consists of the synthesized argument and pieces
-        destructured out of it, so the downward closure of the concrete type
-        over-approximates the variable types of every pool this synthesizer
-        will ever build; pruning computed once against it is sound for all
-        branches.  The recursive invariant component is never pruned (its
-        ``tau_c -> bool`` signature is goal-reaching by construction)."""
-        fixed = frozenset(c.name for c in components)
-        if self._unusable_for != fixed:
-            kept, dropped = split_components(
-                components, [self.concrete_type], self.program.types,
-                TData("bool"), destructure=True)
-            self._unusable_for = fixed
-            self._unusable = frozenset(c.name for c in dropped)
-            if self.stats is not None:
-                self.stats.components_pruned += len(self._unusable)
-            if self._unusable and self.emitter.enabled:
-                self.emitter.emit(
-                    "components-pruned",
-                    {"dropped": sorted(self._unusable),
-                     "kept": sorted(c.name for c in kept)},
-                    cat="analysis")
-        return self._unusable
+    def _usable_components(self) -> Tuple[TypedComponent, ...]:
+        components, unusable = interface_components(
+            self.program, self.instance.definition, self.extra_components)
+        if not self.bounds.component_pruning:
+            return tuple(components)
+        if self.stats is not None:
+            self.stats.components_pruned += len(unusable)
+        kept = tuple(c for c in components if c.name not in unusable)
+        if unusable and self.emitter.enabled:
+            self.emitter.emit(
+                "components-pruned",
+                {"dropped": sorted(unusable), "kept": sorted(c.name for c in kept)},
+                cat="analysis")
+        return kept
 
     def _recursive_component(self, decreasing: frozenset) -> TypedComponent:
         """The invariant's recursive self-call, interpreted by the example
@@ -524,6 +502,36 @@ def _conjoin(exprs: List[Expr]) -> Expr:
     for expr in reversed(exprs[:-1]):
         result = app(EVar("andb"), expr, result)
     return result
+
+
+def interface_components(program: Program, definition: ModuleDefinition,
+                         extra_components: Optional[Dict[str, Tuple[Type, Value]]] = None,
+                         ) -> Tuple[List[TypedComponent], frozenset]:
+    """A module's first-order synthesis components, and the names of those
+    that type-inhabitation reachability proves useless.
+
+    The components are the definition's synthesis components, then its
+    helpers not already listed, then ``extra_components``; each keeps only
+    a first-order signature.  Every branch context of a synthesized
+    invariant holds the argument and pieces destructured out of it, so the
+    downward closure of the concrete type over-approximates the variable
+    types of every pool, and one pruning against it is sound for all
+    branches.  The recursive invariant component is not among them (its
+    ``tau_c -> bool`` signature reaches the goal by construction).  Lint's
+    HAN005 reports exactly the useless set.
+    """
+    names = list(definition.synthesis_components)
+    names.extend(name for name in definition.helper_functions if name not in names)
+    candidates = [(name, program.global_type(name), program.global_value(name))
+                  for name in names]
+    candidates.extend((name, signature, fn)
+                      for name, (signature, fn) in (extra_components or {}).items())
+    components = [TypedComponent(name, signature, fn)
+                  for name, signature, fn in candidates
+                  if _is_first_order_function(signature)]
+    _, dropped = split_components(components, [definition.concrete_type], program.types,
+                                  TData("bool"), destructure=True)
+    return components, frozenset(c.name for c in dropped)
 
 
 def _is_first_order_function(signature: Type) -> bool:

@@ -144,6 +144,20 @@ let oracle_helper (n : nat) : bool = True
     assert "HAN003" not in _codes(report)
 
 
+def test_han003_oracle_parameters_are_not_roots():
+    # The oracle's parameter ``helper`` shadows the module function of that
+    # name, so the function stays unreachable; the shrinker agrees.
+    definition = _load(extra="""
+let helper (n : nat) : bool = True
+""")
+    definition = dataclasses.replace(
+        definition,
+        expected_invariant="let expected (helper : nat) : bool = nat_eq helper O")
+    assert "helper" not in definition.interface_roots
+    report = analyze_definition(definition)
+    assert [d.decl for d in report.diagnostics if d.code == "HAN003"] == ["helper"]
+
+
 def test_han004_unprovable_termination():
     report = analyze_definition(_load(extra="""
 let rec spin (n : nat) : nat = spin n

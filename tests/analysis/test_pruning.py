@@ -23,7 +23,7 @@ import os
 
 import pytest
 
-from repro.analysis.reachability import prune_components
+from repro.analysis.reachability import split_components
 from repro.core.config import SynthesisBounds
 from repro.enumeration.values import ValueEnumerator
 from repro.experiments.runner import quick_config
@@ -73,7 +73,7 @@ def test_pool_stream_identical_after_pruning():
     context = [("x", NAT)]
     environments = [{"x": program.eval_expr(parse_expression(source))}
                     for source in ("O", "S O", "S (S O)")]
-    pruned = prune_components(components, [NAT], program.types, BOOL)
+    pruned, _ = split_components(components, [NAT], program.types, BOOL)
     assert [c.name for c in pruned] == ["nought", "double"]
 
     full_pool = TermPool(program, components, context, environments, max_size=5)

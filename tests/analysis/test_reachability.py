@@ -5,7 +5,6 @@ from typing import Tuple
 
 from repro.analysis.reachability import (
     constructible_types,
-    prune_components,
     split_components,
 )
 from repro.lang.prelude import PRELUDE_SOURCE
@@ -94,7 +93,8 @@ def test_needed_argument_types_keep_their_producers():
     a = FakeComponent("a", (NAT,), BOOL)
     b = FakeComponent("b", (NAT,), NAT)
     # Once ``a`` is useful, its nat argument is needed, so ``b`` is too.
-    assert _names(prune_components([a, b], [NAT], env, BOOL)) == ["a", "b"]
+    kept, _ = split_components([a, b], [NAT], env, BOOL)
+    assert _names(kept) == ["a", "b"]
 
 
 def test_prune_preserves_order():
@@ -102,7 +102,7 @@ def test_prune_preserves_order():
     a = FakeComponent("a", (NAT,), BOOL)
     g = FakeComponent("g", (NAT,), TData("ghost"))
     c = FakeComponent("c", (BOOL,), BOOL)
-    kept = prune_components([a, g, c], [NAT], env, BOOL)
+    kept, _ = split_components([a, g, c], [NAT], env, BOOL)
     assert _names(kept) == ["a", "c"]
 
 

@@ -9,7 +9,7 @@ from repro.core.module import ModuleDefinition, Operation
 from repro.core.predicate import Predicate, always_true
 from repro.core.stats import InferenceStats
 from repro.core.trace import CounterexampleTrace
-from repro.lang.types import TAbstract, TArrow, TData, arrow, substitute_abstract
+from repro.lang.types import TAbstract, TData, arrow
 from repro.lang.values import nat_of_int, v_list
 from repro.suite.registry import get_benchmark
 
@@ -25,17 +25,14 @@ def test_operation_signature_queries():
     op = Operation("insert", arrow(TAbstract(), TData("nat"), TAbstract()))
     assert op.argument_types == (TAbstract(), TData("nat"))
     assert op.result_type == TAbstract()
-    assert op.produces_abstract and op.consumes_abstract
+    assert op.produces_abstract
     lookup = Operation("lookup", arrow(TAbstract(), TData("nat"), TData("bool")))
     assert not lookup.produces_abstract
 
 
 def test_module_definition_classification():
     definition = get_benchmark("/coq/unique-list-::-set+binfuncs")
-    assert definition.has_binary_operations
-    assert not definition.has_higher_order_operations
     hofs = get_benchmark("/coq/unique-list-::-set+hofs")
-    assert hofs.has_higher_order_operations
     assert definition.spec_abstract_arity == 2
     assert hofs.spec_abstract_arity == 1
 
@@ -51,19 +48,6 @@ def test_instance_validates_missing_operation():
     )
     with pytest.raises(ValueError):
         broken.instantiate()
-
-
-def test_operation_concrete_signature(listset_instance):
-    op = next(o for o in listset_instance.operations if o.name == "insert")
-    concrete = listset_instance.operation_concrete_signature(op)
-    assert concrete == arrow(TData("list"), TData("nat"), TData("list"))
-    assert substitute_abstract(op.signature, TData("list")) == concrete
-
-
-def test_component_types_cover_synthesis_components(listset_instance):
-    types = listset_instance.component_types()
-    assert set(types) == set(listset_instance.definition.synthesis_components)
-    assert isinstance(types["lookup"], TArrow)
 
 
 # -- Predicate ------------------------------------------------------------------------

@@ -58,12 +58,6 @@ def test_enumerate_respects_bounds():
     assert all(value_size(v) <= 5 for v in enumerator.enumerate(TData("list"), max_size=5))
 
 
-def test_count_up_to_matches_enumeration():
-    enumerator, _ = make_enumerator()
-    total = enumerator.count_up_to(TData("tree"), 8)
-    assert total == len(list(enumerator.enumerate(TData("tree"), max_size=8)))
-
-
 def test_arrow_types_not_enumerated():
     enumerator, _ = make_enumerator()
     from repro.lang.types import TArrow

@@ -97,6 +97,22 @@ def test_store_later_entries_supersede_earlier_ones(tmp_path, solved_result):
     assert loaded[0].message == "second run"
 
 
+def test_superseding_row_takes_the_position_of_its_last_write(tmp_path, solved_result):
+    """Appending A, B, A' loads as [B, A']: a re-run pair is listed where it
+    last ran, not where it first ran."""
+    store = ResultStore(str(tmp_path / "results.jsonl"))
+    first = solved_result
+    other = InferenceResult.from_dict(solved_result.to_dict())
+    other.mode = "hanoi-src"
+    rerun = InferenceResult.from_dict(solved_result.to_dict())
+    rerun.message = "re-run"
+    for result in (first, other, rerun):
+        store.append(result)
+    loaded = store.load()
+    assert [result.key for result in loaded] == [other.key, first.key]
+    assert loaded[1].message == "re-run"
+
+
 def test_pack_benchmark_does_not_collide_with_same_named_builtin(tmp_path, solved_result):
     """Regression: rows used to be keyed by (benchmark, mode) only, so a pack
     benchmark named like a built-in silently superseded it on load and made

@@ -1,19 +1,22 @@
 """Memoized applications of first-order top-level functions.
 
-While a memo table is open (``runner.run_module`` opens one per run), the
+While a memo table is open (every inference run opens its own), the
 evaluator answers a repeated application of a marked function from the table
 and replays the fuel the call spent.  The table must be invisible: every
 result, every fuel count and every point where fuel runs out is the one an
 evaluation without it gives.
 """
 
+import contextlib
 import sys
 
 import pytest
 
 from test_fuel_parity import CASES, SOURCE
 
+from repro.core import run
 from repro.core.config import FAST_VERIFIER_BOUNDS
+from repro.core.hanoi import HanoiInference, infer_invariant
 from repro.core.predicate import Predicate, always_true
 from repro.experiments import runner
 from repro.gen.diff import outcome_fingerprint
@@ -182,34 +185,49 @@ def test_full_table_answers_but_stores_nothing_more(program, monkeypatch):
             == (nat_of_int(7), 10_000 - 39)
 
 
-def test_table_lives_for_one_run_module_call(monkeypatch):
+def test_one_table_per_run_closed_on_return_and_on_a_raise(monkeypatch):
     seen = []
-    hanoi = runner.MODES["hanoi"]
+    infer = HanoiInference._infer
 
-    def spy(definition, config):
+    def spy(run):
         seen.append(evaluation._memo)
-        return hanoi(definition, config)
+        result = infer(run)
+        seen.append(evaluation._memo)
+        return result
 
-    monkeypatch.setitem(runner.MODES, "hanoi", spy)
-    runner.run_module(get_benchmark("/other/sized-list"), config=runner.quick_config(None))
-    assert isinstance(seen[0], dict) and seen[0]
+    monkeypatch.setattr(HanoiInference, "_infer", spy)
+    definition = get_benchmark("/other/sized-list")
+    config = runner.quick_config(None)
+    # Every entry point runs over a table: the public wrapper, the
+    # inference class, a mode called directly, and run_module.
+    infer_invariant(definition, config)
+    HanoiInference(definition, config=config).infer()
+    runner.MODES["hanoi"](definition, config)
+    runner.run_module(definition, config=config)
+    tables = seen[::2]
+    assert seen[1::2] == tables
+    assert all(isinstance(table, dict) and table for table in tables)
+    assert len({id(table) for table in tables}) == len(tables)
     assert evaluation._memo is None
 
-    def crash(definition, config):
+    def crash(run):
+        seen.append(evaluation._memo)
         raise RuntimeError("mode failed")
 
-    monkeypatch.setitem(runner.MODES, "hanoi", crash)
+    monkeypatch.setattr(HanoiInference, "_infer", crash)
     with pytest.raises(RuntimeError):
-        runner.run_module(get_benchmark("/other/sized-list"))
+        runner.run_module(definition, config=config)
+    assert isinstance(seen[-1], dict)
     assert evaluation._memo is None
 
 
 @pytest.mark.parametrize("mode", ["conj-str", "linear-arbitrary", "oneshot"])
-def test_baseline_modes_run_over_the_table(mode):
+def test_baseline_modes_run_over_the_table(mode, monkeypatch):
     definition = get_benchmark("/coq/unique-list-::-set")
     config = runner.quick_config(None)
-    plain = runner.MODES[mode](definition, config)
     memoized = runner.run_module(definition, mode=mode, config=config)
+    monkeypatch.setattr(run, "memo_table", contextlib.nullcontext)
+    plain = runner.run_module(definition, mode=mode, config=config)
     assert outcome_fingerprint(memoized) == outcome_fingerprint(plain)
 
 

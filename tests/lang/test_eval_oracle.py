@@ -30,7 +30,7 @@ from repro.lang.errors import LangError
 from repro.lang.eval import EvalBudget, memo_table
 from repro.lang.parser import parse_expression
 from repro.lang.program import Program
-from repro.lang.types import TArrow, arrow_args
+from repro.lang.types import TArrow, arrow_args, substitute_abstract
 from repro.lang.values import VClosure, VNative
 from repro.spec.loader import load_module_file
 from repro.suite.registry import all_benchmark_names, get_benchmark
@@ -171,12 +171,13 @@ def _calls(instance):
     verifier = Verifier(instance, bounds=FAST_VERIFIER_BOUNDS)
     signature = instance.spec_concrete_signature()
     pools = [verifier._pool(ty, len(signature)) for ty in signature]
-    spec = instance.spec_value()
+    spec = instance.program.global_value(instance.definition.spec_name)
     calls = [(spec, assignment)
              for assignment in islice(diagonal_product(pools, 1_000), ASSIGNMENTS)]
     functions = FunctionEnumerator(instance)
     for op in instance.operations:
-        concrete = tuple(arrow_args(instance.operation_concrete_signature(op)))
+        concrete = tuple(arrow_args(substitute_abstract(op.signature,
+                                                        instance.concrete_type)))
         interface = tuple(arrow_args(op.signature))
         pools = [functions.functions(ty, 2) if isinstance(ty, TArrow)
                  else verifier._pool(concrete_ty, len(concrete))

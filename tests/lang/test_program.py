@@ -3,9 +3,7 @@
 import pytest
 
 from repro.lang.errors import TypeError_
-from repro.lang.parser import parse_program
 from repro.lang.program import Program
-from repro.lang.types import TArrow, TData
 from repro.lang.values import bool_of_value, int_of_nat, nat_of_int
 
 
@@ -36,14 +34,6 @@ def test_global_type_and_value_lookup_errors():
         program.datatype("missing")
 
 
-def test_define_function_programmatically():
-    program = Program.from_source("")
-    (decl,) = parse_program("let inc (n : nat) : nat = S n")
-    program.define_function(decl)
-    assert int_of_nat(program.call("inc", nat_of_int(1))) == 2
-    assert program.global_type("inc") == TArrow(TData("nat"), TData("nat"))
-
-
 def test_mutual_recursion_through_globals():
     program = Program.from_source("""
 let rec is_even (n : nat) : bool =
@@ -60,13 +50,6 @@ let rec is_odd (n : nat) : bool =
     # through the global environment at call time.
     assert bool_of_value(program.call("is_even", nat_of_int(10)))
     assert not bool_of_value(program.call("is_even", nat_of_int(7)))
-
-
-def test_function_size_reports_ast_size():
-    program = Program.from_source("let id (n : nat) : nat = n")
-    assert program.function_size("id") == 3  # body + one parameter + function node
-    with pytest.raises(TypeError_):
-        program.function_size("missing")
 
 
 def test_ill_typed_source_rejected_atomically():

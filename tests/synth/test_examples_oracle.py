@@ -102,7 +102,7 @@ def test_oracle_order_is_reproducible_across_hash_seeds():
         "    TData('list'), types)\n"
         "print([str(v) for v in oracle.positives])\n"
         "print([str(v) for v in oracle.negatives])\n"
-        "print([str(v) for v in oracle.all_values])\n"
+        "print([str(v) for v in oracle.mapping])\n"
     )
     outputs = []
     for seed in ("1", "7"):
