@@ -32,7 +32,6 @@ from .core import (
     Operation,
     Predicate,
     Status,
-    SynthesisBounds,
     VerifierBounds,
     infer_invariant,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "infer_invariant",
     "HanoiConfig",
     "VerifierBounds",
-    "SynthesisBounds",
     "ModuleDefinition",
     "ModuleInstance",
     "Operation",

@@ -12,8 +12,8 @@ Submodules
     Call-graph construction, unused-definition reachability, and the
     structural-recursion termination check.
 ``reachability``
-    Type-inhabitation reachability used to prune synthesis components
-    soundly before term-pool construction.
+    Type-inhabitation reachability: which declared synthesis components
+    no goal term can use (lint's advisory HAN005).
 ``canon``
     Structural content keys (sha256 over declaration ``repr``) for a
     module and for each declaration with its callees; they key the

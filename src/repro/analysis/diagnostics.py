@@ -17,9 +17,9 @@ HAN002    warning   unreachable match branch
 HAN003    warning   definition unused by the module interface
 HAN004    warning   recursive definition without a provable structural
                     decrease (possible non-termination under evaluation)
-HAN005    info      synthesis component that can never appear in a term
-                    of the goal type: exactly the set the synthesizer
-                    drops before pool construction
+HAN005    info      a declared synthesis component that no goal term
+                    can use (advisory: the synthesizer keeps it, and
+                    removing it changes no candidate)
 ========  ========  ====================================================
 
 Severities: ``error`` (the module is unusable), ``warning`` (runtime

@@ -6,9 +6,10 @@ checks the module source, then runs:
 
 * match exhaustiveness / unreachable branches (HAN001, HAN002),
 * call-graph reachability and structural recursion (HAN003, HAN004),
-* component-usefulness reachability for the synthesis goal (HAN005): the
-  components :func:`repro.synth.myth.interface_components` finds useless,
-  which are exactly the ones the synthesizer drops,
+* component-usefulness reachability for the synthesis goal (HAN005,
+  advisory): the declared components that
+  :func:`repro.synth.myth.interface_components` proves no goal term can
+  use; the synthesizer keeps them, so removing one changes no candidate,
 * the module's structural content key (:mod:`repro.analysis.canon`),
   reported as its ``content_hash``.
 
@@ -48,7 +49,6 @@ class AnalysisReport:
     path: str
     diagnostics: Tuple[Diagnostic, ...]
     content_hash: str
-    pruned_components: Tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -68,7 +68,6 @@ def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
                        emitter=NULL_EMITTER) -> AnalysisReport:
     """Run all analysis passes over one module definition."""
     diagnostics: List[Diagnostic] = []
-    pruned: Tuple[str, ...] = ()
     content_hash = ""
 
     with emitter.span("analysis", {"module": definition.name},
@@ -79,7 +78,7 @@ def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
         except LangError as exc:
             diagnostics.append(Diagnostic(
                 "HAN000", str(exc), line=getattr(exc, "line", None)))
-            return _report(definition, path, diagnostics, content_hash, pruned)
+            return _report(definition, path, diagnostics, content_hash)
 
         checker = TypeChecker(program.types)
 
@@ -96,8 +95,7 @@ def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
             components, unusable = interface_components(program, definition)
             decl_lines = {d.name: d.line for d in decls
                           if isinstance(d, FunDecl)}
-            pruned = tuple(c.name for c in components if c.name in unusable)
-            for name in pruned:
+            for name in (c.name for c in components if c.name in unusable):
                 diagnostics.append(Diagnostic(
                     "HAN005",
                     f"synthesis component {name!r} can never "
@@ -108,18 +106,16 @@ def analyze_definition(definition: ModuleDefinition, path: str = "<module>",
         with emitter.span("analysis-canon", cat="analysis"):
             content_hash = canonical_hash(definition, decls)
 
-    return _report(definition, path, diagnostics, content_hash, pruned)
+    return _report(definition, path, diagnostics, content_hash)
 
 
 def _report(definition: ModuleDefinition, path: str,
-            diagnostics: List[Diagnostic], content_hash: str,
-            pruned: Tuple[str, ...]) -> AnalysisReport:
+            diagnostics: List[Diagnostic], content_hash: str) -> AnalysisReport:
     anchored = tuple(sorted(
         (d.at_path(path) for d in diagnostics),
         key=lambda d: (d.line is None, d.line or 0, d.code, d.message)))
     return AnalysisReport(module=definition.name, path=path,
-                          diagnostics=anchored, content_hash=content_hash,
-                          pruned_components=pruned)
+                          diagnostics=anchored, content_hash=content_hash)
 
 
 def analyze_file(path: str, emitter=NULL_EMITTER) -> AnalysisReport:

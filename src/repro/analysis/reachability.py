@@ -5,27 +5,27 @@ leaves (context variables, nullary constructors, nullary components) and
 grows them exclusively by applying components — plus constructor chains for
 the designated constant datatypes (``nat``).  A component whose result type
 can never flow into a term of the goal type, or whose argument types can
-never be produced, therefore contributes nothing but enumeration budget.
+never be produced, therefore contributes nothing to a goal term.
 
 This pass computes two fixpoints over the *declared signatures* only:
 
 * ``constructible``: the forward closure of the seed types (the synthesis
   context, every datatype with a nullary constructor) under component
   application — an **over**-approximation of the types the pool can build,
-  so pruning on it never drops a component the pool could have used;
+  so it never calls a component unusable that the pool could have used;
 * ``useful``: the backward closure from the goal type — a component is
   useful when its result feeds the goal (directly or through other useful
   components' arguments) *and* all of its arguments are constructible.
 
 ``split_components`` separates the useful components from the rest, order
-preserved, and the synthesizer keeps the useful ones
-(:func:`repro.synth.myth.interface_components`).  Because both closures
-over-approximate, the surviving set is a superset of the
-components that can actually appear in any well-typed pool term, which is
-what makes replacing the component list with the pruned one sound: the
-enumerated term streams — and hence the inferred invariants — are
-identical.  The equivalence is additionally checked empirically across the
-built-in suite (``tests/analysis/test_pruning.py``).
+preserved (:func:`repro.synth.myth.interface_components`); lint's advisory
+HAN005 names the rest.  Because both closures over-approximate, the useful
+set is a superset of the components that can actually appear in any
+well-typed pool term, so deleting an unusable component from a module
+leaves the enumerated goal-type term stream unchanged.  The synthesizer
+does not act on the split: it builds its pools over every first-order
+component the module declares.  The equivalence is checked per built-in
+in ``tests/analysis/test_pruning.py``.
 """
 
 from __future__ import annotations

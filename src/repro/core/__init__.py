@@ -7,7 +7,6 @@ from .config import (
     HanoiConfig,
     InferenceTimeout,
     PAPER_VERIFIER_BOUNDS,
-    SynthesisBounds,
     VerifierBounds,
 )
 from .hanoi import HanoiInference, infer_invariant
@@ -33,7 +32,6 @@ __all__ = [
     "TraceEntry",
     "HanoiConfig",
     "VerifierBounds",
-    "SynthesisBounds",
     "Deadline",
     "InferenceTimeout",
     "PAPER_VERIFIER_BOUNDS",

@@ -1,16 +1,19 @@
 """Configuration of the inference pipeline.
 
-Three concerns are configured here:
+Two concerns are configured here:
 
 * :class:`VerifierBounds` - how hard the size-bounded enumerative verifier
   tries (Section 4.3 of the paper fixes 3000 structures of at most 30 AST
   nodes for single-quantifier properties, 3000 structures of at most 15 AST
   nodes per quantifier with a total cap of 30000 for multi-quantifier ones).
-* :class:`SynthesisBounds` - how large the synthesizer's search is allowed to
-  grow (match depth, per-branch term size, number of conjuncts).
 * :class:`HanoiConfig` - loop-level options: timeouts and the two
   optimizations of Section 4.4 (synthesis result caching and counterexample
   list caching), which the ablation modes Hanoi-SRC / Hanoi-CLC disable.
+
+The paper runs its synthesizer, Myth, at one fixed setting, so the
+synthesizer's bounds (match depth, per-branch term size, number of
+conjuncts, candidates per call) are constants in :mod:`repro.synth.myth`,
+not options.
 
 A :class:`Deadline` provides cooperative timeout checking; the verifier,
 synthesizer, and Hanoi loop poll it inside their hot loops so a run never
@@ -25,7 +28,6 @@ from typing import Optional
 
 __all__ = [
     "VerifierBounds",
-    "SynthesisBounds",
     "HanoiConfig",
     "Deadline",
     "InferenceTimeout",
@@ -85,17 +87,6 @@ class VerifierBounds:
     #: Cap on applications tried per module operation in one inductiveness check.
     max_applications_per_operation: int = 4000
 
-    def scaled(self, factor: float) -> "VerifierBounds":
-        """A proportionally smaller (or larger) copy of these bounds."""
-        return replace(
-            self,
-            max_structures_single=max(1, int(self.max_structures_single * factor)),
-            max_structures_multi=max(1, int(self.max_structures_multi * factor)),
-            max_total=max(1, int(self.max_total * factor)),
-            max_abstract_values=max(1, int(self.max_abstract_values * factor)),
-            max_applications_per_operation=max(1, int(self.max_applications_per_operation * factor)),
-        )
-
 
 #: The bounds reported in the paper (Section 4.3).
 PAPER_VERIFIER_BOUNDS = VerifierBounds()
@@ -117,35 +108,10 @@ FAST_VERIFIER_BOUNDS = VerifierBounds(
 
 
 @dataclass(frozen=True)
-class SynthesisBounds:
-    """Bounds on the type-and-example-directed synthesizer."""
-
-    #: Maximum nesting depth of synthesized ``match`` expressions.
-    max_match_depth: int = 2
-    #: Maximum AST size of an atomic (match-free) branch term.
-    max_term_size: int = 7
-    #: Maximum number of atoms conjoined in a single branch body.
-    max_conjuncts: int = 4
-    #: Maximum number of candidates returned per synthesis call (the paper's
-    #: modified Myth returns a set of candidates for result caching).
-    max_candidates: int = 12
-    #: Hard cap on terms enumerated per branch before giving up.
-    max_terms_per_branch: int = 60000
-    #: Drop synthesis components that type-inhabitation reachability proves
-    #: can never appear in a well-typed goal term before the term pool is
-    #: built (``repro.analysis.reachability``).  Sound: the analysis
-    #: over-approximates both constructible argument types and
-    #: goal-reaching result types, so the candidate stream is identical
-    #: with the switch on or off.
-    component_pruning: bool = True
-
-
-@dataclass(frozen=True)
 class HanoiConfig:
     """Options of the top-level inference loop."""
 
     verifier_bounds: VerifierBounds = FAST_VERIFIER_BOUNDS
-    synthesis_bounds: SynthesisBounds = SynthesisBounds()
     #: Wall-clock budget in seconds; ``None`` disables the timeout.
     timeout_seconds: Optional[float] = None
     #: Section 4.4: reuse previously synthesized candidates when consistent.
@@ -198,8 +164,3 @@ class HanoiConfig:
     def without_synthesis_evaluation_caching(self) -> "HanoiConfig":
         """The pool-cache ablation configuration (``--no-pool-cache``)."""
         return replace(self, synthesis_evaluation_caching=False)
-
-    def without_component_pruning(self) -> "HanoiConfig":
-        """The analysis-pruning ablation configuration (no CLI flag)."""
-        return replace(self, synthesis_bounds=replace(
-            self.synthesis_bounds, component_pruning=False))

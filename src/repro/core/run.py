@@ -88,8 +88,8 @@ class InferenceRun:
         )
         factory = synthesizer_factory or MythSynthesizer
         self.synthesizer = factory(
-            self.instance, bounds=self.config.synthesis_bounds,
-            stats=self.stats, deadline=self.deadline, pool_cache=self.pool_cache,
+            self.instance, stats=self.stats, deadline=self.deadline,
+            pool_cache=self.pool_cache,
         )
         # Custom factories (tests) may not accept an ``emitter`` kwarg, so the
         # synthesizer is wired up after construction; objects that cannot take

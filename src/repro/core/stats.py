@@ -48,9 +48,6 @@ class InferenceStats:
     #: Synthesis component applications computed fresh while the pool cache
     #: was active (0/0 when the cache is disabled).
     pool_cache_misses: int = 0
-    #: Synthesis components dropped by type-inhabitation reachability before
-    #: term-pool construction (0 when pruning is disabled or nothing prunes).
-    components_pruned: int = 0
     #: Number of positive examples added across the run.
     positives_added: int = 0
     #: Number of negative examples added across the run.

@@ -25,14 +25,15 @@ from .terms import Component, TermEnumerator
 
 __all__ = ["FunctionEnumerator"]
 
+#: Maximum AST size of an enumerated function body.
+MAX_BODY_SIZE = 5
+
 
 class FunctionEnumerator:
     """Builds small closures inhabiting a functional interface type."""
 
-    def __init__(self, instance, max_body_size: int = 5):
-        # Imported lazily to avoid an import cycle with repro.core.module.
+    def __init__(self, instance):
         self.instance = instance
-        self.max_body_size = max_body_size
         self._cache = {}
 
     def functions(self, interface_type: TArrow, limit: int) -> List[Value]:
@@ -56,7 +57,7 @@ class FunctionEnumerator:
         params = tuple((f"hof_arg{i}", ty) for i, ty in enumerate(arg_types))
         bodies: List[Expr] = []
         seen = set()
-        for body in enumerator.terms(result_type, params, self.max_body_size):
+        for body in enumerator.terms(result_type, params, MAX_BODY_SIZE):
             if body in seen:
                 continue
             seen.add(body)

@@ -22,7 +22,7 @@ from ..lang.ast import ECtor, ETuple, EVar, Expr, app
 from ..lang.typecheck import TypeEnvironment
 from ..lang.types import TArrow, TData, TProd, Type, arrow_args, arrow_result
 
-__all__ = ["Component", "TermEnumerator"]
+__all__ = ["Component", "TermEnumerator", "ordered_partitions"]
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,9 @@ class Component:
 class TermEnumerator:
     """Enumerates expressions of a goal type over a fixed component set."""
 
-    def __init__(self, types: TypeEnvironment, components: Sequence[Component],
-                 allow_constructors: bool = True):
+    def __init__(self, types: TypeEnvironment, components: Sequence[Component]):
         self.types = types
         self.components = tuple(components)
-        self.allow_constructors = allow_constructors
         self._cache: Dict[Tuple[Type, Tuple[Tuple[str, Type], ...], int], Tuple[Expr, ...]] = {}
 
     # -- public API -----------------------------------------------------------
@@ -90,14 +88,14 @@ class TermEnumerator:
             for component in self.components:
                 if not component.argument_types and component.result_type == goal:
                     yield EVar(component.name)
-            if self.allow_constructors and isinstance(goal, TData) and goal.name in self.types.datatypes:
+            if isinstance(goal, TData) and goal.name in self.types.datatypes:
                 for ctor in self.types.datatype_ctors(goal.name):
                     if ctor.payload is None:
                         yield ECtor(ctor.name)
             return
 
         # Constructor applications.
-        if self.allow_constructors and isinstance(goal, TData) and goal.name in self.types.datatypes:
+        if isinstance(goal, TData) and goal.name in self.types.datatypes:
             for ctor in self.types.datatype_ctors(goal.name):
                 if ctor.payload is not None:
                     for payload in self.terms_of_size(ctor.payload, context, size - 1):
@@ -119,7 +117,7 @@ class TermEnumerator:
             budget = size - arity - 1
             if budget < arity:
                 continue
-            for arg_sizes in _partitions(budget, arity):
+            for arg_sizes in ordered_partitions(budget, arity):
                 yield from self._applications(head_name, arg_types, restrictions,
                                               arg_sizes, context)
 
@@ -178,14 +176,14 @@ class TermEnumerator:
                     yield (head_term,) + tail
 
 
-def _partitions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+def ordered_partitions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
     """All ways to write ``total`` as an ordered sum of ``parts`` positive ints."""
     if parts == 1:
         if total >= 1:
             yield (total,)
         return
     for first in range(1, total - parts + 2):
-        for rest in _partitions(total - first, parts - 1):
+        for rest in ordered_partitions(total - first, parts - 1):
             yield (first,) + rest
 
 

@@ -8,7 +8,7 @@ a scaling corpus and a correctness oracle:
   every operation is derived so that it provably preserves it;
 * :mod:`repro.gen.diff` runs generated (or any) modules through several
   inference modes under each variant of a transparent layer (the cache
-  matrix, component pruning, the disk store) and
+  matrix, the disk store) and
   cross-checks that the outcomes are byte-identical per mode, and that
   inferred invariants agree with the ground truth under the bounded tester;
 * :mod:`repro.gen.shrink` minimizes a mismatching module to a small ``.hanoi``

@@ -4,15 +4,13 @@ One harness, :func:`differential`, runs a module under an ordered tuple of
 named *variants* for each inference mode and requires one outcome
 *fingerprint* (status, rendered invariant, size, iteration count, message)
 per ``(module, mode)``.  A variant is a ``(tag, prepare)`` pair: ``prepare``
-maps the base ``(definition, config)`` to what that variant runs.  Three
+maps the base ``(definition, config)`` to what that variant runs.  Two
 variant tuples hold the layers that advertise "identical outcomes, less
 work" to it:
 
 * :data:`CACHE_MATRIX` - the 2x2 matrix of the verification evaluation
   cache (``--no-eval-cache``) and the synthesis term-pool cache
   (``--no-pool-cache``);
-* :data:`PRUNING_VARIANTS` - reachability pruning of synthesis components
-  on and off;
 * :data:`PERSISTENCE_VARIANTS` - no persistence, then a cold, a warm, and a
   corrupted disk-cache store (:mod:`repro.serve.diskcache`, docs/service.md).
 
@@ -54,7 +52,6 @@ from ..verify.tester import Verifier
 
 __all__ = [
     "CACHE_MATRIX",
-    "PRUNING_VARIANTS",
     "PERSISTENCE_VARIANTS",
     "DEFAULT_FUZZ_MODES",
     "FAULT_ENV_VAR",
@@ -150,11 +147,6 @@ CACHE_MATRIX = Variants("cache variants", (
     ("ec-only", _configured(HanoiConfig.without_synthesis_evaluation_caching)),
     ("pc-only", _configured(HanoiConfig.without_evaluation_caching)),
     ("no-caches", _configured(_without_caches)),
-))
-
-PRUNING_VARIANTS = Variants("component pruning", (
-    ("pruning", _same),
-    ("no-pruning", _configured(HanoiConfig.without_component_pruning)),
 ))
 
 #: Every damaged entry must be skipped with a warning, never crash the run

@@ -39,7 +39,6 @@ __all__ = [
     "validate_trace",
     "add_arguments",
     "run",
-    "main",
 ]
 
 #: ``(layer, stats hit counter, stats miss counter)`` triples the cache
@@ -222,8 +221,7 @@ def chrome_trace(records: Sequence[dict]) -> Dict[str, object]:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``trace`` arguments, attachable to a standalone parser or the
-    ``python -m repro`` subcommand tree."""
+    """The arguments of the ``python -m repro trace`` subcommand."""
     parser.add_argument("trace", metavar="TRACE.jsonl",
                         help="JSONL trace written with --trace")
     parser.add_argument("--top", type=int, default=10, metavar="N",
@@ -272,15 +270,3 @@ def run(args: argparse.Namespace) -> int:
               f"to {args.chrome}; open in chrome://tracing or ui.perfetto.dev")
 
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the CLI
-    raise SystemExit(main())

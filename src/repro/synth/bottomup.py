@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import Deadline
 from ..core.stats import InferenceStats
+from ..enumeration.terms import ordered_partitions
 from ..lang.ast import ECtor, EVar, Expr, app
 from ..lang.errors import LangError
 from ..lang.typecheck import TypeEnvironment
@@ -51,6 +52,11 @@ from ..obs.events import NULL_EMITTER
 from .poolcache import CRASHED, PoolSnapshot, SynthesisEvaluationCache
 
 __all__ = ["TypedComponent", "TermEntry", "TermPool"]
+
+#: "Constant-like" datatypes whose constructor applications the pool builds
+#: (Peano naturals): numeric constants such as 1, 2, 3 and successor
+#: patterns, without flooding the pool with container literals.
+CONSTANT_DATATYPES = ("nat",)
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,6 @@ class TermPool:
                  context: Sequence[Tuple[str, Type]],
                  environments: Sequence[Dict[str, Value]],
                  max_size: int,
-                 constant_datatypes: Sequence[str] = ("nat",),
                  max_applications: int = 60_000,
                  deadline: Optional[Deadline] = None,
                  cache: Optional[SynthesisEvaluationCache] = None,
@@ -106,7 +111,6 @@ class TermPool:
         self.context = tuple(context)
         self.environments = list(environments)
         self.max_size = max_size
-        self.constant_datatypes = tuple(constant_datatypes)
         self.max_applications = max_applications
         self.deadline = deadline or Deadline(None)
         self.cache = cache
@@ -198,7 +202,7 @@ class TermPool:
             tuple(env[name] for name, _ in self.context) for env in self.environments
         )
         return (self.context, component_key, environment_key,
-                self.max_size, self.constant_datatypes, self.max_applications)
+                self.max_size, self.max_applications)
 
     def _replay(self, snapshot: PoolSnapshot) -> None:
         """Reinstall a previously built pool's term structure verbatim."""
@@ -247,10 +251,7 @@ class TermPool:
         return sorted(n for n in names if n in self.types.datatypes)
 
     def _build_size(self, size: int) -> None:
-        # Constructor applications over "constant-like" datatypes (Peano
-        # naturals by default) provide numeric constants such as 1, 2, 3 and
-        # successor patterns without flooding the pool with container literals.
-        for datatype in self.constant_datatypes:
+        for datatype in CONSTANT_DATATYPES:
             if datatype not in self.types.datatypes:
                 continue
             goal = TData(datatype)
@@ -269,7 +270,7 @@ class TermPool:
             budget = size - arity - 1
             if budget < arity:
                 continue
-            for arg_sizes in _partitions(budget, arity):
+            for arg_sizes in ordered_partitions(budget, arity):
                 self._build_applications(component, arg_sizes, size)
                 if self._applications >= self.max_applications:
                     return
@@ -334,13 +335,3 @@ class TermPool:
             if memo is not None and self.stats is not None:
                 self.stats.pool_cache_hits += evaluations - misses
                 self.stats.pool_cache_misses += misses
-
-
-def _partitions(total: int, parts: int):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _partitions(total - first, parts - 1):
-            yield (first,) + rest

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..core.config import Deadline, SynthesisBounds
+from ..core.config import Deadline
 from ..core.module import ModuleInstance
 from ..core.stats import InferenceStats
 from ..lang.types import TData, TProd, Type, arrow
@@ -50,14 +50,13 @@ class FoldSynthesizer(MythSynthesizer):
     """A :class:`MythSynthesizer` extended with derived fold components."""
 
     def __init__(self, instance: ModuleInstance,
-                 bounds: SynthesisBounds = SynthesisBounds(),
                  stats: Optional[InferenceStats] = None,
                  deadline: Optional[Deadline] = None,
                  extra_components: Optional[Dict[str, Tuple[Type, Value]]] = None,
                  pool_cache=None):
         extras = dict(extra_components or {})
         extras.update(self._derived_folds(instance))
-        super().__init__(instance, bounds=bounds, stats=stats, deadline=deadline,
+        super().__init__(instance, stats=stats, deadline=deadline,
                          extra_components=extras, pool_cache=pool_cache)
 
     @staticmethod

@@ -7,7 +7,7 @@ equivalent component built from scratch:
 
 * candidates are recursive predicates ``inv : tau_c -> bool``;
 * the search is *type-directed*: it proposes match skeletons over the
-  argument (and, one level deep by default, over its components) whose branch
+  argument (and, one level deep, over its components) whose branch
   bodies are well-typed boolean terms over the branch context;
 * the search is *example-directed*: the loop's V+ / V- examples (made
   trace-complete, Section 4.3) are routed to the skeleton branches, branch
@@ -33,7 +33,7 @@ from contextlib import nullcontext
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.reachability import split_components
-from ..core.config import Deadline, SynthesisBounds
+from ..core.config import Deadline
 from ..core.module import ModuleDefinition, ModuleInstance
 from ..core.predicate import INVARIANT_NAME, Predicate
 from ..core.stats import InferenceStats
@@ -62,6 +62,17 @@ from .poolcache import SynthesisEvaluationCache
 
 __all__ = ["MythSynthesizer", "interface_components"]
 
+#: Maximum nesting depth of synthesized ``match`` expressions.
+MAX_MATCH_DEPTH = 2
+#: Maximum AST size of an atomic (match-free) branch term.
+MAX_TERM_SIZE = 7
+#: Maximum number of atoms conjoined in a single branch body.
+MAX_CONJUNCTS = 4
+#: Maximum number of candidates returned per synthesis call (the paper's
+#: modified Myth returns a set of candidates for result caching).
+MAX_CANDIDATES = 12
+#: Hard cap on terms enumerated per branch before giving up.
+MAX_TERMS_PER_BRANCH = 60_000
 #: Maximum branch-body candidates kept per branch before combining branches.
 _PER_BRANCH_CANDIDATES = 4
 #: Maximum atoms considered by the exhaustive pair search for conjunctions.
@@ -74,7 +85,6 @@ class MythSynthesizer:
     """Type-and-example-directed synthesis of representation invariants."""
 
     def __init__(self, instance: ModuleInstance,
-                 bounds: SynthesisBounds = SynthesisBounds(),
                  stats: Optional[InferenceStats] = None,
                  deadline: Optional[Deadline] = None,
                  extra_components: Optional[Dict[str, Tuple[Type, Value]]] = None,
@@ -83,10 +93,8 @@ class MythSynthesizer:
         self.instance = instance
         self.program = instance.program
         self.concrete_type = instance.concrete_type
-        self.bounds = bounds
         self.stats = stats
         self.deadline = deadline or Deadline(None)
-        self.extra_components = dict(extra_components or {})
         self.pool_cache = pool_cache
         self.emitter = emitter
         #: Oracle-interpreting recursive-call functions, keyed by the oracle
@@ -94,10 +102,10 @@ class MythSynthesizer:
         #: mappings lets the pool cache replay recursive-call pools across
         #: synthesize() calls whose examples did not change.
         self._oracle_fns: Dict[frozenset, Value] = {}
-        #: The usable first-order components, worked out on the first pool
-        #: (not here: the run attaches its emitter after construction, and the
-        #: ``components-pruned`` event belongs in its trace).
-        self._fixed_components: Optional[Tuple[TypedComponent, ...]] = None
+        #: The module's first-order components, shared by every pool.
+        components, _ = interface_components(self.program, instance.definition,
+                                             extra_components)
+        self._fixed_components: Tuple[TypedComponent, ...] = tuple(components)
         self.param = self._fresh_name("x")
 
     # -- public API ----------------------------------------------------------------
@@ -140,7 +148,7 @@ class MythSynthesizer:
                 # are re-validated against the actual example sets.
                 if predicate.consistent_with(oracle.positives, oracle.negatives):
                     predicates.append(predicate)
-                if len(predicates) >= self.bounds.max_candidates:
+                if len(predicates) >= MAX_CANDIDATES:
                     break
             if not predicates:
                 raise SynthesisFailure(
@@ -249,7 +257,7 @@ class MythSynthesizer:
             branch_options.append([(pattern, body) for body in bodies[:_PER_BRANCH_CANDIDATES]])
 
         combined: List[Expr] = []
-        for combo in diagonal_product(branch_options, self.bounds.max_candidates * 4):
+        for combo in diagonal_product(branch_options, MAX_CANDIDATES * 4):
             branches = tuple(Branch(pattern, body) for pattern, body in combo)
             combined.append(EMatch(EVar(scrutinee), branches))
         combined.sort(key=expr_size)
@@ -293,7 +301,7 @@ class MythSynthesizer:
         only duplicate work and emit redundant candidates.
         """
         bodies = list(self._leaf_bodies(context, examples, decreasing, oracle))
-        if depth < self.bounds.max_match_depth:
+        if depth < MAX_MATCH_DEPTH:
             for name, ty in context:
                 if name in matched:
                     continue
@@ -324,8 +332,8 @@ class MythSynthesizer:
             components=self._components(decreasing),
             context=context,
             environments=[env for env, _ in examples],
-            max_size=self.bounds.max_term_size,
-            max_applications=self.bounds.max_terms_per_branch,
+            max_size=MAX_TERM_SIZE,
+            max_applications=MAX_TERMS_PER_BRANCH,
             deadline=self.deadline,
             cache=self.pool_cache,
             stats=self.stats,
@@ -373,7 +381,7 @@ class MythSynthesizer:
         uncovered = set(negative_idx)
         chosen = []
         pool = list(atoms)
-        while uncovered and len(chosen) < self.bounds.max_conjuncts:
+        while uncovered and len(chosen) < MAX_CONJUNCTS:
             best = None
             best_covered = set()
             for entry in pool:
@@ -411,30 +419,13 @@ class MythSynthesizer:
     # -- components -------------------------------------------------------------------------
 
     def _components(self, decreasing: frozenset) -> List[TypedComponent]:
-        """The pool components of one branch: the module's usable
-        first-order components, plus the recursive call when the branch
-        binds structurally smaller variables."""
-        if self._fixed_components is None:
-            self._fixed_components = self._usable_components()
+        """The pool components of one branch: the module's first-order
+        components, plus the recursive call when the branch binds
+        structurally smaller variables."""
         components = list(self._fixed_components)
         if decreasing:
             components.append(self._recursive_component(decreasing))
         return components
-
-    def _usable_components(self) -> Tuple[TypedComponent, ...]:
-        components, unusable = interface_components(
-            self.program, self.instance.definition, self.extra_components)
-        if not self.bounds.component_pruning:
-            return tuple(components)
-        if self.stats is not None:
-            self.stats.components_pruned += len(unusable)
-        kept = tuple(c for c in components if c.name not in unusable)
-        if unusable and self.emitter.enabled:
-            self.emitter.emit(
-                "components-pruned",
-                {"dropped": sorted(unusable), "kept": sorted(c.name for c in kept)},
-                cat="analysis")
-        return kept
 
     def _recursive_component(self, decreasing: frozenset) -> TypedComponent:
         """The invariant's recursive self-call, interpreted by the example
@@ -512,13 +503,14 @@ def interface_components(program: Program, definition: ModuleDefinition,
 
     The components are the definition's synthesis components, then its
     helpers not already listed, then ``extra_components``; each keeps only
-    a first-order signature.  Every branch context of a synthesized
-    invariant holds the argument and pieces destructured out of it, so the
-    downward closure of the concrete type over-approximates the variable
-    types of every pool, and one pruning against it is sound for all
-    branches.  The recursive invariant component is not among them (its
+    a first-order signature.  :class:`MythSynthesizer` builds every pool
+    over all of them.  Every branch context of a synthesized invariant
+    holds the argument and pieces destructured out of it, so the downward
+    closure of the concrete type over-approximates the variable types of
+    every pool, and a component useless against it is useless in every
+    branch.  The recursive invariant component is not among them (its
     ``tau_c -> bool`` signature reaches the goal by construction).  Lint's
-    HAN005 reports exactly the useless set.
+    advisory HAN005 reports the useless set.
     """
     names = list(definition.synthesis_components)
     names.extend(name for name in definition.helper_functions if name not in names)

@@ -55,6 +55,11 @@ from ..lang.values import Value, is_first_order, value_order
 __all__ = ["SynthesisEvaluationCache", "ApplicationMemo", "PoolMemo",
            "PoolSnapshot", "CRASHED"]
 
+#: Cap on the outcomes one :class:`ApplicationMemo` stores, over all tables.
+MAX_APPLICATION_ENTRIES = 500_000
+#: Cap on the pool skeletons one :class:`PoolMemo` stores.
+MAX_POOL_ENTRIES = 4096
+
 
 class _Crashed:
     """Sentinel outcome of a component application that raised."""
@@ -88,13 +93,12 @@ class ApplicationMemo:
     globals are one object per run; each oracle mapping's ``VNative`` keys
     its own table) and argument values hash structurally, so a
     pool that fetches a component's :meth:`table` once hashes only argument
-    tuples afterwards.  ``max_entries`` bounds the entries of all tables
-    together: a full memo keeps answering lookups but stops storing new
-    outcomes, which only costs speed, never correctness.
+    tuples afterwards.  :data:`MAX_APPLICATION_ENTRIES` bounds the entries
+    of all tables together: a full memo keeps answering lookups but stops
+    storing new outcomes, which only costs speed, never correctness.
     """
 
-    def __init__(self, max_entries: int = 500_000) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._tables: Dict[Value, Dict[Tuple[Value, ...], object]] = {}
         self._entries = 0
 
@@ -120,7 +124,7 @@ class ApplicationMemo:
         return None if table is None else table.get(args)
 
     def put(self, fn: Value, args: Tuple[Value, ...], outcome: object) -> None:
-        if self._entries < self.max_entries:
+        if self._entries < MAX_APPLICATION_ENTRIES:
             table = self.table(fn)
             if args not in table:
                 self._entries += 1
@@ -161,7 +165,7 @@ class ApplicationMemo:
             fn = values.get(name)
             if fn is None:
                 continue
-            if self._entries >= self.max_entries:
+            if self._entries >= MAX_APPLICATION_ENTRIES:
                 break
             table = self.table(fn)
             if args not in table:
@@ -200,11 +204,11 @@ class PoolMemo:
     example environments projected onto the context, and the size/budget
     bounds.  An exact match therefore replays byte-identically; anything
     less than an exact match rebuilds (backed by the application memo).
-    ``max_entries`` bounds memory the same way :class:`ApplicationMemo` does.
+    :data:`MAX_POOL_ENTRIES` bounds memory the same way
+    :data:`MAX_APPLICATION_ENTRIES` bounds the application memo.
     """
 
-    def __init__(self, max_entries: int = 4096) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._pools: Dict[tuple, PoolSnapshot] = {}
 
     def __len__(self) -> int:
@@ -214,7 +218,7 @@ class PoolMemo:
         return self._pools.get(key)
 
     def put(self, key: tuple, snapshot: PoolSnapshot) -> None:
-        if len(self._pools) < self.max_entries:
+        if len(self._pools) < MAX_POOL_ENTRIES:
             self._pools[key] = snapshot
 
 
@@ -225,10 +229,9 @@ class SynthesisEvaluationCache:
     a run's synthesizer builds; ablation modes simply never create one.
     """
 
-    def __init__(self, max_application_entries: int = 500_000,
-                 max_pool_entries: int = 4096) -> None:
-        self.applications = ApplicationMemo(max_application_entries)
-        self.pools = PoolMemo(max_pool_entries)
+    def __init__(self) -> None:
+        self.applications = ApplicationMemo()
+        self.pools = PoolMemo()
 
     def snapshot(self) -> Dict[str, object]:
         """Deterministic occupancy counts, stamped on ``cache-snapshot`` trace

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.core.config import Deadline, FAST_VERIFIER_BOUNDS, HanoiConfig, InferenceTimeout
+from repro.core.config import Deadline, HanoiConfig, InferenceTimeout
 from repro.core.module import ModuleDefinition, Operation
 from repro.core.predicate import Predicate, always_true
 from repro.core.stats import InferenceStats
@@ -128,12 +128,6 @@ def test_config_ablation_helpers():
     assert config.synthesis_result_caching and config.counterexample_list_caching
     assert not config.without_synthesis_result_caching().synthesis_result_caching
     assert not config.without_counterexample_list_caching().counterexample_list_caching
-
-
-def test_verifier_bounds_scaled():
-    scaled = FAST_VERIFIER_BOUNDS.scaled(0.5)
-    assert scaled.max_structures_single == FAST_VERIFIER_BOUNDS.max_structures_single // 2
-    assert scaled.max_nodes_single == FAST_VERIFIER_BOUNDS.max_nodes_single
 
 
 def test_deadline_expiry():

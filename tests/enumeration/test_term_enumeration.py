@@ -53,7 +53,7 @@ def test_argument_restrictions_respected():
         "self", arrow(TData("list"), TData("bool")),
         argument_restrictions=(frozenset({"tl"}),),
     )
-    enumerator = TermEnumerator(program.types, [restricted], allow_constructors=False)
+    enumerator = TermEnumerator(program.types, [restricted])
     context = (("x", TData("list")), ("tl", TData("list")))
     terms = [str(t) for t in enumerator.terms(TData("bool"), context, max_size=4)]
     assert "(self tl)" in terms

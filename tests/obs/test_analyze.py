@@ -2,10 +2,10 @@
 
 import json
 
+from repro.cli import main
 from repro.obs.analyze import (
     cache_tables,
     chrome_trace,
-    main,
     phase_breakdown,
     slowest_spans,
     validate_trace,
@@ -153,7 +153,7 @@ def test_main_reports_and_exports(tmp_path, capsys):
             sink.handle(record)
     chrome_path = tmp_path / "chrome.json"
 
-    assert main([str(trace_path), "--top", "3", "--chrome", str(chrome_path)]) == 0
+    assert main(["trace", str(trace_path), "--top", "3", "--chrome", str(chrome_path)]) == 0
     out = capsys.readouterr().out
     assert "Per-phase time breakdown" in out
     assert "Cache hit rates" in out

@@ -1,5 +1,7 @@
 """Unit tests for the event/span emitter (`repro.obs.events`)."""
 
+from dataclasses import replace
+
 from repro.core.config import FAST_VERIFIER_BOUNDS
 from repro.core.predicate import Predicate
 from repro.core.stats import InferenceStats
@@ -127,7 +129,10 @@ def test_disabled_tracing_makes_no_per_value_emitter_calls(monkeypatch, listset_
         assert isinstance(checker.check(invariant, invariant), Valid)
         return dict(calls), stats.structures_tested
 
-    small_calls, small_work = emitter_calls(FAST_VERIFIER_BOUNDS.scaled(0.25))
+    small = replace(FAST_VERIFIER_BOUNDS, max_structures_single=100,
+                    max_structures_multi=75, max_total=1000,
+                    max_abstract_values=30, max_applications_per_operation=225)
+    small_calls, small_work = emitter_calls(small)
     fast_calls, fast_work = emitter_calls(FAST_VERIFIER_BOUNDS)
     assert small_work < fast_work
     assert small_calls == fast_calls == {"emit": 0, "span": 1}

@@ -3,7 +3,6 @@ and the fold-capable extension."""
 
 import pytest
 
-from repro.core.config import SynthesisBounds
 from repro.core.stats import InferenceStats
 from repro.lang.ast import EApp, ECtor, EMatch, EVar
 from repro.lang.program import Program
@@ -16,6 +15,7 @@ from repro.synth.bottomup import TermPool, TypedComponent
 from repro.synth.cache import SynthesisResultCache
 from repro.synth.examples import ExampleOracle
 from repro.synth.folds import FoldSynthesizer
+from repro.synth import myth
 from repro.synth.myth import MythSynthesizer
 
 
@@ -134,7 +134,7 @@ def test_fold_synthesizer_installs_derived_components():
     instance = definition.instantiate()
     synthesizer = FoldSynthesizer(instance)
     assert instance.program.has_global("fold_max")
-    assert "fold_max" in synthesizer.extra_components
+    assert "fold_max" in [c.name for c in synthesizer._components(frozenset())]
     leaf = VCtor("Leaf")
     node = VCtor("Node", VTuple((leaf, nat_of_int(4), leaf)))
     fold_max = instance.program.evaluator.globals["fold_max"]
@@ -238,10 +238,11 @@ def _rematches_scrutinee(expr, matched=frozenset()):
     return False
 
 
-def test_nested_matches_skip_already_matched_scrutinees(listset):
+def test_nested_matches_skip_already_matched_scrutinees(listset, monkeypatch):
     """At depth >= 3 a branch's context still contains the scrutinee the
     enclosing match destructured; re-matching it only duplicates work."""
-    synthesizer = MythSynthesizer(listset, bounds=SynthesisBounds(max_match_depth=3))
+    monkeypatch.setattr(myth, "MAX_MATCH_DEPTH", 3)
+    synthesizer = MythSynthesizer(listset)
     oracle = ExampleOracle.build(
         [L(), L(1), L(2, 1), L(3, 2, 1)],
         [L(1, 1), L(2, 2, 1), L(1, 2), L(3, 1, 2)],
@@ -251,14 +252,15 @@ def test_nested_matches_skip_already_matched_scrutinees(listset):
     assert not any(_rematches_scrutinee(body) for body in bodies)
 
 
-def test_branch_bodies_do_not_rematch_the_enclosing_scrutinee(listset):
+def test_branch_bodies_do_not_rematch_the_enclosing_scrutinee(listset, monkeypatch):
     """Simulates the branch context of ``match x with Cons (hd, tl) ->
     match tl with Cons (hd2, tl2) -> _``: the body search for the inner
     branch must not propose ``match tl with ...`` again - every routed
     example already fixed tl's constructor, so the re-match is pure
     duplication."""
     LIST = TData("list")
-    synthesizer = MythSynthesizer(listset, bounds=SynthesisBounds(max_match_depth=3))
+    monkeypatch.setattr(myth, "MAX_MATCH_DEPTH", 3)
+    synthesizer = MythSynthesizer(listset)
     param = synthesizer.param
     context = ((param, LIST), ("hd", NAT), ("tl", LIST), ("hd2", NAT), ("tl2", LIST))
 

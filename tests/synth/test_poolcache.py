@@ -25,6 +25,7 @@ from repro.spec.loader import load_module_file
 from repro.suite.registry import get_benchmark
 from repro.synth.bottomup import TermPool, TypedComponent
 from repro.synth.myth import MythSynthesizer
+from repro.synth import poolcache
 from repro.synth.poolcache import CRASHED, SynthesisEvaluationCache
 
 CONFIG = HanoiConfig(verifier_bounds=FAST_VERIFIER_BOUNDS, timeout_seconds=90)
@@ -251,8 +252,10 @@ def test_crash_outcomes_are_memoized(listset):
     assert stats.pool_cache_hits > 0
 
 
-def test_memo_caps_bound_memory(listset):
-    cache = SynthesisEvaluationCache(max_application_entries=5, max_pool_entries=1)
+def test_memo_caps_bound_memory(listset, monkeypatch):
+    monkeypatch.setattr(poolcache, "MAX_APPLICATION_ENTRIES", 5)
+    monkeypatch.setattr(poolcache, "MAX_POOL_ENTRIES", 1)
+    cache = SynthesisEvaluationCache()
     stats = InferenceStats()
     _pool(listset, cache, stats, ENVIRONMENTS)
     assert len(cache.applications) == 5
@@ -285,13 +288,14 @@ def _rendered(pool):
 
 
 @pytest.mark.parametrize("cap", [1, 7, 37])
-def test_application_cap_cuts_off_identically_cached_or_not(listset, cap):
+def test_application_cap_cuts_off_identically_cached_or_not(listset, cap, monkeypatch):
     uncapped = _wide_pool(listset, max_size=6)
     assert uncapped._applications > cap
     plain = _wide_pool(listset, max_size=6, max_applications=cap)
     # The pool memo never stores, so the warm build below is a real rebuild
     # answered by the application memo the cold build filled.
-    cache = SynthesisEvaluationCache(max_pool_entries=0)
+    monkeypatch.setattr(poolcache, "MAX_POOL_ENTRIES", 0)
+    cache = SynthesisEvaluationCache()
     cold_stats, warm_stats = InferenceStats(), InferenceStats()
     cold = _wide_pool(listset, 6, cap, cache, cold_stats)
     warm = _wide_pool(listset, 6, cap, cache, warm_stats)
@@ -310,7 +314,8 @@ def test_application_cap_cuts_off_identically_cached_or_not(listset, cap):
         assert 0 < len(kept) < len(full)
 
 
-def test_a_crash_partway_through_a_vector_counts_the_evaluations_up_to_it(listset):
+def test_a_crash_partway_through_a_vector_counts_the_evaluations_up_to_it(listset,
+                                                                           monkeypatch):
     from repro.lang.types import arrow
     from repro.lang.values import VNative
 
@@ -340,7 +345,8 @@ def test_a_crash_partway_through_a_vector_counts_the_evaluations_up_to_it(listse
     assert "(crashy O)" in terms
     assert "(crashy n)" not in terms
 
-    cache = SynthesisEvaluationCache(max_pool_entries=0)
+    monkeypatch.setattr(poolcache, "MAX_POOL_ENTRIES", 0)
+    cache = SynthesisEvaluationCache()
     for expected_misses in (3, 0):  # cold, then warm
         stats = InferenceStats()
         pool = build(cache, stats)
@@ -349,7 +355,7 @@ def test_a_crash_partway_through_a_vector_counts_the_evaluations_up_to_it(listse
         assert _rendered(pool) == _rendered(plain)
 
 
-def test_an_expired_deadline_leaves_exact_counters(listset):
+def test_an_expired_deadline_leaves_exact_counters(listset, monkeypatch):
     import time
 
     from repro.core.config import Deadline, InferenceTimeout
@@ -359,7 +365,8 @@ def test_an_expired_deadline_leaves_exact_counters(listset):
     # of a build capped at 511 applications.
     assert _wide_pool(listset, max_size=12)._applications > 512
     expected = _wide_pool(listset, max_size=12, max_applications=511)._evaluations
-    for cache in (None, SynthesisEvaluationCache(max_pool_entries=0)):
+    monkeypatch.setattr(poolcache, "MAX_POOL_ENTRIES", 0)
+    for cache in (None, SynthesisEvaluationCache()):
         stats = InferenceStats()
         expired = Deadline(0.0, started_at=time.perf_counter() - 1.0)
         with pytest.raises(InferenceTimeout):
