@@ -50,9 +50,6 @@ class ConjunctivePredicate:
         parts = [c.render() for c in self.conjuncts]
         return "\n(* conjoined with *)\n".join(parts)
 
-    def consistent_with(self, positives, negatives) -> bool:
-        return all(self(v) for v in positives) and all(not self(v) for v in negatives)
-
 
 class ConjunctiveStrengtheningInference(InferenceRun):
     """The ∧Str mode of the paper's Figure 8."""

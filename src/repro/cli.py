@@ -657,7 +657,8 @@ def _lint_paths(arg_paths: Sequence[str]) -> List[str]:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.lint import analyze_definition, analyze_file
+    from .analysis.diagnostics import Diagnostic
+    from .analysis.lint import AnalysisReport, analyze_definition, analyze_file
     from .obs.sinks import emitter_for_run
     from .suite.registry import get_benchmark
 
@@ -678,15 +679,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         try:
             report = analyze_file(path, emitter=emitter_for_run(f"lint/{path}"))
         except SpecFileError as exc:
-            if args.format == "json":
-                print(json.dumps({"path": exc.path, "line": exc.line or 1,
-                                  "code": "HAN000", "severity": "error",
-                                  "decl": None, "message": exc.reason},
-                                 sort_keys=True))
-            else:
-                print(f"{exc.path}:{exc.line or 1}: HAN000 error: {exc.reason}")
-            counts["errored"] += 1
-            continue
+            failure = Diagnostic("HAN000", exc.reason, line=exc.line or 1, path=exc.path)
+            report = AnalysisReport(module=exc.path, path=exc.path,
+                                    diagnostics=(failure,), content_hash="")
         _print_lint_report(report, args, counts)
     for name in names:
         report = analyze_definition(get_benchmark(name), path=name,

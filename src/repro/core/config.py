@@ -13,7 +13,9 @@ Two concerns are configured here:
 The paper runs its synthesizer, Myth, at one fixed setting, so the
 synthesizer's bounds (match depth, per-branch term size, number of
 conjuncts, candidates per call) are constants in :mod:`repro.synth.myth`,
-not options.
+not options.  So are the loop's iteration cap
+(:data:`repro.core.run.MAX_ITERATIONS`) and the fuel of one evaluation
+(:data:`repro.lang.eval.DEFAULT_FUEL`).
 
 A :class:`Deadline` provides cooperative timeout checking; the verifier,
 synthesizer, and Hanoi loop poll it inside their hot loops so a run never
@@ -129,10 +131,6 @@ class HanoiConfig:
     #: (``--no-pool-cache`` is the ablation; candidate streams are identical
     #: either way).
     synthesis_evaluation_caching: bool = True
-    #: Safety valve on the number of CEGIS iterations.
-    max_iterations: int = 400
-    #: Evaluation fuel for a single object-language run.
-    eval_fuel: int = 500_000
     #: Root directory of the persistent content-addressed cache tier
     #: (docs/service.md).  ``None`` (the default) disables persistence
     #: entirely: no disk I/O, no content hashing beyond what tracing already

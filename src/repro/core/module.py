@@ -164,9 +164,9 @@ class ModuleDefinition:
         """How many abstract-type values the specification quantifies over."""
         return sum(1 for t in self.spec_signature if mentions_abstract(t))
 
-    def instantiate(self, fuel: int = 500_000) -> "ModuleInstance":
+    def instantiate(self) -> "ModuleInstance":
         """Load the module's declarations into a fresh runnable program."""
-        return ModuleInstance(self, Program.from_declarations(self.declarations, fuel=fuel))
+        return ModuleInstance(self, Program.from_declarations(self.declarations))
 
 
 class ModuleInstance:

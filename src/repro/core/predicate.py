@@ -20,7 +20,6 @@ from typing import Dict, Optional
 
 from ..lang.ast import ECtor, Expr, FunDecl, expr_size
 from ..lang.errors import LangError
-from ..lang.eval import EvalBudget
 from ..lang.parser import parse_program
 from ..lang.pretty import pretty_fun_decl
 from ..lang.program import Program
@@ -102,20 +101,15 @@ class Predicate:
 
     def _evaluate(self, value: Value) -> bool:
         try:
-            budget = EvalBudget(self.program.evaluator.default_fuel)
-            return bool_of_value(self.program.evaluator.apply(self._closure, value, budget=budget))
+            return bool_of_value(self.program.evaluator.apply(self._closure, value))
         except (LangError, ValueError):
             return False
 
-    def accepts_all(self, values) -> bool:
-        return all(self(v) for v in values)
-
-    def rejects_all(self, values) -> bool:
-        return all(not self(v) for v in values)
-
     def consistent_with(self, positives, negatives) -> bool:
-        """True when the predicate separates the given example sets."""
-        return self.accepts_all(positives) and self.rejects_all(negatives)
+        """True when the predicate accepts every positive and rejects every
+        negative; values are tried in the order given, positives first, up
+        to the first that decides."""
+        return all(self(v) for v in positives) and not any(self(v) for v in negatives)
 
     # -- reporting -------------------------------------------------------------------
 

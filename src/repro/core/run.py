@@ -33,9 +33,12 @@ from .module import ModuleDefinition, ModuleInstance
 from .result import InferenceResult, Status
 from .stats import InferenceStats
 
-__all__ = ["InferenceRun", "SynthesizerFactory"]
+__all__ = ["InferenceRun", "SynthesizerFactory", "MAX_ITERATIONS"]
 
 SynthesizerFactory = Callable[..., object]
+
+#: Safety valve on the number of iterations of one run.
+MAX_ITERATIONS = 400
 
 
 class InferenceRun:
@@ -60,7 +63,7 @@ class InferenceRun:
                  mode_name: Optional[str] = None, emitter: Optional[object] = None):
         self.config = config or HanoiConfig()
         self.definition = module
-        self.instance: ModuleInstance = module.instantiate(fuel=self.config.eval_fuel)
+        self.instance: ModuleInstance = module.instantiate()
         self.mode_name = mode_name or self.MODE
         self.stats = InferenceStats()
         self.deadline: Deadline = self.config.deadline()
@@ -89,24 +92,17 @@ class InferenceRun:
         factory = synthesizer_factory or MythSynthesizer
         self.synthesizer = factory(
             self.instance, stats=self.stats, deadline=self.deadline,
-            pool_cache=self.pool_cache,
+            pool_cache=self.pool_cache, emitter=self.emitter,
         )
-        # Custom factories (tests) may not accept an ``emitter`` kwarg, so the
-        # synthesizer is wired up after construction; objects that cannot take
-        # the attribute simply run untraced.
-        try:
-            self.synthesizer.emitter = self.emitter
-        except AttributeError:
-            pass
 
     def infer(self) -> InferenceResult:
         """Run the mode's loop and return the outcome."""
         return self._traced(self._outcome)
 
     def _step(self) -> bool:
-        """Start the next iteration: ``False`` once ``max_iterations`` ran,
-        otherwise count it and poll the deadline."""
-        if self.iterations >= self.config.max_iterations:
+        """Start the next iteration: ``False`` once :data:`MAX_ITERATIONS`
+        ran, otherwise count it and poll the deadline."""
+        if self.iterations >= MAX_ITERATIONS:
             return False
         self.iterations += 1
         self.deadline.check()

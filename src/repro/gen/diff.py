@@ -39,7 +39,7 @@ import os
 import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.config import HanoiConfig
 from ..core.module import ModuleDefinition
@@ -73,9 +73,6 @@ DEFAULT_FUZZ_MODES: Tuple[str, ...] = (
 #: variant are corrupted for every module defining that operation.  It exists
 #: so the shrinker pipeline can be exercised end to end without a real bug.
 FAULT_ENV_VAR = "REPRO_FUZZ_FAULT_OPERATION"
-
-#: Signature of a fault hook: (benchmark, mode, variant, fingerprint) -> fingerprint.
-FaultHook = Callable[[str, str, str, dict], dict]
 
 #: What one variant runs, given the base module and configuration.
 Prepare = Callable[[ModuleDefinition, HanoiConfig],
@@ -181,22 +178,14 @@ def _fingerprint_bytes(fingerprint: dict) -> str:
     return json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
 
 
-def _env_fault_hook(definitions: Dict[str, ModuleDefinition]) -> Optional[FaultHook]:
-    """The environment-driven fault hook, when the test-only variable is set."""
+def _faulted_modules(definitions: Dict[str, ModuleDefinition]) -> Set[str]:
+    """The modules whose ``no-caches`` fingerprints the test-only fault
+    corrupts: those defining the operation :data:`FAULT_ENV_VAR` names."""
     operation = os.environ.get(FAULT_ENV_VAR)
     if not operation:
-        return None
-
-    def hook(benchmark: str, mode: str, variant: str, fingerprint: dict) -> dict:
-        definition = definitions.get(benchmark)
-        if (definition is not None and variant == "no-caches"
-                and any(op.name == operation for op in definition.operations)):
-            corrupted = dict(fingerprint)
-            corrupted["status"] = "fault-injected"
-            return corrupted
-        return fingerprint
-
-    return hook
+        return set()
+    return {name for name, definition in definitions.items()
+            if any(op.name == operation for op in definition.operations)}
 
 
 @dataclass(frozen=True)
@@ -283,7 +272,6 @@ def differential(definition: ModuleDefinition,
                  modes: Sequence[str] = DEFAULT_FUZZ_MODES,
                  config: Optional[HanoiConfig] = None,
                  require_success: Sequence[str] = (),
-                 fault: Optional[FaultHook] = None,
                  check_oracle: bool = False) -> FuzzReport:
     """Run ``definition`` under each of ``variants`` per mode, in process,
     and judge the runs with :func:`compare_stored`.
@@ -308,7 +296,7 @@ def differential(definition: ModuleDefinition,
                 results.append(result)
     return compare_stored(results, {definition.name: definition}, modes,
                           variants=variants, require_success=require_success,
-                          fault=fault, check_oracle=check_oracle, config=base)
+                          check_oracle=check_oracle, config=base)
 
 
 def _check_ground_truth(definition: ModuleDefinition, bounds,
@@ -368,7 +356,6 @@ def compare_stored(results: Sequence[InferenceResult],
                    modes: Sequence[str],
                    variants: Variants = CACHE_MATRIX,
                    require_success: Sequence[str] = ("hanoi",),
-                   fault: Optional[FaultHook] = None,
                    check_oracle: bool = True,
                    config: Optional[HanoiConfig] = None) -> FuzzReport:
     """Judge variant-tagged runs: the one place runs are checked.
@@ -384,15 +371,13 @@ def compare_stored(results: Sequence[InferenceResult],
 
     bounds = (config or quick_config()).verifier_bounds
     report = FuzzReport(benchmarks=list(definitions), results=list(results))
-    if fault is None:
-        fault = _env_fault_hook(definitions)
+    faulted = _faulted_modules(definitions)
 
     by_cell: Dict[Tuple[str, str], Dict[str, dict]] = {}
     for result in results:
         fingerprint = outcome_fingerprint(result)
-        if fault is not None:
-            fingerprint = fault(result.benchmark, result.mode,
-                                result.variant or "", fingerprint)
+        if result.variant == "no-caches" and result.benchmark in faulted:
+            fingerprint = dict(fingerprint, status="fault-injected")
         by_cell.setdefault((result.benchmark, result.mode), {})[
             result.variant or ""] = fingerprint
 

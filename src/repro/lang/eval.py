@@ -159,9 +159,11 @@ def memo_table() -> Iterator[Dict[tuple, Tuple[Value, int]]]:
 class Evaluator:
     """Evaluates expressions in a global environment of top-level values."""
 
-    def __init__(self, globals_: Optional[Dict[str, Value]] = None, fuel: int = DEFAULT_FUEL):
+    #: The fuel of an evaluation that is given no budget.
+    default_fuel = DEFAULT_FUEL
+
+    def __init__(self, globals_: Optional[Dict[str, Value]] = None):
         self.globals: Dict[str, Value] = globals_ if globals_ is not None else {}
-        self.default_fuel = fuel
 
     def eval(self, expr: Expr, env: Optional[Dict[str, Value]] = None,
              budget: Optional[EvalBudget] = None) -> Value:

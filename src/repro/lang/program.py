@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ast import EFun, Expr, FunDecl, TypeDecl
 from .errors import TypeError_
-from .eval import DEFAULT_FUEL, EvalBudget, Evaluator
+from .eval import Evaluator
 from .parser import parse_program
 from .prelude import PRELUDE_SOURCE
 from .typecheck import TypeChecker, TypeEnvironment
@@ -63,30 +63,29 @@ def _first_order(ty: Type, datatypes: Dict[str, TypeDecl],
 class Program:
     """A type-checked, evaluated program (prelude plus module source)."""
 
-    def __init__(self, fuel: int = DEFAULT_FUEL):
+    def __init__(self):
         self.types = TypeEnvironment()
-        self.evaluator = Evaluator({}, fuel=fuel)
+        self.evaluator = Evaluator({})
         self.declarations: List[object] = []
         self._checker = TypeChecker(self.types)
 
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def from_source(cls, source: str, include_prelude: bool = True,
-                    fuel: int = DEFAULT_FUEL) -> "Program":
+    def from_source(cls, source: str, include_prelude: bool = True) -> "Program":
         """Parse ``source``, then load it as :meth:`from_declarations` does."""
-        return cls.from_declarations(parse_program(source), include_prelude, fuel)
+        return cls.from_declarations(parse_program(source), include_prelude)
 
     @classmethod
-    def from_declarations(cls, decls: Sequence[object], include_prelude: bool = True,
-                          fuel: int = DEFAULT_FUEL) -> "Program":
+    def from_declarations(cls, decls: Sequence[object],
+                          include_prelude: bool = True) -> "Program":
         """Check and load already-parsed declarations.
 
         When ``include_prelude`` is true (the default) the shared prelude is
         loaded first, exactly as every benchmark program in the paper includes
         the standard prelude.
         """
-        program = cls(fuel=fuel)
+        program = cls()
         if include_prelude:
             program.extend_prelude()
         program.extend_declarations(decls)
@@ -177,19 +176,14 @@ class Program:
 
     # -- execution -------------------------------------------------------------------
 
-    def call(self, name: str, *args: Value, fuel: Optional[int] = None) -> Value:
+    def call(self, name: str, *args: Value) -> Value:
         """Apply a top-level function to argument values."""
-        fn = self.global_value(name)
-        budget = EvalBudget(fuel if fuel is not None else self.evaluator.default_fuel)
-        return self.evaluator.apply(fn, *args, budget=budget)
+        return self.evaluator.apply(self.global_value(name), *args)
 
-    def apply(self, fn: Value, *args: Value, fuel: Optional[int] = None) -> Value:
+    def apply(self, fn: Value, *args: Value) -> Value:
         """Apply an arbitrary function value to argument values."""
-        budget = EvalBudget(fuel if fuel is not None else self.evaluator.default_fuel)
-        return self.evaluator.apply(fn, *args, budget=budget)
+        return self.evaluator.apply(fn, *args)
 
-    def eval_expr(self, expr: Expr, env: Optional[Dict[str, Value]] = None,
-                  fuel: Optional[int] = None) -> Value:
+    def eval_expr(self, expr: Expr, env: Optional[Dict[str, Value]] = None) -> Value:
         """Evaluate an expression against the program's globals."""
-        budget = EvalBudget(fuel if fuel is not None else self.evaluator.default_fuel)
-        return self.evaluator.eval(expr, env, budget)
+        return self.evaluator.eval(expr, env)

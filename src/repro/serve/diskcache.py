@@ -31,6 +31,9 @@ The in-memory caches (:mod:`repro.verify.evalcache`,
   $apps$  synthesis component (app memo) component dep-hash, eval fuel
   ======= ============================== ===================================
 
+  The eval fuel is :data:`repro.lang.eval.DEFAULT_FUEL`, so editing it
+  invalidates every stored entry.
+
   The file name *is* the hash of everything its content depends on, so
   incremental invalidation needs no diffing: any structural edit to one
   declaration changes only the keys of the sections whose declaration
@@ -68,6 +71,7 @@ from ..analysis.canon import (
 from ..core.config import HanoiConfig
 from ..core.module import ModuleDefinition, ModuleInstance
 from ..core.stats import InferenceStats
+from ..lang.eval import DEFAULT_FUEL
 from ..lang.pretty import pretty_type
 from ..lang.program import _prelude_declarations
 from ..synth.poolcache import SynthesisEvaluationCache
@@ -223,7 +227,7 @@ class PersistentCacheBinding:
         self._dep = declaration_dependency_hashes(definition, decls)
         self._fallback = canonical_hash(definition, decls)
         self._bounds = repr(astuple(config.verifier_bounds))
-        self._fuel = str(config.eval_fuel)
+        self._fuel = str(DEFAULT_FUEL)
         # What restore() left in memory, per section that hit: the spec
         # stream's state and each component's memo table size.  persist()
         # writes a section only when it is missing here or the run changed it.

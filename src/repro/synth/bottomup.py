@@ -58,6 +58,9 @@ __all__ = ["TypedComponent", "TermEntry", "TermPool"]
 #: patterns, without flooding the pool with container literals.
 CONSTANT_DATATYPES = ("nat",)
 
+#: Hard cap on the applications one pool tries before it stops growing.
+MAX_APPLICATIONS = 60_000
+
 
 @dataclass(frozen=True)
 class TypedComponent:
@@ -100,7 +103,6 @@ class TermPool:
                  context: Sequence[Tuple[str, Type]],
                  environments: Sequence[Dict[str, Value]],
                  max_size: int,
-                 max_applications: int = 60_000,
                  deadline: Optional[Deadline] = None,
                  cache: Optional[SynthesisEvaluationCache] = None,
                  stats: Optional[InferenceStats] = None,
@@ -111,7 +113,6 @@ class TermPool:
         self.context = tuple(context)
         self.environments = list(environments)
         self.max_size = max_size
-        self.max_applications = max_applications
         self.deadline = deadline or Deadline(None)
         self.cache = cache
         self.stats = stats
@@ -173,7 +174,7 @@ class TermPool:
         self._build_leaves()
         for size in range(2, self.max_size + 1):
             self._build_size(size)
-            if self._applications >= self.max_applications:
+            if self._applications >= MAX_APPLICATIONS:
                 break
         if key is not None:
             self.cache.pools.put(
@@ -201,8 +202,7 @@ class TermPool:
         environment_key = tuple(
             tuple(env[name] for name, _ in self.context) for env in self.environments
         )
-        return (self.context, component_key, environment_key,
-                self.max_size, self.max_applications)
+        return (self.context, component_key, environment_key, self.max_size)
 
     def _replay(self, snapshot: PoolSnapshot) -> None:
         """Reinstall a previously built pool's term structure verbatim."""
@@ -272,7 +272,7 @@ class TermPool:
                 continue
             for arg_sizes in ordered_partitions(budget, arity):
                 self._build_applications(component, arg_sizes, size)
-                if self._applications >= self.max_applications:
+                if self._applications >= MAX_APPLICATIONS:
                     return
 
     def _build_applications(self, component: TypedComponent,
@@ -298,12 +298,13 @@ class TermPool:
         memo = self.cache.applications if self.cache is not None else None
         outcomes = memo.table(fn) if memo is not None else {}
         applications = self._applications
+        cap = MAX_APPLICATIONS
         evaluations = misses = 0
         try:
             # ``product`` varies its last pool fastest; the reversed pools and
             # combinations make the first argument vary fastest instead.
             for combo in product(*reversed(pools)):
-                if applications >= self.max_applications:
+                if applications >= cap:
                     return
                 applications += 1
                 if applications % 512 == 0:

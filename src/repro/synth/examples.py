@@ -105,9 +105,3 @@ class ExampleOracle:
 
     def lookup(self, value: Value) -> Optional[bool]:
         return self.mapping.get(value)
-
-    def consistent(self, predicate) -> bool:
-        """Is a predicate consistent with the original (non-padded) examples?"""
-        return all(predicate(v) for v in self.positives) and all(
-            not predicate(v) for v in self.negatives
-        )

@@ -26,6 +26,7 @@ from ..core.module import ModuleInstance
 from ..core.stats import InferenceStats
 from ..lang.types import TData, TProd, Type, arrow
 from ..lang.values import Value, VCtor, VNative, VTuple, int_of_nat, nat_of_int
+from ..obs.events import NULL_EMITTER
 from .myth import MythSynthesizer
 
 __all__ = ["FoldSynthesizer"]
@@ -53,11 +54,12 @@ class FoldSynthesizer(MythSynthesizer):
                  stats: Optional[InferenceStats] = None,
                  deadline: Optional[Deadline] = None,
                  extra_components: Optional[Dict[str, Tuple[Type, Value]]] = None,
-                 pool_cache=None):
+                 pool_cache=None, emitter: object = NULL_EMITTER):
         extras = dict(extra_components or {})
         extras.update(self._derived_folds(instance))
         super().__init__(instance, stats=stats, deadline=deadline,
-                         extra_components=extras, pool_cache=pool_cache)
+                         extra_components=extras, pool_cache=pool_cache,
+                         emitter=emitter)
 
     @staticmethod
     def _derived_folds(instance: ModuleInstance) -> Dict[str, Tuple[Type, Value]]:

@@ -71,8 +71,6 @@ MAX_CONJUNCTS = 4
 #: Maximum number of candidates returned per synthesis call (the paper's
 #: modified Myth returns a set of candidates for result caching).
 MAX_CANDIDATES = 12
-#: Hard cap on terms enumerated per branch before giving up.
-MAX_TERMS_PER_BRANCH = 60_000
 #: Maximum branch-body candidates kept per branch before combining branches.
 _PER_BRANCH_CANDIDATES = 4
 #: Maximum atoms considered by the exhaustive pair search for conjunctions.
@@ -333,7 +331,6 @@ class MythSynthesizer:
             context=context,
             environments=[env for env, _ in examples],
             max_size=MAX_TERM_SIZE,
-            max_applications=MAX_TERMS_PER_BRANCH,
             deadline=self.deadline,
             cache=self.pool_cache,
             stats=self.stats,

@@ -201,8 +201,9 @@ class PoolMemo:
     The key (built by ``TermPool._pool_key``) captures everything the
     construction depends on: the typed context, the component identities
     (name, signature, restrictions, and the function value itself), the
-    example environments projected onto the context, and the size/budget
-    bounds.  An exact match therefore replays byte-identically; anything
+    example environments projected onto the context, and the size bound
+    (the application cap is the constant ``bottomup.MAX_APPLICATIONS``).
+    An exact match therefore replays byte-identically; anything
     less than an exact match rebuilds (backed by the application memo).
     :data:`MAX_POOL_ENTRIES` bounds memory the same way
     :data:`MAX_APPLICATION_ENTRIES` bounds the application memo.

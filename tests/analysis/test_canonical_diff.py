@@ -5,7 +5,6 @@ declarations an instance already checked gives the keys of hashing the
 source afresh.
 """
 
-import dataclasses
 import glob
 import os
 
@@ -16,7 +15,6 @@ from repro.analysis.canon import canonical_hash, declaration_dependency_hashes
 from repro.core import hanoi
 from repro.core.hanoi import HanoiInference
 from repro.lang.program import _prelude_declarations
-from repro.lang.values import VCtor
 from repro.spec.loader import load_module_file
 from repro.suite.registry import all_benchmark_names, get_benchmark
 
@@ -35,24 +33,6 @@ def test_inference_without_a_store_never_hashes_the_module(fast_config, monkeypa
     result = HanoiInference(get_benchmark("/coq/unique-list-::-set"),
                             config=fast_config).infer()
     assert result.succeeded
-
-
-def test_constant_too_costly_for_default_fuel_loads_at_the_run_fuel(fast_config):
-    # The module is loaded once, at the run's fuel; a constant that needs
-    # more than the default fuel, but fits the run's, must not end the run.
-    costly = """
-let rec burn (n : nat) : bool =
-  match n with
-  | O -> True
-  | S m -> andb (burn m) (burn m)
-
-let burnt : bool = burn 15
-"""
-    definition = get_benchmark("/other/sized-list")
-    definition = dataclasses.replace(definition, source=definition.source + costly)
-    config = dataclasses.replace(fast_config, eval_fuel=1_000_000)
-    inference = HanoiInference(definition, config=config)
-    assert inference.instance.program.global_value("burnt") == VCtor("True")
 
 
 @pytest.mark.parametrize(

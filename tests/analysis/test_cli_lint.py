@@ -134,6 +134,28 @@ def test_lint_malformed_module_is_han000_exit_two(tmp_path, capsys):
     assert "HAN000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("benchmark \"/x\"\nlet bad = ???", 2,
+     "unexpected character '?' (line 2, column 11)"),
+    # A file-level error has no line; it is anchored to line 1.
+    ("let x : nat = O\n", 1, "missing 'abstract type <alias> = <type>' directive"),
+])
+def test_lint_load_error_renders_exactly(tmp_path, capsys, text, line, message):
+    import json
+
+    path = _write(tmp_path, "broken.hanoi", text)
+    assert main(["lint", path]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}:{line}: HAN000 error: {message}",
+        "linted 1 module(s): 0 clean, 0 with warnings, 1 with errors",
+    ]
+    assert main(["lint", path, "--format", "json"]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines() == [json.dumps(
+        {"code": "HAN000", "decl": None, "line": line, "message": message,
+         "path": path, "severity": "error"}, sort_keys=True)]
+
+
 def test_fuzz_lint_dirty_module_shrunk_to_reproducer(tmp_path, capsys):
     """A dirty generated module exits nonzero and leaves a .hanoi
     reproducer that still triggers one of the original codes."""

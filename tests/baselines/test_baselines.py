@@ -27,7 +27,6 @@ def test_conjunctive_predicate_semantics(listset_instance):
     assert conj(L(2, 1)) and not conj(L(1, 1))
     assert conj.size > no_dups.size
     assert "(* conjoined with *)" in conj.render()
-    assert conj.consistent_with([L()], [L(0, 0)])
     with pytest.raises(ValueError):
         ConjunctivePredicate([])
 

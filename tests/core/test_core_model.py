@@ -69,8 +69,8 @@ def test_predicate_consistency_helpers(listset_instance):
     )
     assert nodup.consistent_with([L(), L(1)], [L(2, 2)])
     assert not nodup.consistent_with([L(1, 1)], [])
-    assert nodup.accepts_all([L(), L(3)])
-    assert nodup.rejects_all([L(0, 0)])
+    assert not nodup.consistent_with([], [L(3)])
+    assert nodup.consistent_with([], [])
 
 
 def test_predicate_evaluation_failure_counts_as_rejection(listset_instance):

@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import run
 from repro.experiments.runner import MODES, quick_config, run_module
 from repro.suite.registry import get_benchmark
 from repro.synth.base import SynthesisFailure
@@ -66,7 +67,7 @@ def test_status_iterations_and_message(mode, scenario, monkeypatch):
     if scenario == "timeout":
         config = replace(config, timeout_seconds=0.0)
     elif scenario == "one-iteration":
-        config = replace(config, max_iterations=1)
+        monkeypatch.setattr(run, "MAX_ITERATIONS", 1)
     elif scenario == "synthesis-failure":
         # The fold synthesizer inherits ``synthesize``, so one patch covers
         # every mode's synthesizer.

@@ -79,12 +79,11 @@ class _Code:
         self.gather = gather
 
 
-def reference_program(source: str = "", declarations: Sequence[object] = (),
-                      fuel: int = DEFAULT_FUEL) -> Program:
+def reference_program(source: str = "", declarations: Sequence[object] = ()) -> Program:
     """A prelude-first program, like :meth:`Program.from_source`, whose
     closures this module compiles."""
-    program = Program(fuel=fuel)
-    program.evaluator = Evaluator({}, fuel=fuel)
+    program = Program()
+    program.evaluator = Evaluator({})
     program.extend_prelude()
     program.extend_declarations(list(declarations) + parse_program(source))
     return program
@@ -103,9 +102,10 @@ def _exhaust(budget: EvalBudget) -> None:
 class Evaluator:
     """The reference evaluator: the interface of :class:`repro.lang.eval.Evaluator`."""
 
-    def __init__(self, globals_: Optional[Dict[str, Value]] = None, fuel: int = DEFAULT_FUEL):
+    default_fuel = DEFAULT_FUEL
+
+    def __init__(self, globals_: Optional[Dict[str, Value]] = None):
         self.globals: Dict[str, Value] = globals_ if globals_ is not None else {}
-        self.default_fuel = fuel
 
     # -- public API -----------------------------------------------------------
 

@@ -83,7 +83,8 @@ def test_unbound_variable_raises(program):
 def test_fuel_exhaustion(program):
     big = nat_of_int(40)
     with pytest.raises(FuelExhausted):
-        program.call("plus", big, big, fuel=20)
+        program.evaluator.apply(program.global_value("plus"), big, big,
+                                budget=EvalBudget(20))
 
 
 def test_application_of_non_function_raises(program):

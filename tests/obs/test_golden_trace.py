@@ -24,6 +24,8 @@ from repro.obs.analyze import validate_trace
 from repro.obs.events import CountingClock, Emitter
 from repro.obs.sinks import InMemorySink, JsonlTraceSink, read_trace
 from repro.suite.registry import get_benchmark
+from repro.synth.folds import FoldSynthesizer
+from repro.synth.myth import MythSynthesizer
 
 LIST_SET_NAME = "/coq/unique-list-::-set"
 
@@ -88,6 +90,16 @@ def test_trace_is_well_formed_and_spans_nest(fast_config, tmp_path):
     stats = run_end["data"]["stats"]
     assert stats["synthesis_calls"] == result.stats.synthesis_calls
     assert not any(key.endswith("_time") for key in stats)
+
+
+@pytest.mark.parametrize("factory", [MythSynthesizer, FoldSynthesizer])
+def test_the_synthesizer_traces_to_the_run_emitter(fast_config, factory):
+    # Both synthesizers take the run's emitter when built, so the
+    # hanoi-fold mode's synthesis spans land in the run's trace too.
+    emitter = Emitter(sinks=[InMemorySink()], run="listset/hanoi", clock=CountingClock())
+    inference = HanoiInference(get_benchmark(LIST_SET_NAME), fast_config,
+                               synthesizer_factory=factory, emitter=emitter)
+    assert inference.synthesizer.emitter is emitter
 
 
 def test_golden_trace_byte_identical_across_runs(fast_config, tmp_path):

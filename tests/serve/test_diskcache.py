@@ -176,14 +176,25 @@ def test_a_run_stores_one_spec_section_and_one_per_component(tmp_path, binding):
     assert result.stats.disk_cache_misses == sum(stats.values())
 
 
-def test_bounds_and_fuel_are_part_of_every_key(binding):
+def test_bounds_and_fuel_are_part_of_every_key(binding, monkeypatch):
     from dataclasses import replace
 
+    from repro.serve import diskcache
+
     definition = load_module_file(EXAMPLE)
-    other_config = replace(CONFIG, eval_fuel=CONFIG.eval_fuel + 1)
-    other = PersistentCacheBinding(DiskCacheStore("/nonexistent"),
-                                   definition, definition.instantiate(),
-                                   other_config)
+
+    def rebind(config):
+        return PersistentCacheBinding(DiskCacheStore("/nonexistent"),
+                                      definition, definition.instantiate(), config)
+
+    # The verifier bounds shape only the spec stream.
+    wider = replace(FAST_VERIFIER_BOUNDS, max_total=FAST_VERIFIER_BOUNDS.max_total + 1)
+    rebound = rebind(replace(CONFIG, verifier_bounds=wider))
+    assert rebound.spec_key() != binding.spec_key()
+    assert rebound.component_keys() == binding.component_keys()
+
+    monkeypatch.setattr(diskcache, "DEFAULT_FUEL", diskcache.DEFAULT_FUEL + 1)
+    other = rebind(CONFIG)
     assert other.spec_key() != binding.spec_key()
     assert set(other.component_keys().values()).isdisjoint(
         binding.component_keys().values())
@@ -252,13 +263,15 @@ def test_a_warm_run_writes_nothing_and_edits_write_what_they_changed(tmp_path, p
     assert persisted == [9, 0, 0, 1, 0]
 
 
-def test_a_run_that_extends_the_spec_stream_rewrites_it(tmp_path, persisted):
-    from dataclasses import replace
+def test_a_run_that_extends_the_spec_stream_rewrites_it(tmp_path, persisted,
+                                                         monkeypatch):
+    from repro.core import run
 
     root = str(tmp_path / "cache")
     text = open(EXAMPLE, encoding="utf-8").read()
-    short = replace(CONFIG, max_iterations=1)
-    result = run_module(load_module_file(EXAMPLE), config=short.with_cache_dir(root))
+    with monkeypatch.context() as patch:
+        patch.setattr(run, "MAX_ITERATIONS", 1)
+        result = run_module(load_module_file(EXAMPLE), config=CONFIG.with_cache_dir(root))
     assert not result.succeeded
     spec_dir = os.path.join(root, f"v{STORE_VERSION}", "spec")
     filled = {path: entry for path, entry in _entry_files(root).items()

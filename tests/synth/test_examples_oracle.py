@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.predicate import Predicate
 from repro.lang.types import TData
 from repro.lang.values import nat_of_int, v_list
 from repro.suite.registry import get_benchmark
@@ -48,10 +49,15 @@ def test_overlapping_examples_rejected(listset):
 
 def test_consistency_uses_original_examples_only(listset):
     oracle = ExampleOracle.build([L()], [L(1, 1)], TData("list"), listset.program.types)
-    # A predicate wrong on the padded value [1] but right on the originals is
-    # still "consistent" (padding is internal to the synthesizer).
-    predicate = lambda v: v != L(1, 1)
-    assert oracle.consistent(predicate)
+    # Trace completeness pads [1], the tail of [1; 1], as false.  nodup
+    # accepts it, yet is consistent with the original examples, which are
+    # all the synthesizer re-validates candidates against (padding is
+    # internal to the synthesizer).
+    nodup = Predicate.from_source(
+        get_benchmark("/coq/unique-list-::-set").expected_invariant, listset.program)
+    assert oracle.expected(L(1)) is False and nodup(L(1))
+    assert (oracle.positives, oracle.negatives) == ((L(),), (L(1, 1),))
+    assert nodup.consistent_with(oracle.positives, oracle.negatives)
 
 
 @settings(max_examples=30, deadline=None)

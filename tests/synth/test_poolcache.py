@@ -25,7 +25,7 @@ from repro.spec.loader import load_module_file
 from repro.suite.registry import get_benchmark
 from repro.synth.bottomup import TermPool, TypedComponent
 from repro.synth.myth import MythSynthesizer
-from repro.synth import poolcache
+from repro.synth import bottomup, poolcache
 from repro.synth.poolcache import CRASHED, SynthesisEvaluationCache
 
 CONFIG = HanoiConfig(verifier_bounds=FAST_VERIFIER_BOUNDS, timeout_seconds=90)
@@ -271,15 +271,14 @@ def test_memo_caps_bound_memory(listset, monkeypatch):
 THREE_ENVIRONMENTS = ENVIRONMENTS + [{"x": v_list([]), "n": nat_of_int(2)}]
 
 
-def _wide_pool(listset, max_size, max_applications=60_000, cache=None, stats=None,
-               deadline=None):
+def _wide_pool(listset, max_size, cache=None, stats=None, deadline=None):
     program = listset.program
     components = [TypedComponent(name, program.global_type(name), program.global_value(name))
                   for name in ("nat_eq", "lookup", "insert", "andb", "plus")]
     return TermPool(
         program, components, context=[("x", TData("list")), ("n", TData("nat"))],
-        environments=THREE_ENVIRONMENTS, max_size=max_size,
-        max_applications=max_applications, deadline=deadline, cache=cache, stats=stats)
+        environments=THREE_ENVIRONMENTS, max_size=max_size, deadline=deadline,
+        cache=cache, stats=stats)
 
 
 def _rendered(pool):
@@ -291,14 +290,15 @@ def _rendered(pool):
 def test_application_cap_cuts_off_identically_cached_or_not(listset, cap, monkeypatch):
     uncapped = _wide_pool(listset, max_size=6)
     assert uncapped._applications > cap
-    plain = _wide_pool(listset, max_size=6, max_applications=cap)
+    monkeypatch.setattr(bottomup, "MAX_APPLICATIONS", cap)
+    plain = _wide_pool(listset, max_size=6)
     # The pool memo never stores, so the warm build below is a real rebuild
     # answered by the application memo the cold build filled.
     monkeypatch.setattr(poolcache, "MAX_POOL_ENTRIES", 0)
     cache = SynthesisEvaluationCache()
     cold_stats, warm_stats = InferenceStats(), InferenceStats()
-    cold = _wide_pool(listset, 6, cap, cache, cold_stats)
-    warm = _wide_pool(listset, 6, cap, cache, warm_stats)
+    cold = _wide_pool(listset, 6, cache, cold_stats)
+    warm = _wide_pool(listset, 6, cache, warm_stats)
     assert len(cache.pools) == 0
     assert warm_stats.pool_cache_misses == 0
     assert warm_stats.pool_cache_hits == warm._evaluations
@@ -364,7 +364,9 @@ def test_an_expired_deadline_leaves_exact_counters(listset, monkeypatch):
     # evaluated, so the build that raises has done exactly the evaluations
     # of a build capped at 511 applications.
     assert _wide_pool(listset, max_size=12)._applications > 512
-    expected = _wide_pool(listset, max_size=12, max_applications=511)._evaluations
+    with monkeypatch.context() as patch:
+        patch.setattr(bottomup, "MAX_APPLICATIONS", 511)
+        expected = _wide_pool(listset, max_size=12)._evaluations
     monkeypatch.setattr(poolcache, "MAX_POOL_ENTRIES", 0)
     for cache in (None, SynthesisEvaluationCache()):
         stats = InferenceStats()

@@ -1,14 +1,12 @@
-"""Tests for the incremental synthesis result cache (Section 4.4).
+"""Tests for the synthesis result cache (Section 4.4).
 
-The cache's contract is unchanged from the seed - ``lookup`` returns the
-first stored candidate consistent with the given example sets - but lookups
-now track per-candidate progress through the example logs instead of
-rescanning everything.  These tests pin down both the contract and the
-incrementality (via predicates that count their evaluations).
+``lookup`` returns the first stored candidate consistent with the given
+example sets; it tries each set's values in ``value_order``, so which values
+a lookup evaluates does not depend on the hash seed.
 """
 
 from repro.core.predicate import Predicate
-from repro.lang.values import nat_of_int, v_list
+from repro.lang.values import nat_of_int, v_list, value_order
 from repro.suite.registry import get_benchmark
 from repro.synth.cache import SynthesisResultCache
 
@@ -17,31 +15,16 @@ def L(*ints):
     return v_list([nat_of_int(i) for i in ints])
 
 
-class CountingPredicate:
-    """Wraps a predicate, counting evaluations of *distinct* lookups (the
-    underlying Predicate memoizes, so we count calls before its memo)."""
-
-    def __init__(self, predicate):
-        self.predicate = predicate
-        self.calls = 0
-        # The cache deduplicates stored candidates by their definition.
-        self.decl = predicate.decl
-
-    def __call__(self, value):
-        self.calls += 1
-        return self.predicate(value)
-
-
-def _nodup_predicate():
+def _nodup_predicate(cls=Predicate):
     definition = get_benchmark("/coq/unique-list-::-set")
     program = definition.instantiate().program
-    return Predicate.from_source(definition.expected_invariant, program)
+    return cls.from_source(definition.expected_invariant, program)
 
 
-def _never_predicate():
+def _never_predicate(cls=Predicate):
     definition = get_benchmark("/coq/unique-list-::-set")
     program = definition.instantiate().program
-    return Predicate.from_source("let never (l : list) : bool = False", program)
+    return cls.from_source("let never (l : list) : bool = False", program)
 
 
 def test_lookup_returns_first_consistent_candidate():
@@ -66,38 +49,6 @@ def test_store_deduplicates_by_definition():
     assert len(cache) == 1
 
 
-def test_monotone_growth_checks_only_new_examples():
-    cache = SynthesisResultCache()
-    counting = CountingPredicate(_nodup_predicate())
-    cache.store([counting])
-
-    assert cache.lookup([L(), L(1)], [L(2, 2)]) is counting
-    calls_first = counting.calls
-    assert calls_first == 3
-
-    # Same sets again: nothing new to evaluate.
-    assert cache.lookup([L(), L(1)], [L(2, 2)]) is counting
-    assert counting.calls == calls_first
-
-    # One new positive, one new negative: exactly two fresh evaluations.
-    assert cache.lookup([L(), L(1), L(3)], [L(2, 2), L(4, 4)]) is counting
-    assert counting.calls == calls_first + 2
-
-
-def test_dead_candidates_are_not_reevaluated_while_positives_persist():
-    cache = SynthesisResultCache()
-    counting = CountingPredicate(_never_predicate())
-    cache.store([counting])
-
-    assert cache.lookup([L(1)], []) is None
-    calls_first = counting.calls
-    assert calls_first == 1
-
-    # Still dead, no matter how much the sets grow: zero further evaluations.
-    assert cache.lookup([L(1), L(2), L(3)], [L(4, 4)]) is None
-    assert counting.calls == calls_first
-
-
 def test_shrinking_example_sets_resets_and_stays_correct():
     """Correctness never depends on monotonicity: V- resets on weakening, and
     arbitrary callers may shrink either set."""
@@ -117,44 +68,32 @@ def test_shrinking_example_sets_resets_and_stays_correct():
     assert cache.lookup([L(1)], []) is nodup
 
 
-def test_progress_reports_per_candidate_state():
+# -- deterministic lookup order (regression: hash-seed dependence) ------------------
+
+
+def test_lookup_tries_values_in_value_order():
+    """Positives first, then negatives, each sorted by ``value_order``; a
+    candidate stops at the first value that decides."""
+    tried = []
+
+    class Recording(Predicate):
+        def __call__(self, value):
+            tried.append((self.name, value))
+            return super().__call__(value)
+
+    never, nodup = _never_predicate(Recording), _nodup_predicate(Recording)
     cache = SynthesisResultCache()
-    never = _never_predicate()
-    cache.store([never])
-    cache.lookup([L(1)], [])
-    (entry,) = cache.progress()
-    assert entry == (0, 0, True)  # died on the first positive
-
-
-# -- deterministic example-log ordering (regression: hash-seed dependence) --------
-
-
-def test_example_logs_extend_in_deterministic_order():
-    """``sync`` receives Python sets; without an explicit order the log (and
-    therefore which offending negative each entry parks on) would follow the
-    interpreter's hash seed."""
-    from repro.lang.values import value_order
-    from repro.synth.cache import _ExampleLog
-
-    values = [L(3, 1), L(2), L(1, 2, 3), L(5), L(4, 4)]
-    log = _ExampleLog()
-    log.sync(set(values))
-    assert log.values == sorted(values, key=value_order)
-
-    # Extensions append the fresh values in the same order ...
-    extra = [L(9), L(0, 7)]
-    log.sync(set(values) | set(extra))
-    assert log.values[len(values):] == sorted(extra, key=value_order)
-
-    # ... and a generation reset re-sorts the surviving set.
-    log.sync({L(2), L(5), L(3, 1)})
-    assert log.generation == 1
-    assert log.values == sorted([L(2), L(5), L(3, 1)], key=value_order)
+    cache.store([never, nodup])
+    positives = {L(), L(1), L(2)}
+    negatives = {L(1, 1), L(2, 2), L(3, 3)}
+    assert cache.lookup(positives, negatives) is nodup
+    ordered = sorted(positives, key=value_order) + sorted(negatives, key=value_order)
+    assert tried == [("never", ordered[0])] + [(nodup.name, value) for value in ordered]
 
 
 def test_lookup_order_is_reproducible_across_hash_seeds():
-    """The same lookup sequence must park every entry on the same log indices
-    regardless of PYTHONHASHSEED (which reorders Python set iteration)."""
+    """The values a candidate is evaluated on, and their order, must not
+    follow PYTHONHASHSEED (which reorders Python set iteration)."""
     import os
     import subprocess
     import sys
@@ -165,19 +104,22 @@ def test_lookup_order_is_reproducible_across_hash_seeds():
         "from repro.synth.cache import SynthesisResultCache\n"
         "from repro.core.predicate import Predicate\n"
         "from repro.suite.registry import get_benchmark\n"
+        "tried = []\n"
+        "class Counting(Predicate):\n"
+        "    def __call__(self, value):\n"
+        "        tried.append((self.name, str(value)))\n"
+        "        return super().__call__(value)\n"
         "definition = get_benchmark('/coq/unique-list-::-set')\n"
         "program = definition.instantiate().program\n"
-        "nodup = Predicate.from_source(definition.expected_invariant, program)\n"
-        "never = Predicate.from_source('let never (l : list) : bool = False', program)\n"
+        "nodup = Counting.from_source(definition.expected_invariant, program)\n"
+        "never = Counting.from_source('let never (l : list) : bool = False', program)\n"
         "def L(*ints):\n"
         "    return v_list([nat_of_int(i) for i in ints])\n"
         "cache = SynthesisResultCache()\n"
         "cache.store([never, nodup])\n"
-        "found = cache.lookup({L(), L(1), L(2)}, {L(1, 1), L(2, 2), L(3, 3)})\n"
-        "print(found.render())\n"
-        "print(cache.progress())\n"
-        "print([str(v) for v in cache._positives.values])\n"
-        "print([str(v) for v in cache._negatives.values])\n"
+        "print(cache.lookup({L(), L(1), L(2)}, {L(1, 1), L(2, 2), L(3, 3)}).render())\n"
+        "print(cache.lookup({L(3), L(0), L(2, 1)}, {L(4, 4), L(0, 0), L(5)}))\n"
+        "print(tried)\n"
     )
 
     outputs = []
