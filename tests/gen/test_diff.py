@@ -3,7 +3,7 @@
 ``repro.gen.diff`` promises that a clean run of a generated module produces
 an ``ok`` report, that any disagreement between cache variants (including a
 missing variant) surfaces as a mismatch, and that the test-only fault hook
-corrupt exactly the cell they claim to.  The in-process and stored-result
+corrupts exactly the cell they claim to.  The in-process and stored-result
 paths are both covered - the CLI uses the latter.
 """
 
@@ -100,8 +100,7 @@ def test_clean_generated_module_fuzzes_ok(fast_config, module_zero):
     assert "ok" in report.summary()
 
 
-def test_env_fault_hook_targets_named_operation(fast_config, module_zero,
-                                                monkeypatch):
+def test_fault_hook_surfaces_as_mismatch(fast_config, module_zero, monkeypatch):
     operation = module_zero.definition.operations[0].name
     monkeypatch.setenv(FAULT_ENV_VAR, operation)
     report = differential(module_zero.definition, CACHE_MATRIX, ("hanoi",),
@@ -110,6 +109,15 @@ def test_env_fault_hook_targets_named_operation(fast_config, module_zero,
     assert len(report.mismatches) == 1
     described = report.mismatches[0].describe()
     assert "no-caches" in described and "fault-injected" in described
+
+
+def test_env_fault_hook_targets_named_operation(fast_config, module_zero,
+                                                monkeypatch):
+    operation = module_zero.definition.operations[0].name
+    monkeypatch.setenv(FAULT_ENV_VAR, operation)
+    report = differential(module_zero.definition, CACHE_MATRIX, ("hanoi",),
+                          fast_config)
+    assert len(report.mismatches) == 1
     monkeypatch.setenv(FAULT_ENV_VAR, "no_module_defines_this")
     report = differential(module_zero.definition, CACHE_MATRIX, ("hanoi",),
                           fast_config)

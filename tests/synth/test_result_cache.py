@@ -49,6 +49,52 @@ def test_store_deduplicates_by_definition():
     assert len(cache) == 1
 
 
+class CountingPredicate(Predicate):
+    """Counts evaluations below the predicate's memo: the values a candidate
+    actually pays for."""
+
+    def __init__(self, decl, program):
+        super().__init__(decl, program)
+        self.calls = 0
+
+    def _evaluate(self, value):
+        self.calls += 1
+        return super()._evaluate(value)
+
+
+def test_monotone_growth_checks_only_new_examples():
+    cache = SynthesisResultCache()
+    counting = _nodup_predicate(CountingPredicate)
+    cache.store([counting])
+
+    assert cache.lookup([L(), L(1)], [L(2, 2)]) is counting
+    calls_first = counting.calls
+    assert calls_first == 3
+
+    # Same sets again: nothing new to evaluate.
+    assert cache.lookup([L(), L(1)], [L(2, 2)]) is counting
+    assert counting.calls == calls_first
+
+    # One new positive, one new negative: exactly two fresh evaluations.
+    assert cache.lookup([L(), L(1), L(3)], [L(2, 2), L(4, 4)]) is counting
+    assert counting.calls == calls_first + 2
+
+
+def test_dead_candidates_are_not_reevaluated_while_positives_persist():
+    cache = SynthesisResultCache()
+    counting = _never_predicate(CountingPredicate)
+    cache.store([counting])
+
+    assert cache.lookup([L(1)], []) is None
+    calls_first = counting.calls
+    assert calls_first == 1
+
+    # Still dead, no matter how much the sets grow: the offending positive
+    # sorts first and its verdict is memoized, so zero further evaluations.
+    assert cache.lookup([L(1), L(2), L(3)], [L(4, 4)]) is None
+    assert counting.calls == calls_first
+
+
 def test_shrinking_example_sets_resets_and_stays_correct():
     """Correctness never depends on monotonicity: V- resets on weakening, and
     arbitrary callers may shrink either set."""
