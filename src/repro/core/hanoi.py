@@ -29,7 +29,7 @@ The loop terminates when a candidate passes both phases: that candidate is a
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional, Sequence, Set
 
 from ..lang.values import Value, value_order
 # Re-exported only because perfbench/layers.py wraps canonical_hash here.
@@ -57,23 +57,24 @@ class HanoiInference(InferenceRun):
                  mode_name: Optional[str] = None, emitter: Optional[object] = None):
         super().__init__(module, config, synthesizer_factory, mode_name, emitter)
         # Persistent cache tier (docs/service.md): warm the freshly created
-        # caches from the content-addressed disk store before the loop
-        # starts.  Strictly best-effort - any failure here or at write-back
-        # downgrades to a cold start, never changes an outcome, and is
-        # surfaced as a ``disk-cache-warning`` event.  ``cache_dir=None``
-        # (the default) skips even the import, so runs without persistence
-        # pay nothing.
+        # caches and load the synthesizer's stored answers from the
+        # content-addressed disk store before the loop starts.  Strictly
+        # best-effort - any failure here or at write-back downgrades to a
+        # cold start, never changes an outcome, and is surfaced as a
+        # ``disk-cache-warning`` event.  ``cache_dir=None`` (the default)
+        # skips even the import, so runs without persistence pay one
+        # ``None`` check per synthesis call.
         self.persistent = None
         self._disk_cache_warning = _disk_cache_warner(self.events, self.emitter)
-        if self.config.cache_dir and (self.eval_cache is not None
-                                      or self.pool_cache is not None):
+        if self.config.cache_dir:
             try:
                 from ..serve.diskcache import DiskCacheStore, PersistentCacheBinding
 
                 store = DiskCacheStore(self.config.cache_dir,
                                        warn=self._disk_cache_warning)
                 self.persistent = PersistentCacheBinding(
-                    store, self.definition, self.instance, self.config)
+                    store, self.definition, self.instance, self.config,
+                    self.synthesizer)
                 self.persistent.restore(self.eval_cache, self.pool_cache,
                                         self.stats)
             except Exception as error:
@@ -218,18 +219,42 @@ class HanoiInference(InferenceRun):
     # -- helpers -------------------------------------------------------------------
 
     def _next_candidate(self, positives: Set[Value], negatives: Set[Value]) -> Predicate:
-        """Look up a cached candidate or call the synthesizer (Section 4.4)."""
+        """Look up a cached candidate or call the synthesizer (Section 4.4).
+
+        V+ and V- are sorted by ``value_order`` once, so the cache scan and
+        the persistent store's key do not follow the sets' iteration order.
+        """
+        positives = tuple(sorted(positives, key=value_order))
+        negatives = tuple(sorted(negatives, key=value_order))
         if self.cache is not None:
             cached = self.cache.lookup(positives, negatives)
             if cached is not None:
                 self.stats.synthesis_cache_hits += 1
                 self._log("synthesis-cache-hit", cached)
                 return cached
-        candidates = self.synthesizer.synthesize(positives, negatives)
+        candidates = self._synthesize(positives, negatives)
         if self.cache is not None:
             self.cache.store(candidates)
         self._log("synthesized", candidates[0], alternatives=len(candidates))
         return candidates[0]
+
+    def _synthesize(self, positives: Sequence[Value],
+                    negatives: Sequence[Value]) -> List[Predicate]:
+        """Replay the synthesizer's answer from the persistent store, or call
+        the synthesizer and record its answer (candidates or failure)."""
+        persistent = self.persistent
+        if persistent is None:
+            return self.synthesizer.synthesize(positives, negatives)
+        replayed = persistent.replay(positives, negatives, self.stats)
+        if replayed is not None:
+            return replayed
+        try:
+            candidates = self.synthesizer.synthesize(positives, negatives)
+        except SynthesisFailure as failure:
+            persistent.record(positives, negatives, failure)
+            raise
+        persistent.record(positives, negatives, candidates)
+        return candidates
 
     def _weaken(self, event: str, candidate: Optional[Predicate], operation: str,
                 new_positives: Set[Value], positives: Set[Value],

@@ -34,6 +34,9 @@ class InferenceStats:
     synthesis_time: float = 0.0
     #: Synthesis requests answered from the synthesis-result cache (Section 4.4).
     synthesis_cache_hits: int = 0
+    #: Synthesis calls whose answer the persistent store replayed instead of
+    #: running the synthesizer (each also counts in ``synthesis_calls``).
+    synthesis_replays: int = 0
     #: Verification/synthesis rounds skipped thanks to counterexample list caching.
     trace_replays: int = 0
     #: Sufficiency assignments whose spec verdict the evaluation cache
@@ -57,8 +60,8 @@ class InferenceStats:
     #: Values evaluated by the enumerative verifier.
     structures_tested: int = 0
     #: Persistent cache sections restored from disk at run start (one per
-    #: spec stream / component memo found under the run's content keys; 0
-    #: when persistence is disabled).
+    #: spec stream / component memo / synthesizer answer set found under the
+    #: run's content keys; 0 when persistence is disabled).
     disk_cache_hits: int = 0
     #: Persistent cache sections looked up but absent, stale, or corrupt
     #: (each one is written back at run end, seeding a future hit).

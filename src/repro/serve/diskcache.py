@@ -29,10 +29,22 @@ The in-memory caches (:mod:`repro.verify.evalcache`,
   $spec$  module (spec stream)           spec dep-hash, concrete signature,
                                          verifier bounds, eval fuel
   $apps$  synthesis component (app memo) component dep-hash, eval fuel
+  $synth$ module (synthesizer answers)   synth format tag, synthesizer
+                                         class, concrete type, type
+                                         declarations, prelude hash, each
+                                         component's dep-hash, global names,
+                                         eval fuel
   ======= ============================== ===================================
 
   The eval fuel is :data:`repro.lang.eval.DEFAULT_FUEL`, so editing it
-  invalidates every stored entry.
+  invalidates every stored entry.  A ``synth`` entry maps each synthesis
+  input - V+ and V-, each value as its constructor tree, in
+  :func:`~repro.lang.values.value_order` - to the synthesizer's answer: the
+  rendered source of each candidate, best first, or the
+  ``SynthesisFailure`` message.  Apart from the module, Myth's answer
+  depends only on those two sets, so a warm run replays its synthesis
+  calls instead of rebuilding their term pools.  The global names are in
+  the key because the synthesizer picks pattern variables around them.
 
   The file name *is* the hash of everything its content depends on, so
   incremental invalidation needs no diffing: any structural edit to one
@@ -47,10 +59,12 @@ Only first-order data is persisted.  Entries keyed by identity-hashed
 function values are re-bound by module-global *name* where possible
 (synthesis components) and dropped otherwise (the synthesizer's per-call
 oracle, spec assignments holding functions); see the ``export_*`` seams on
-the cache classes.  Restores change no verdict: the memos are pure replay
-stores and every semantic input is part of the key, so a warm run's outcome
-fingerprint is byte-identical to a cold run's
-(``tests/serve/test_diskcache.py``).
+the cache classes.  The ``synth`` section holds only strings: a stored
+candidate is parsed again with :meth:`Predicate.from_source`, and one of the
+wrong shape or that does not parse is a warned miss.  Restores change no
+verdict: the memos are pure replay stores and every semantic input is part
+of the key, so a warm run's outcome fingerprint is byte-identical to a cold
+run's (``tests/serve/test_diskcache.py``, ``tests/serve/test_synth_replay.py``).
 """
 
 from __future__ import annotations
@@ -60,8 +74,9 @@ import os
 import pickle
 import struct
 import tempfile
+import time
 from dataclasses import astuple
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.canon import (
     PRELUDE_HASH,
@@ -70,10 +85,16 @@ from ..analysis.canon import (
 )
 from ..core.config import HanoiConfig
 from ..core.module import ModuleDefinition, ModuleInstance
+from ..core.predicate import Predicate
 from ..core.stats import InferenceStats
+from ..lang.ast import TypeDecl
+from ..lang.errors import LangError
 from ..lang.eval import DEFAULT_FUEL
 from ..lang.pretty import pretty_type
 from ..lang.program import _prelude_declarations
+from ..lang.values import Value, VCtor, VTuple
+from ..synth.base import SynthesisFailure
+from ..synth.myth import MythSynthesizer
 from ..synth.poolcache import SynthesisEvaluationCache
 from ..verify.evalcache import EvaluationCache
 
@@ -95,6 +116,16 @@ _DIGEST_SIZE = hashlib.sha256().digest_size
 #: section stores (not how it is framed) bumps this instead of
 #: :data:`STORE_VERSION`, invalidating by key rather than by header.
 ENTRY_FORMAT = "fmt1"
+
+#: Format tag of the ``synth`` section.  Its answers are only valid for the
+#: search code that produced them, so any change to what the synthesizer
+#: returns bumps this tag (``tests/serve/test_synth_replay.py`` pins it
+#: together with a digest of the candidates of a few quick runs).
+SYNTH_FORMAT = "synth1"
+
+#: Bound on the answers one ``synth`` section holds, like
+#: :data:`repro.synth.poolcache.MAX_POOL_ENTRIES`.
+MAX_SYNTH_ENTRIES = 4096
 
 WarnFn = Callable[[str, Dict[str, object]], None]
 
@@ -208,12 +239,18 @@ class PersistentCacheBinding:
 
     Constructed by :class:`~repro.core.hanoi.HanoiInference` when
     ``HanoiConfig.cache_dir`` is set; :meth:`restore` runs right after the
-    caches are created, :meth:`persist` right after the loop finishes.  Both
+    caches are created, :meth:`replay` and :meth:`record` around each
+    synthesizer call, :meth:`persist` right after the loop finishes.  All
     are best-effort - any failure downgrades to cold-start behaviour.
+
+    Only a :class:`~repro.synth.myth.MythSynthesizer` (or subclass) has its
+    answers stored: its answer is a function of the key and the example
+    sets.  Any other synthesizer leaves the ``synth`` section alone.
     """
 
     def __init__(self, store: DiskCacheStore, definition: ModuleDefinition,
-                 instance: ModuleInstance, config: HanoiConfig) -> None:
+                 instance: ModuleInstance, config: HanoiConfig,
+                 synthesizer: Optional[object] = None) -> None:
         self.store = store
         self.definition = definition
         self.instance = instance
@@ -228,11 +265,19 @@ class PersistentCacheBinding:
         self._fallback = canonical_hash(definition, decls)
         self._bounds = repr(astuple(config.verifier_bounds))
         self._fuel = str(DEFAULT_FUEL)
+        self._synth_key: Optional[str] = None
+        if isinstance(synthesizer, MythSynthesizer):
+            self._synth_key = self._synthesis_key(synthesizer, decls)
         # What restore() left in memory, per section that hit: the spec
         # stream's state and each component's memo table size.  persist()
         # writes a section only when it is missing here or the run changed it.
         self._restored_spec: Optional[Tuple[int, int, bool]] = None
         self._restored_apps: Dict[str, int] = {}
+        # The synth section's answers (``None`` until restored), whether the
+        # run must write them back, and each example value's encoding.
+        self._answers: Optional[Dict[str, object]] = None
+        self._answers_changed = False
+        self._codes: Dict[Value, str] = {}
 
     # -- keys ---------------------------------------------------------------
 
@@ -263,6 +308,24 @@ class PersistentCacheBinding:
             name: self._key(ENTRY_FORMAT, "apps", self._hash_of(name), self._fuel)
             for name in self.definition.synthesis_components
         }
+
+    def _synthesis_key(self, synthesizer: MythSynthesizer,
+                       decls: List[object]) -> str:
+        # _hash_of keys a global that no source declaration defines as a
+        # prelude function (hanoi-fold's installed fold_* components too),
+        # so the type declarations are keyed explicitly.
+        cls = type(synthesizer)
+        return self._key(
+            ENTRY_FORMAT, SYNTH_FORMAT, f"{cls.__module__}.{cls.__qualname__}",
+            pretty_type(self.instance.concrete_type), PRELUDE_HASH,
+            *(repr(decl) for decl in decls if isinstance(decl, TypeDecl)),
+            *(f"{c.name} {self._hash_of(c.name)}" for c in synthesizer.components),
+            " ".join(sorted(self.instance.program.evaluator.globals)), self._fuel)
+
+    def synth_key(self) -> Optional[str]:
+        """The ``synth`` section's key, or ``None`` when its synthesizer's
+        answers are not stored."""
+        return self._synth_key
 
     def _component_values(self) -> Dict[str, object]:
         program = self.instance.program
@@ -299,6 +362,94 @@ class PersistentCacheBinding:
             # Sizes once every section is in: aliased components share a table.
             self._restored_apps = {
                 name: pool_cache.applications.size(values.get(name)) for name in hits}
+        if self._synth_key is not None:
+            answers = self.store.get("synth", self._synth_key)
+            if isinstance(answers, dict):
+                self._answers = answers
+                stats.disk_cache_hits += 1
+            else:
+                self._answers = {}
+                self._answers_changed = True
+                stats.disk_cache_misses += 1
+
+    # -- synthesizer answers ------------------------------------------------
+
+    def _code(self, value: Value) -> str:
+        """``value`` as its constructor tree, never its sugared rendering."""
+        code = self._codes.get(value)
+        if code is None:
+            if isinstance(value, VCtor):
+                code = value.ctor if value.payload is None else (
+                    f"{value.ctor}({self._code(value.payload)})")
+            elif isinstance(value, VTuple):
+                code = "(" + ",".join(map(self._code, value.items)) + ")"
+            else:
+                raise ValueError("a function value has no stable encoding")
+            self._codes[value] = code
+        return code
+
+    def _entry_key(self, positives: Sequence[Value],
+                   negatives: Sequence[Value]) -> Optional[str]:
+        """The answer's key within the section; ``None`` for example sets
+        holding a function value, whose answers are not stored."""
+        try:
+            return self._key(*map(self._code, positives), "-",
+                             *map(self._code, negatives))
+        except ValueError:
+            return None
+
+    def replay(self, positives: Sequence[Value], negatives: Sequence[Value],
+               stats: InferenceStats) -> Optional[List[Predicate]]:
+        """The stored answer for V+ and V- (each sorted by ``value_order``):
+        the candidates rebuilt from their source, or the stored
+        ``SynthesisFailure`` raised again.  ``None`` on a miss.  A replayed
+        call counts as a synthesis call and a replay."""
+        if not self._answers:
+            return None
+        key = self._entry_key(positives, negatives)
+        answer = self._answers.get(key)
+        if answer is None:
+            return None
+        started = time.perf_counter()
+        failed = isinstance(answer, str)
+        candidates = None if failed else self._rebuild(key, answer)
+        if candidates is None and not failed:
+            return None
+        stats.synthesis_calls += 1
+        stats.synthesis_replays += 1
+        stats.synthesis_time += time.perf_counter() - started
+        if failed:
+            raise SynthesisFailure(answer)
+        return candidates
+
+    def _rebuild(self, key: str, answer: object) -> Optional[List[Predicate]]:
+        program = self.instance.program
+        try:
+            if not (isinstance(answer, tuple) and answer
+                    and all(isinstance(source, str) for source in answer)):
+                raise ValueError(f"malformed answer {type(answer).__name__}")
+            return [Predicate.from_source(source, program) for source in answer]
+        except (LangError, ValueError) as error:
+            del self._answers[key]
+            self.store._report("unusable synth disk-cache entry skipped",
+                               section="synth", key=self._synth_key,
+                               error=repr(error))
+            return None
+
+    def record(self, positives: Sequence[Value], negatives: Sequence[Value],
+               answer: object) -> None:
+        """Store the synthesizer's answer for V+ and V-: its candidates, or
+        the ``SynthesisFailure`` it raised."""
+        if self._answers is None or len(self._answers) >= MAX_SYNTH_ENTRIES:
+            return
+        key = self._entry_key(positives, negatives)
+        if key is None:
+            return
+        if isinstance(answer, SynthesisFailure):
+            self._answers[key] = str(answer)
+        else:
+            self._answers[key] = tuple(candidate.render() for candidate in answer)
+        self._answers_changed = True
 
     def persist(self, eval_cache: Optional[EvaluationCache],
                 pool_cache: Optional[SynthesisEvaluationCache]) -> int:
@@ -306,7 +457,8 @@ class PersistentCacheBinding:
 
         A section is written only when :meth:`restore` missed it or the run
         changed it: the spec stream gained an entry, resolved a verdict or
-        became exhausted, or a component's memo table grew.  A written
+        became exhausted, a component's memo table grew, or the synthesizer
+        answered a call the ``synth`` section did not hold.  A written
         section holds the restored entries plus whatever the run added, so
         repeated runs keep growing one merged snapshot per content key, and
         a run that changed nothing writes nothing.
@@ -329,6 +481,9 @@ class PersistentCacheBinding:
             for name, key in sorted(self.component_keys().items()):
                 if name in changed:
                     written += self.store.put("apps", key, by_component.get(name, []))
+        if self._answers_changed:
+            written += self.store.put("synth", self._synth_key,
+                                      dict(sorted(self._answers.items())))
         return written
 
 

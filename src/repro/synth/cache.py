@@ -14,10 +14,11 @@ installs a cache.
 A lookup is a plain first-match scan: stored candidates in the order they
 were stored, each checked with :meth:`Predicate.consistent_with`.  Every
 predicate memoizes its verdicts, so a candidate pays for a value only the
-first time any lookup tries it.  The example sets come from the loop as
-Python sets, whose iteration order follows memory addresses; the scan sorts
-them by :func:`~repro.lang.values.value_order` first, so which values a
-lookup evaluates does not depend on the hash seed.
+first time any lookup tries it.  The loop keeps V+ and V- as Python sets,
+whose iteration order follows memory addresses; it sorts them by
+:func:`~repro.lang.values.value_order` once per synthesis request and hands
+the sorted tuples to the lookup, so which values a lookup evaluates does not
+depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 from ..core.predicate import Predicate
 from ..lang.ast import FunDecl
-from ..lang.values import Value, value_order
+from ..lang.values import Value
 
 __all__ = ["SynthesisResultCache"]
 
@@ -49,10 +50,10 @@ class SynthesisResultCache:
         for predicate in predicates:
             self._candidates.setdefault(predicate.decl, predicate)
 
-    def lookup(self, positives: Iterable[Value], negatives: Iterable[Value]) -> Optional[Predicate]:
-        """The first stored candidate consistent with the example sets, if any."""
-        positives = sorted(positives, key=value_order)
-        negatives = sorted(negatives, key=value_order)
+    def lookup(self, positives: Sequence[Value],
+               negatives: Sequence[Value]) -> Optional[Predicate]:
+        """The first stored candidate consistent with the example sets, if
+        any; each candidate tries the values in the order given."""
         for predicate in self._candidates.values():
             if predicate.consistent_with(positives, negatives):
                 return predicate

@@ -100,10 +100,11 @@ class MythSynthesizer:
         #: mappings lets the pool cache replay recursive-call pools across
         #: synthesize() calls whose examples did not change.
         self._oracle_fns: Dict[frozenset, Value] = {}
-        #: The module's first-order components, shared by every pool.
+        #: The module's first-order components, shared by every pool, in
+        #: :func:`interface_components` order.
         components, _ = interface_components(self.program, instance.definition,
                                              extra_components)
-        self._fixed_components: Tuple[TypedComponent, ...] = tuple(components)
+        self.components: Tuple[TypedComponent, ...] = tuple(components)
         self.param = self._fresh_name("x")
 
     # -- public API ----------------------------------------------------------------
@@ -419,7 +420,7 @@ class MythSynthesizer:
         """The pool components of one branch: the module's first-order
         components, plus the recursive call when the branch binds
         structurally smaller variables."""
-        components = list(self._fixed_components)
+        components = list(self.components)
         if decreasing:
             components.append(self._recursive_component(decreasing))
         return components

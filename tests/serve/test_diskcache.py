@@ -172,7 +172,7 @@ def test_a_run_stores_one_spec_section_and_one_per_component(tmp_path, binding):
     result = run_module(load_module_file(EXAMPLE), config=CONFIG.with_cache_dir(root))
     assert result.succeeded
     stats = DiskCacheStore(root).stats()
-    assert stats == {"spec": 1, "apps": len(binding.component_keys())}
+    assert stats == {"spec": 1, "apps": len(binding.component_keys()), "synth": 1}
     assert result.stats.disk_cache_misses == sum(stats.values())
 
 
@@ -242,7 +242,7 @@ def test_a_warm_run_writes_nothing_and_edits_write_what_they_changed(tmp_path, p
     root = str(tmp_path / "cache")
     text = open(EXAMPLE, encoding="utf-8").read()
     _infer_text(text, root)
-    assert persisted == [9]
+    assert persisted == [10]
 
     before = _entry_files(root)
     _infer_text(text, root)
@@ -260,7 +260,7 @@ def test_a_warm_run_writes_nothing_and_edits_write_what_they_changed(tmp_path, p
     _infer_text(peek, root)
     assert persisted[-1] == 1
     _infer_text(peek, root)
-    assert persisted == [9, 0, 0, 1, 0]
+    assert persisted == [10, 0, 0, 1, 0]
 
 
 def test_a_run_that_extends_the_spec_stream_rewrites_it(tmp_path, persisted,

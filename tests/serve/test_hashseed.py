@@ -1,9 +1,10 @@
 """Hash-seed independence of the persistent store.
 
 Content keys are sha256 over rendered text and exports are sorted by value
-order, so the store a process writes must be byte-comparable no matter what
-``PYTHONHASHSEED`` it ran under - otherwise a daemon restarted with a
-different seed would silently cold-start (or worse, mix snapshots).  Each
+order (the ``synth`` section by entry key), so the store a process writes
+must be byte-comparable no matter what ``PYTHONHASHSEED`` it ran under -
+otherwise a daemon restarted with a different seed would silently
+cold-start (or worse, mix snapshots).  Each
 case runs real inference in subprocesses pinned to different seeds.
 """
 
@@ -17,7 +18,7 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 _SCRIPT = r"""
-import json, os, sys
+import hashlib, json, os, sys
 from repro.core.config import FAST_VERIFIER_BOUNDS, HanoiConfig
 from repro.experiments.runner import run_module
 from repro.gen.diff import outcome_fingerprint
@@ -32,11 +33,18 @@ entries = sorted(
     os.path.relpath(os.path.join(root, name), cache_dir)
     for root, _, files in os.walk(cache_dir)
     for name in files if name.endswith(".bin"))
+synth = {}
+for entry in entries:
+    if entry.split(os.sep)[1] == "synth":
+        with open(os.path.join(cache_dir, entry), "rb") as handle:
+            synth[entry] = hashlib.sha256(handle.read()).hexdigest()
 print(json.dumps({
     "fingerprint": outcome_fingerprint(result),
     "hits": result.stats.disk_cache_hits,
     "misses": result.stats.disk_cache_misses,
+    "replays": result.stats.synthesis_replays,
     "entries": entries,
+    "synth": synth,
 }))
 """
 
@@ -64,6 +72,9 @@ def test_store_written_under_one_seed_warm_starts_under_another(tmp_path, seeds)
     # Same content keys regardless of seed: the warm run re-writes the very
     # same files, never a parallel set of differently-keyed ones.
     assert cold["entries"] == warm["entries"]
+    # The synthesizer's answers replay under the other seed too.
+    assert cold["replays"] == 0 and warm["replays"] > 0
+    assert warm["synth"] == cold["synth"]
 
 
 def test_all_seeds_produce_identical_entry_sets(tmp_path):
@@ -72,5 +83,9 @@ def test_all_seeds_produce_identical_entry_sets(tmp_path):
     entry_sets = {tuple(run["entries"]) for run in runs.values()}
     fingerprints = {json.dumps(run["fingerprint"], sort_keys=True)
                     for run in runs.values()}
+    synth_bytes = {json.dumps(run["synth"], sort_keys=True) for run in runs.values()}
     assert len(entry_sets) == 1
     assert len(fingerprints) == 1
+    # The synth section's bytes, not only its key, are seed-independent.
+    assert len(runs[0]["synth"]) == 1
+    assert len(synth_bytes) == 1

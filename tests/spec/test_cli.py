@@ -35,9 +35,9 @@ def test_infer_example_file(capsys):
 def test_infer_cache_dir_warm_start_replays_every_section(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     assert main(["infer", STACK, "--timeout", "60", "--cache-dir", cache_dir]) == 0
-    assert "0 hit(s), 9 miss(es)" in capsys.readouterr().out
+    assert "0 hit(s), 10 miss(es)" in capsys.readouterr().out
     assert main(["infer", STACK, "--timeout", "60", "--cache-dir", cache_dir]) == 0
-    assert "9 hit(s), 0 miss(es)" in capsys.readouterr().out
+    assert "10 hit(s), 0 miss(es)" in capsys.readouterr().out
 
 
 def test_infer_cache_dir_reinfers_only_the_edited_operation(tmp_path, capsys):
@@ -55,7 +55,7 @@ def test_infer_cache_dir_reinfers_only_the_edited_operation(tmp_path, capsys):
     edited.write_text(edited_text)
     assert main(["infer", str(edited), "--timeout", "60",
                  "--cache-dir", cache_dir]) == 0
-    assert "8 hit(s), 1 miss(es)" in capsys.readouterr().out
+    assert "9 hit(s), 1 miss(es)" in capsys.readouterr().out
 
 
 def test_infer_malformed_file_prints_diagnostic(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Tests for the synthesis result cache (Section 4.4).
 
 ``lookup`` returns the first stored candidate consistent with the given
-example sets; it tries each set's values in ``value_order``, so which values
-a lookup evaluates does not depend on the hash seed.
+example sets, trying each set's values in the order given; the loop hands it
+V+ and V- sorted by ``value_order``, so which values a lookup evaluates does
+not depend on the hash seed.
 """
 
 from repro.core.predicate import Predicate
-from repro.lang.values import nat_of_int, v_list, value_order
+from repro.lang.values import nat_of_int, v_list
 from repro.suite.registry import get_benchmark
 from repro.synth.cache import SynthesisResultCache
 
@@ -117,9 +118,9 @@ def test_shrinking_example_sets_resets_and_stays_correct():
 # -- deterministic lookup order (regression: hash-seed dependence) ------------------
 
 
-def test_lookup_tries_values_in_value_order():
-    """Positives first, then negatives, each sorted by ``value_order``; a
-    candidate stops at the first value that decides."""
+def test_lookup_tries_values_in_the_order_given():
+    """Positives first, then negatives, each in the order given; a candidate
+    stops at the first value that decides."""
     tried = []
 
     class Recording(Predicate):
@@ -130,16 +131,17 @@ def test_lookup_tries_values_in_value_order():
     never, nodup = _never_predicate(Recording), _nodup_predicate(Recording)
     cache = SynthesisResultCache()
     cache.store([never, nodup])
-    positives = {L(), L(1), L(2)}
-    negatives = {L(1, 1), L(2, 2), L(3, 3)}
+    positives = (L(2), L(), L(1))
+    negatives = (L(3, 3), L(1, 1), L(2, 2))
     assert cache.lookup(positives, negatives) is nodup
-    ordered = sorted(positives, key=value_order) + sorted(negatives, key=value_order)
+    ordered = positives + negatives
     assert tried == [("never", ordered[0])] + [(nodup.name, value) for value in ordered]
 
 
-def test_lookup_order_is_reproducible_across_hash_seeds():
-    """The values a candidate is evaluated on, and their order, must not
-    follow PYTHONHASHSEED (which reorders Python set iteration)."""
+def test_next_candidate_scan_order_is_reproducible_across_hash_seeds():
+    """The loop sorts V+ and V- by ``value_order`` before the scan, so the
+    values a candidate is evaluated on, and their order, do not follow
+    PYTHONHASHSEED (which reorders Python set iteration)."""
     import os
     import subprocess
     import sys
@@ -147,6 +149,7 @@ def test_lookup_order_is_reproducible_across_hash_seeds():
     repo = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     script = (
         "from repro.lang.values import nat_of_int, v_list\n"
+        "from repro.core.hanoi import HanoiInference\n"
         "from repro.synth.cache import SynthesisResultCache\n"
         "from repro.core.predicate import Predicate\n"
         "from repro.suite.registry import get_benchmark\n"
@@ -156,15 +159,16 @@ def test_lookup_order_is_reproducible_across_hash_seeds():
         "        tried.append((self.name, str(value)))\n"
         "        return super().__call__(value)\n"
         "definition = get_benchmark('/coq/unique-list-::-set')\n"
-        "program = definition.instantiate().program\n"
+        "run = HanoiInference(definition)\n"
+        "program = run.instance.program\n"
         "nodup = Counting.from_source(definition.expected_invariant, program)\n"
         "never = Counting.from_source('let never (l : list) : bool = False', program)\n"
         "def L(*ints):\n"
         "    return v_list([nat_of_int(i) for i in ints])\n"
-        "cache = SynthesisResultCache()\n"
-        "cache.store([never, nodup])\n"
-        "print(cache.lookup({L(), L(1), L(2)}, {L(1, 1), L(2, 2), L(3, 3)}).render())\n"
-        "print(cache.lookup({L(3), L(0), L(2, 1)}, {L(4, 4), L(0, 0), L(5)}))\n"
+        "run.cache = SynthesisResultCache()\n"
+        "run.cache.store([never, nodup])\n"
+        "print(run._next_candidate({L(), L(1), L(2)}, {L(1, 1), L(2, 2), L(3, 3)}).render())\n"
+        "print(run._next_candidate({L(3), L(0), L(2, 1)}, {L(4, 4), L(0, 0)}).render())\n"
         "print(tried)\n"
     )
 
@@ -176,3 +180,4 @@ def test_lookup_order_is_reproducible_across_hash_seeds():
                               capture_output=True, text=True, check=True)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+    assert "('never', '[]')" in outputs[0]
