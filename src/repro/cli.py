@@ -571,6 +571,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
               f"{result.stats.disk_cache_misses} miss(es) in {args.cache_dir}")
         print(f"persistent cache: {result.stats.synthesis_replays} of "
               f"{result.stats.synthesis_calls} synthesis call(s) replayed")
+        print(f"persistent cache: {result.stats.inductiveness_replays} of "
+              f"{result.stats.inductiveness_checks} inductiveness check(s) replayed")
     if result.invariant is not None:
         print()
         print(result.render_invariant())

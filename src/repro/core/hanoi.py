@@ -36,7 +36,11 @@ from ..lang.values import Value, value_order
 from ..analysis.canon import canonical_hash  # noqa: F401
 from ..synth.base import SynthesisFailure
 from ..synth.cache import SynthesisResultCache
-from ..verify.result import InductivenessCounterexample, SufficiencyCounterexample
+from ..verify.result import (
+    CheckResult,
+    InductivenessCounterexample,
+    SufficiencyCounterexample,
+)
 from .config import HanoiConfig
 from .module import ModuleDefinition
 from .predicate import Predicate
@@ -57,13 +61,14 @@ class HanoiInference(InferenceRun):
                  mode_name: Optional[str] = None, emitter: Optional[object] = None):
         super().__init__(module, config, synthesizer_factory, mode_name, emitter)
         # Persistent cache tier (docs/service.md): warm the freshly created
-        # caches and load the synthesizer's stored answers from the
-        # content-addressed disk store before the loop starts.  Strictly
-        # best-effort - any failure here or at write-back downgrades to a
-        # cold start, never changes an outcome, and is surfaced as a
-        # ``disk-cache-warning`` event.  ``cache_dir=None`` (the default)
-        # skips even the import, so runs without persistence pay one
-        # ``None`` check per synthesis call.
+        # caches and load the synthesizer's stored answers and the stored
+        # inductiveness verdicts from the content-addressed disk store
+        # before the loop starts.  Strictly best-effort - any failure here
+        # or at write-back downgrades to a cold start, never changes an
+        # outcome, and is surfaced as a ``disk-cache-warning`` event.
+        # ``cache_dir=None`` (the default) skips even the import, so runs
+        # without persistence pay one ``None`` check per synthesis call and
+        # per inductiveness check.
         self.persistent = None
         self._disk_cache_warning = _disk_cache_warner(self.events, self.emitter)
         if self.config.cache_dir:
@@ -151,11 +156,7 @@ class HanoiInference(InferenceRun):
             # value into V+ - never runs if synthesis dies first.
             # Recover by growing V+ with outputs the module produces
             # from known-constructible inputs, then resynthesize.
-            closure = self.checker.check(
-                p=lambda v: v in positives,
-                q=lambda v: v in positives,
-                p_pool=positives,
-            )
+            closure = self._check("closure", None, positives)
             if not isinstance(closure, InductivenessCounterexample):
                 raise
             new_positives = set(closure.outputs) - positives
@@ -167,9 +168,7 @@ class HanoiInference(InferenceRun):
         self.stats.candidates_proposed += 1
 
         # -- ClosedPositives: weaken until visibly inductive ------------------
-        visible = self.checker.check(
-            p=lambda v: v in positives, q=candidate, p_pool=positives
-        )
+        visible = self._check("visible", candidate, positives)
         if isinstance(visible, InductivenessCounterexample):
             self._weaken("visible-counterexample", candidate, visible.operation,
                          set(visible.outputs) - positives, positives, negatives)
@@ -192,7 +191,7 @@ class HanoiInference(InferenceRun):
                              negatives)
             return None
 
-        inductive = self.checker.check(p=candidate, q=candidate, p_pool=None)
+        inductive = self._check("full", candidate, positives)
         if isinstance(inductive, InductivenessCounterexample):
             new_negatives = set(inductive.inputs) - positives
             if not new_negatives:
@@ -255,6 +254,31 @@ class HanoiInference(InferenceRun):
             raise
         persistent.record(positives, negatives, candidates)
         return candidates
+
+    def _check(self, kind: str, candidate: Optional[Predicate],
+               positives: Set[Value]) -> CheckResult:
+        """One conditional-inductiveness check (Figure 3): ``visible`` (P is
+        membership in V+, Q the candidate), ``full`` (P and Q the candidate)
+        or ``closure`` (P and Q membership in V+, for synthesis recovery).
+
+        The persistent store replays the check's stored verdict; otherwise
+        the checker runs and its verdict is recorded."""
+        if kind == "full":
+            p, q, pool = candidate, candidate, None
+        else:
+            p, pool = positives.__contains__, positives
+            q = p if candidate is None else candidate
+        persistent = self.persistent
+        if persistent is None:
+            return self.checker.check(p=p, q=q, p_pool=pool)
+        key = persistent.check_key(kind, candidate, positives)
+        replayed = persistent.replay_check(key, self.stats)
+        if replayed is not None:
+            return replayed
+        tested = self.stats.structures_tested
+        result = self.checker.check(p=p, q=q, p_pool=pool)
+        persistent.record_check(key, result, self.stats.structures_tested - tested)
+        return result
 
     def _weaken(self, event: str, candidate: Optional[Predicate], operation: str,
                 new_positives: Set[Value], positives: Set[Value],

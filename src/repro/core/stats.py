@@ -37,6 +37,13 @@ class InferenceStats:
     #: Synthesis calls whose answer the persistent store replayed instead of
     #: running the synthesizer (each also counts in ``synthesis_calls``).
     synthesis_replays: int = 0
+    #: Conditional-inductiveness checks (Figure 3's relation, visible or
+    #: full); each also counts in ``verification_calls``.
+    inductiveness_checks: int = 0
+    #: Inductiveness checks whose verdict the persistent store replayed
+    #: instead of running the checker (each also counts in
+    #: ``inductiveness_checks``).
+    inductiveness_replays: int = 0
     #: Verification/synthesis rounds skipped thanks to counterexample list caching.
     trace_replays: int = 0
     #: Sufficiency assignments whose spec verdict the evaluation cache

@@ -98,6 +98,7 @@ class ConditionalInductivenessChecker:
         module's operations, in their interface order.  Nothing in the
         package passes it; ``perfbench/layers.py`` forwards it positionally.
         """
+        self.stats.inductiveness_checks += 1
         emitter = self.emitter
         if not emitter.enabled:
             with self.stats.verification():

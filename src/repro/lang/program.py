@@ -45,6 +45,28 @@ def _prelude_types() -> TypeEnvironment:
     return TypeChecker().check_declarations(_prelude_declarations())
 
 
+@lru_cache(maxsize=None)
+def _prelude_memo_flags() -> Tuple[bool, ...]:
+    """:func:`_memoizes` of each prelude declaration, in order, decided once
+    per process: every program compiles the same prelude functions."""
+    types = _prelude_types()
+    return tuple(isinstance(decl, FunDecl) and _memoizes(decl, types)
+                 for decl in _prelude_declarations())
+
+
+def _memoizes(decl: FunDecl, types: TypeEnvironment) -> bool:
+    """Whether the innermost body of a checked top-level function is marked
+    for memoization: it has parameters, and every parameter and the result
+    have first-order types."""
+    if not decl.params:
+        return False
+    result = types.globals[decl.name]
+    for _ in decl.params:
+        result = result.result
+    return _first_order(result, types.datatypes) and all(
+        _first_order(ty, types.datatypes) for _, ty in decl.params)
+
+
 def _first_order(ty: Type, datatypes: Dict[str, TypeDecl],
                  seen: frozenset = frozenset()) -> bool:
     """Whether no value of ``ty`` can hold a function: ``ty`` is a data type
@@ -106,7 +128,7 @@ class Program:
             raise ValueError("the prelude loads into an empty program only")
         self.types = _prelude_types().copy()
         self._checker = TypeChecker(self.types)
-        self._install_checked(_prelude_declarations())
+        self._install_checked(_prelude_declarations(), _prelude_memo_flags())
 
     def extend_declarations(self, decls: Sequence[object]) -> None:
         """Type check and install already-parsed declarations.
@@ -118,22 +140,26 @@ class Program:
         self._checker.check_declarations(decls)
         self._install_checked(decls)
 
-    def _install_checked(self, decls: Sequence[object]) -> None:
-        """Record type-checked declarations and install their functions."""
-        for decl in decls:
+    def _install_checked(self, decls: Sequence[object],
+                         memo_flags: Optional[Sequence[bool]] = None) -> None:
+        """Record type-checked declarations and install their functions;
+        ``memo_flags``, when given, is :func:`_memoizes` of each."""
+        for index, decl in enumerate(decls):
             self.declarations.append(decl)
             if isinstance(decl, FunDecl):
-                self.evaluator.globals[decl.name] = self._compile_fun(decl)
+                memo = (_memoizes(decl, self.types) if memo_flags is None
+                        else memo_flags[index])
+                self.evaluator.globals[decl.name] = self._compile_fun(decl, memo)
 
-    def _compile_fun(self, decl: FunDecl) -> Value:
+    def _compile_fun(self, decl: FunDecl, memo: bool) -> Value:
         """Turn a top-level definition into a runtime value.
 
         Definitions with parameters become curried closures, their bodies
         compiled once, on first application; recursion is resolved through
         the global environment (names not bound locally are looked up in the
         globals when they run), so mutually recursive top-level functions
-        work without extra machinery.  When every parameter and the result
-        have first-order types, the code of the innermost body is marked for
+        work without extra machinery.  When ``memo`` is set (see
+        :func:`_memoizes`), the code of the innermost body is marked for
         memoization (see :func:`repro.lang.eval.memo_table`).
         """
         if not decl.params:
@@ -142,14 +168,8 @@ class Program:
         for name, ty in reversed(decl.params[1:]):
             body = EFun(name, ty, body)
         first_name, first_type = decl.params[0]
-        result = self.types.globals[decl.name]
-        for _ in decl.params:
-            result = result.result
-        datatypes = self.types.datatypes
-        first_order = _first_order(result, datatypes) and all(
-            _first_order(ty, datatypes) for _, ty in decl.params)
         return self.evaluator.closure(first_name, first_type, body,
-                                      memo_body=decl.body if first_order else None)
+                                      memo_body=decl.body if memo else None)
 
     # -- queries ------------------------------------------------------------------
 

@@ -23,18 +23,25 @@ The in-memory caches (:mod:`repro.verify.evalcache`,
   sha256 over the structure (dataclass ``repr``) of a declaration and its
   transitive callees:
 
-  ======= ============================== ===================================
-  section one file per                   key covers
-  ======= ============================== ===================================
-  $spec$  module (spec stream)           spec dep-hash, concrete signature,
-                                         verifier bounds, eval fuel
-  $apps$  synthesis component (app memo) component dep-hash, eval fuel
-  $synth$ module (synthesizer answers)   synth format tag, synthesizer
-                                         class, concrete type, type
-                                         declarations, prelude hash, each
-                                         component's dep-hash, global names,
-                                         eval fuel
-  ======= ============================== ===================================
+  ======== ============================== ===================================
+  section  one file per                   key covers
+  ======== ============================== ===================================
+  $spec$   module (spec stream)           spec dep-hash, concrete signature,
+                                          verifier bounds, eval fuel
+  $apps$   synthesis component (app memo) component dep-hash, eval fuel
+  $synth$  module (synthesizer answers)   synth format tag, synthesizer
+                                          class, concrete type, type
+                                          declarations, prelude hash, each
+                                          component's dep-hash, global names,
+                                          eval fuel
+  $checks$ module (inductiveness          checks format tag, the synth key's
+           verdicts)                      facts from the synthesizer class
+                                          to the global names, each
+                                          operation's name, interface type
+                                          and dep-hash, each helper's
+                                          dep-hash, verifier bounds, eval
+                                          fuel
+  ======== ============================== ===================================
 
   The eval fuel is :data:`repro.lang.eval.DEFAULT_FUEL`, so editing it
   invalidates every stored entry.  A ``synth`` entry maps each synthesis
@@ -44,7 +51,16 @@ The in-memory caches (:mod:`repro.verify.evalcache`,
   ``SynthesisFailure`` message.  Apart from the module, Myth's answer
   depends only on those two sets, so a warm run replays its synthesis
   calls instead of rebuilding their term pools.  The global names are in
-  the key because the synthesizer picks pattern variables around them.
+  the key because the synthesizer picks pattern variables around them.  A
+  ``checks`` entry maps one conditional-inductiveness check - its kind
+  (visible, full, or the synthesis-recovery closure), the candidate's
+  rendered source (not for the closure check) and V+ as constructor trees
+  in value order (not for the full check) - to its verdict and the number
+  of structures it tested.  The check runs the operations (and the
+  functional arguments built from them and the helpers) on values of the
+  module's types and evaluates the candidate, which calls only synthesis
+  components, so a warm run replays every check instead of running the
+  module's operations.  The section exists exactly when ``synth`` does.
 
   The file name *is* the hash of everything its content depends on, so
   incremental invalidation needs no diffing: any structural edit to one
@@ -61,10 +77,16 @@ function values are re-bound by module-global *name* where possible
 oracle, spec assignments holding functions); see the ``export_*`` seams on
 the cache classes.  The ``synth`` section holds only strings: a stored
 candidate is parsed again with :meth:`Predicate.from_source`, and one of the
-wrong shape or that does not parse is a warned miss.  Restores change no
+wrong shape or that does not parse is a warned miss.  So does the
+``checks`` section: a verdict is the structure count, plus, for a
+counterexample, the operation's name and the codes of its inputs and
+outputs, decoded without recursion through the interning constructors.  A
+verdict of the wrong shape, a code naming no constructor of the program or
+an operation the module lacks is a warned miss.  Restores change no
 verdict: the memos are pure replay stores and every semantic input is part
 of the key, so a warm run's outcome fingerprint is byte-identical to a cold
-run's (``tests/serve/test_diskcache.py``, ``tests/serve/test_synth_replay.py``).
+run's (``tests/serve/test_diskcache.py``, ``tests/serve/test_synth_replay.py``,
+``tests/serve/test_check_replay.py``).
 """
 
 from __future__ import annotations
@@ -72,11 +94,12 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import re
 import struct
 import tempfile
 import time
 from dataclasses import astuple
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.canon import (
     PRELUDE_HASH,
@@ -92,11 +115,12 @@ from ..lang.errors import LangError
 from ..lang.eval import DEFAULT_FUEL
 from ..lang.pretty import pretty_type
 from ..lang.program import _prelude_declarations
-from ..lang.values import Value, VCtor, VTuple
+from ..lang.values import Value, VCtor, VTuple, value_order
 from ..synth.base import SynthesisFailure
 from ..synth.myth import MythSynthesizer
 from ..synth.poolcache import SynthesisEvaluationCache
 from ..verify.evalcache import EvaluationCache
+from ..verify.result import VALID, CheckResult, InductivenessCounterexample
 
 __all__ = ["DiskCacheStore", "PersistentCacheBinding", "STORE_VERSION"]
 
@@ -123,7 +147,13 @@ ENTRY_FORMAT = "fmt1"
 #: together with a digest of the candidates of a few quick runs).
 SYNTH_FORMAT = "synth1"
 
-#: Bound on the answers one ``synth`` section holds, like
+#: Format tag of the ``checks`` section.  Its verdicts are only valid for
+#: the checker that produced them, so any change to what an inductiveness
+#: check returns or counts bumps this tag (``tests/serve/test_check_replay.py``
+#: pins it together with a digest of the verdicts of a few quick runs).
+CHECKS_FORMAT = "checks1"
+
+#: Bound on the entries one ``synth`` or ``checks`` section holds, like
 #: :data:`repro.synth.poolcache.MAX_POOL_ENTRIES`.
 MAX_SYNTH_ENTRIES = 4096
 
@@ -240,12 +270,15 @@ class PersistentCacheBinding:
     Constructed by :class:`~repro.core.hanoi.HanoiInference` when
     ``HanoiConfig.cache_dir`` is set; :meth:`restore` runs right after the
     caches are created, :meth:`replay` and :meth:`record` around each
-    synthesizer call, :meth:`persist` right after the loop finishes.  All
-    are best-effort - any failure downgrades to cold-start behaviour.
+    synthesizer call, :meth:`check_key`, :meth:`replay_check` and
+    :meth:`record_check` around each inductiveness check, :meth:`persist`
+    right after the loop finishes.  All are best-effort - any failure
+    downgrades to cold-start behaviour.
 
     Only a :class:`~repro.synth.myth.MythSynthesizer` (or subclass) has its
-    answers stored: its answer is a function of the key and the example
-    sets.  Any other synthesizer leaves the ``synth`` section alone.
+    answers and verdicts stored: its answer is a function of the key and
+    the example sets.  Any other synthesizer leaves the ``synth`` and
+    ``checks`` sections alone.
     """
 
     def __init__(self, store: DiskCacheStore, definition: ModuleDefinition,
@@ -265,18 +298,29 @@ class PersistentCacheBinding:
         self._fallback = canonical_hash(definition, decls)
         self._bounds = repr(astuple(config.verifier_bounds))
         self._fuel = str(DEFAULT_FUEL)
+        self._operations = {op.name for op in definition.operations}
         self._synth_key: Optional[str] = None
+        self._checks_key: Optional[str] = None
         if isinstance(synthesizer, MythSynthesizer):
-            self._synth_key = self._synthesis_key(synthesizer, decls)
+            facts = self._module_facts(synthesizer, decls)
+            self._synth_key = self._key(ENTRY_FORMAT, SYNTH_FORMAT, *facts, self._fuel)
+            self._checks_key = self._key(
+                ENTRY_FORMAT, CHECKS_FORMAT, *facts,
+                *(f"operation {op.name} {pretty_type(op.signature)} "
+                  f"{self._hash_of(op.name)}" for op in definition.operations),
+                *(f"helper {name} {self._hash_of(name)}"
+                  for name in definition.helper_functions),
+                self._bounds, self._fuel)
         # What restore() left in memory, per section that hit: the spec
         # stream's state and each component's memo table size.  persist()
         # writes a section only when it is missing here or the run changed it.
         self._restored_spec: Optional[Tuple[int, int, bool]] = None
         self._restored_apps: Dict[str, int] = {}
-        # The synth section's answers (``None`` until restored), whether the
-        # run must write them back, and each example value's encoding.
+        # The synth and checks sections' entries (``None`` until restored),
+        # the sections the run must write back, and each value's encoding.
         self._answers: Optional[Dict[str, object]] = None
-        self._answers_changed = False
+        self._checks: Optional[Dict[str, object]] = None
+        self._changed: Set[str] = set()
         self._codes: Dict[Value, str] = {}
 
     # -- keys ---------------------------------------------------------------
@@ -309,23 +353,31 @@ class PersistentCacheBinding:
             for name in self.definition.synthesis_components
         }
 
-    def _synthesis_key(self, synthesizer: MythSynthesizer,
-                       decls: List[object]) -> str:
+    def _module_facts(self, synthesizer: MythSynthesizer,
+                      decls: List[object]) -> List[str]:
+        """What the ``synth`` and ``checks`` keys share: the synthesizer's
+        class, the concrete type, the type declarations, the prelude hash,
+        each synthesis component with its dependency hash (a candidate calls
+        only these) and the global names."""
         # _hash_of keys a global that no source declaration defines as a
         # prelude function (hanoi-fold's installed fold_* components too),
         # so the type declarations are keyed explicitly.
         cls = type(synthesizer)
-        return self._key(
-            ENTRY_FORMAT, SYNTH_FORMAT, f"{cls.__module__}.{cls.__qualname__}",
-            pretty_type(self.instance.concrete_type), PRELUDE_HASH,
-            *(repr(decl) for decl in decls if isinstance(decl, TypeDecl)),
-            *(f"{c.name} {self._hash_of(c.name)}" for c in synthesizer.components),
-            " ".join(sorted(self.instance.program.evaluator.globals)), self._fuel)
+        return [f"{cls.__module__}.{cls.__qualname__}",
+                pretty_type(self.instance.concrete_type), PRELUDE_HASH,
+                *(repr(decl) for decl in decls if isinstance(decl, TypeDecl)),
+                *(f"{c.name} {self._hash_of(c.name)}" for c in synthesizer.components),
+                " ".join(sorted(self.instance.program.evaluator.globals))]
 
     def synth_key(self) -> Optional[str]:
         """The ``synth`` section's key, or ``None`` when its synthesizer's
         answers are not stored."""
         return self._synth_key
+
+    def checks_key(self) -> Optional[str]:
+        """The ``checks`` section's key; ``None`` exactly when
+        :meth:`synth_key` is."""
+        return self._checks_key
 
     def _component_values(self) -> Dict[str, object]:
         program = self.instance.program
@@ -363,14 +415,20 @@ class PersistentCacheBinding:
             self._restored_apps = {
                 name: pool_cache.applications.size(values.get(name)) for name in hits}
         if self._synth_key is not None:
-            answers = self.store.get("synth", self._synth_key)
-            if isinstance(answers, dict):
-                self._answers = answers
-                stats.disk_cache_hits += 1
-            else:
-                self._answers = {}
-                self._answers_changed = True
-                stats.disk_cache_misses += 1
+            self._answers = self._restore_entries("synth", self._synth_key, stats)
+            self._checks = self._restore_entries("checks", self._checks_key, stats)
+
+    def _restore_entries(self, section: str, key: str,
+                         stats: InferenceStats) -> Dict[str, object]:
+        """A ``synth`` or ``checks`` section's entries; on a miss, none, and
+        the section is written back."""
+        entries = self.store.get(section, key)
+        if isinstance(entries, dict):
+            stats.disk_cache_hits += 1
+            return entries
+        self._changed.add(section)
+        stats.disk_cache_misses += 1
+        return {}
 
     # -- synthesizer answers ------------------------------------------------
 
@@ -449,7 +507,142 @@ class PersistentCacheBinding:
             self._answers[key] = str(answer)
         else:
             self._answers[key] = tuple(candidate.render() for candidate in answer)
-        self._answers_changed = True
+        self._changed.add("synth")
+
+    # -- inductiveness verdicts ----------------------------------------------
+
+    def check_key(self, kind: str, candidate: Optional[Predicate],
+                  positives: Iterable[Value]) -> Optional[str]:
+        """The entry key of one inductiveness check: its ``kind``
+        (``visible``, ``full`` or ``closure``), the candidate's source
+        unless the check is the closure check, and all of V+ in
+        :func:`~repro.lang.values.value_order` unless it is the full check.
+        ``None`` when no verdict is stored."""
+        if self._checks is None:
+            return None
+        parts = [kind]
+        if candidate is not None:
+            parts.append(repr(candidate.render()))
+        if kind != "full":
+            try:
+                parts.extend(map(self._code, sorted(positives, key=value_order)))
+            except ValueError:
+                return None
+        return self._key(*parts)
+
+    def replay_check(self, key: Optional[str],
+                     stats: InferenceStats) -> Optional[CheckResult]:
+        """The stored verdict under ``key``: ``VALID`` or the rebuilt
+        counterexample.  ``None`` on a miss.  A replayed check counts as a
+        verification call, with the structures the check tested, and as an
+        inductiveness check and replay."""
+        if not self._checks or key not in self._checks:
+            return None
+        started = time.perf_counter()
+        replayed = self._rebuild_check(key, self._checks[key])
+        if replayed is None:
+            return None
+        verdict, structures = replayed
+        stats.verification_calls += 1
+        stats.inductiveness_checks += 1
+        stats.inductiveness_replays += 1
+        stats.structures_tested += structures
+        stats.verification_time += time.perf_counter() - started
+        return verdict
+
+    def _rebuild_check(self, key: str,
+                       entry: object) -> Optional[Tuple[CheckResult, int]]:
+        try:
+            if not (isinstance(entry, tuple) and len(entry) in (1, 4)
+                    and all(isinstance(part, str) for part in entry)
+                    and entry[0].isdigit()):
+                raise ValueError(f"malformed verdict {type(entry).__name__}")
+            structures = int(entry[0])
+            if len(entry) == 1:
+                return VALID, structures
+            _, operation, inputs, outputs = entry
+            if operation not in self._operations:
+                raise ValueError(f"unknown operation {operation!r}")
+            if not outputs:
+                raise ValueError("a counterexample without outputs")
+            return InductivenessCounterexample(
+                operation, tuple(map(self._decode, inputs.split())),
+                tuple(map(self._decode, outputs.split()))), structures
+        except ValueError as error:
+            del self._checks[key]
+            self.store._report("unusable checks disk-cache entry skipped",
+                               section="checks", key=self._checks_key,
+                               error=repr(error))
+            return None
+
+    def record_check(self, key: Optional[str], result: CheckResult,
+                     structures: int) -> None:
+        """Store the verdict of the check under ``key``, with the number of
+        structures it tested."""
+        if key is None or len(self._checks) >= MAX_SYNTH_ENTRIES:
+            return
+        if isinstance(result, InductivenessCounterexample):
+            try:
+                entry: Tuple[str, ...] = (
+                    str(structures), result.operation,
+                    " ".join(map(self._code, result.inputs)),
+                    " ".join(map(self._code, result.outputs)))
+            except ValueError:
+                return
+        else:
+            entry = (str(structures),)
+        self._checks[key] = entry
+        self._changed.add("checks")
+
+    def _decode(self, code: str) -> Value:
+        """The value :meth:`_code` wrote as ``code``, built bottom-up without
+        recursion, so interned like any other; ``ValueError`` for a code
+        that is not a value of this program."""
+        tokens = _CODE_TOKEN.findall(code)
+        if "".join(tokens) != code:
+            raise ValueError(f"malformed value code {code!r}")
+        ctors = self.instance.program.types.ctors
+        # Open constructor applications and tuples: [name or None, items].
+        stack: List[list] = []
+        position = 0
+        try:
+            while True:
+                token = tokens[position]
+                position += 1
+                if token == "(":
+                    if tokens[position] != ")":
+                        stack.append([None, []])
+                        continue
+                    position += 1
+                    value: Value = VTuple(())
+                elif token in ",)":
+                    raise ValueError(f"malformed value code {code!r}")
+                elif position < len(tokens) and tokens[position] == "(":
+                    position += 1
+                    stack.append([token, []])
+                    continue
+                else:
+                    value = _constructed(ctors, token, None)
+                # Close every application and tuple the value completes.
+                while stack:
+                    frame = stack[-1]
+                    frame[1].append(value)
+                    token = tokens[position]
+                    position += 1
+                    if token == "," and frame[0] is None:
+                        break
+                    if token != ")" or (frame[0] is not None and len(frame[1]) != 1):
+                        raise ValueError(f"malformed value code {code!r}")
+                    stack.pop()
+                    name, items = frame
+                    value = (VTuple(tuple(items)) if name is None
+                             else _constructed(ctors, name, items[0]))
+                else:
+                    if position != len(tokens):
+                        raise ValueError(f"malformed value code {code!r}")
+                    return value
+        except IndexError:
+            raise ValueError(f"truncated value code {code!r}") from None
 
     def persist(self, eval_cache: Optional[EvaluationCache],
                 pool_cache: Optional[SynthesisEvaluationCache]) -> int:
@@ -481,10 +674,26 @@ class PersistentCacheBinding:
             for name, key in sorted(self.component_keys().items()):
                 if name in changed:
                     written += self.store.put("apps", key, by_component.get(name, []))
-        if self._answers_changed:
-            written += self.store.put("synth", self._synth_key,
-                                      dict(sorted(self._answers.items())))
+        for section, key, entries in (("synth", self._synth_key, self._answers),
+                                      ("checks", self._checks_key, self._checks)):
+            if section in self._changed:
+                written += self.store.put(section, key, dict(sorted(entries.items())))
         return written
+
+
+#: A value code's tokens: a constructor name, or one of ``(``, ``,``, ``)``.
+_CODE_TOKEN = re.compile(r"[(),]|[^(),\s]+")
+
+
+def _constructed(ctors: Dict[str, object], name: str,
+                 payload: Optional[Value]) -> VCtor:
+    """``name`` applied to ``payload``, if the program has such a constructor."""
+    info = ctors.get(name)
+    if info is None:
+        raise ValueError(f"unknown constructor {name!r}")
+    if (info.payload is None) != (payload is None):
+        raise ValueError(f"constructor {name!r} applied to the wrong payload")
+    return VCtor(name, payload)
 
 
 def _stream_state(cache: EvaluationCache) -> Tuple[int, int, bool]:

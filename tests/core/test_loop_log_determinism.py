@@ -5,8 +5,8 @@ an order that follows memory addresses.  Nothing the loop logs, counts or
 decides may depend on that order.  Each built-in here runs twice in one
 process (the values land at new addresses) and once in a process under
 another ``PYTHONHASHSEED``, in every mode; the loop's events, the status,
-iteration count, message and rendered invariant, and every statistic except
-the timings must be identical.
+iteration count, message and rendered invariant, and the counters of
+:data:`COUNTERS` must be identical.
 
 Run as a script, the file does the in-process half for the built-ins named
 on the command line (all 28 when none are) under the modes named by
@@ -31,24 +31,30 @@ from repro.suite.registry import all_benchmark_names, get_benchmark
 
 SMALL = ("/other/sized-list", "/coq/unique-list-::-set", "/other/stutter-list")
 
-#: The ``InferenceStats.as_dict`` entries that are wall-clock timings.
-TIMINGS = ("time", "tvt", "mvt", "tst", "mst")
+#: The ``InferenceStats.as_dict`` counters each record prints.  The list is
+#: fixed, not every counter, so that the output of two commits stays
+#: byte-comparable when one of them adds a counter; extending it changes
+#: every record.
+COUNTERS = ("tvc", "tsc", "synthesis_cache_hits", "synthesis_replays",
+            "trace_replays", "eval_cache_hits", "eval_cache_misses",
+            "pool_cache_hits", "pool_cache_misses", "positives_added",
+            "negatives_added", "candidates_proposed", "structures_tested",
+            "disk_cache_hits", "disk_cache_misses")
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__)))), "src")
 
 
 def loop_log(names, modes):
-    """``benchmark/mode`` -> the run's outcome, loop events and non-timing
-    statistics, as JSON data, from one quick-profile run of each pair."""
+    """``benchmark/mode`` -> the run's outcome, loop events and
+    :data:`COUNTERS`, as JSON data, from one quick-profile run of each pair."""
     config = PROFILES["quick"](None)
     record = {}
     for mode in modes:
         for name in names:
             result = run_module(get_benchmark(name), mode=mode, config=config)
-            stats = result.stats.as_dict()
-            for key in TIMINGS:
-                del stats[key]
+            report = result.stats.as_dict()
+            stats = {key: report[key] for key in COUNTERS}
             record[f"{name}/{mode}"] = {
                 "status": result.status, "iterations": result.iterations,
                 "message": result.message, "invariant": result.render_invariant(),

@@ -172,7 +172,8 @@ def test_a_run_stores_one_spec_section_and_one_per_component(tmp_path, binding):
     result = run_module(load_module_file(EXAMPLE), config=CONFIG.with_cache_dir(root))
     assert result.succeeded
     stats = DiskCacheStore(root).stats()
-    assert stats == {"spec": 1, "apps": len(binding.component_keys()), "synth": 1}
+    assert stats == {"spec": 1, "apps": len(binding.component_keys()), "synth": 1,
+                     "checks": 1}
     assert result.stats.disk_cache_misses == sum(stats.values())
 
 
@@ -242,25 +243,27 @@ def test_a_warm_run_writes_nothing_and_edits_write_what_they_changed(tmp_path, p
     root = str(tmp_path / "cache")
     text = open(EXAMPLE, encoding="utf-8").read()
     _infer_text(text, root)
-    assert persisted == [10]
+    assert persisted == [11]
 
     before = _entry_files(root)
     _infer_text(text, root)
     assert persisted[-1] == 0
     assert _entry_files(root) == before  # same inodes, same bytes
 
-    # ``pop`` is called by nothing stored: every section hits and stays.
+    # ``pop`` is an operation but called by nothing else stored: only the
+    # inductiveness verdicts' key moves, and only that section is written.
     _infer_text(text.replace("| Nil -> Nil", "| Nil -> empty", 1), root)
-    assert persisted[-1] == 0
+    assert persisted[-1] == 1
 
-    # ``peek`` is called by the spec: its new key misses, and only it is written.
+    # ``peek`` is an operation the spec calls: the spec and checks keys
+    # move, and only those two sections are written.
     peek = text.replace(
         "| Nil -> NoneN",
         "| Nil -> (match s with | Nil -> NoneN | Cons (a, b) -> NoneN)", 1)
     _infer_text(peek, root)
-    assert persisted[-1] == 1
+    assert persisted[-1] == 2
     _infer_text(peek, root)
-    assert persisted == [10, 0, 0, 1, 0]
+    assert persisted == [11, 0, 1, 2, 0]
 
 
 def test_a_run_that_extends_the_spec_stream_rewrites_it(tmp_path, persisted,

@@ -1,7 +1,7 @@
 """Hash-seed independence of the persistent store.
 
 Content keys are sha256 over rendered text and exports are sorted by value
-order (the ``synth`` section by entry key), so the store a process writes
+order (the ``synth`` and ``checks`` sections by entry key), so the store a process writes
 must be byte-comparable no matter what ``PYTHONHASHSEED`` it ran under -
 otherwise a daemon restarted with a different seed would silently
 cold-start (or worse, mix snapshots).  Each
@@ -33,18 +33,21 @@ entries = sorted(
     os.path.relpath(os.path.join(root, name), cache_dir)
     for root, _, files in os.walk(cache_dir)
     for name in files if name.endswith(".bin"))
-synth = {}
+stored = {"synth": {}, "checks": {}}
 for entry in entries:
-    if entry.split(os.sep)[1] == "synth":
+    section = entry.split(os.sep)[1]
+    if section in stored:
         with open(os.path.join(cache_dir, entry), "rb") as handle:
-            synth[entry] = hashlib.sha256(handle.read()).hexdigest()
+            stored[section][entry] = hashlib.sha256(handle.read()).hexdigest()
 print(json.dumps({
     "fingerprint": outcome_fingerprint(result),
     "hits": result.stats.disk_cache_hits,
     "misses": result.stats.disk_cache_misses,
     "replays": result.stats.synthesis_replays,
+    "check_replays": result.stats.inductiveness_replays,
     "entries": entries,
-    "synth": synth,
+    "synth": stored["synth"],
+    "checks": stored["checks"],
 }))
 """
 
@@ -72,9 +75,12 @@ def test_store_written_under_one_seed_warm_starts_under_another(tmp_path, seeds)
     # Same content keys regardless of seed: the warm run re-writes the very
     # same files, never a parallel set of differently-keyed ones.
     assert cold["entries"] == warm["entries"]
-    # The synthesizer's answers replay under the other seed too.
+    # The synthesizer's answers and the inductiveness verdicts replay under
+    # the other seed too.
     assert cold["replays"] == 0 and warm["replays"] > 0
+    assert cold["check_replays"] == 0 and warm["check_replays"] > 0
     assert warm["synth"] == cold["synth"]
+    assert warm["checks"] == cold["checks"]
 
 
 def test_all_seeds_produce_identical_entry_sets(tmp_path):
@@ -84,8 +90,11 @@ def test_all_seeds_produce_identical_entry_sets(tmp_path):
     fingerprints = {json.dumps(run["fingerprint"], sort_keys=True)
                     for run in runs.values()}
     synth_bytes = {json.dumps(run["synth"], sort_keys=True) for run in runs.values()}
+    checks_bytes = {json.dumps(run["checks"], sort_keys=True) for run in runs.values()}
     assert len(entry_sets) == 1
     assert len(fingerprints) == 1
-    # The synth section's bytes, not only its key, are seed-independent.
-    assert len(runs[0]["synth"]) == 1
+    # The synth and checks sections' bytes, not only their keys, are
+    # seed-independent.
+    assert len(runs[0]["synth"]) == 1 and len(runs[0]["checks"]) == 1
     assert len(synth_bytes) == 1
+    assert len(checks_bytes) == 1

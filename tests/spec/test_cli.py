@@ -35,9 +35,11 @@ def test_infer_example_file(capsys):
 def test_infer_cache_dir_warm_start_replays_every_section(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     assert main(["infer", STACK, "--timeout", "60", "--cache-dir", cache_dir]) == 0
-    assert "0 hit(s), 10 miss(es)" in capsys.readouterr().out
+    assert "0 hit(s), 11 miss(es)" in capsys.readouterr().out
     assert main(["infer", STACK, "--timeout", "60", "--cache-dir", cache_dir]) == 0
-    assert "10 hit(s), 0 miss(es)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "11 hit(s), 0 miss(es)" in out
+    assert "persistent cache: 10 of 10 inductiveness check(s) replayed" in out
 
 
 def test_infer_cache_dir_reinfers_only_the_edited_operation(tmp_path, capsys):
@@ -46,7 +48,8 @@ def test_infer_cache_dir_reinfers_only_the_edited_operation(tmp_path, capsys):
     capsys.readouterr()
     with open(STACK) as handle:
         text = handle.read()
-    # The spec calls ``peek``, so only the spec section misses.
+    # The spec calls ``peek``, and ``peek`` is an operation the stored
+    # inductiveness checks ran: the spec and checks sections miss.
     edited_text = text.replace(
         "| Nil -> NoneN",
         "| Nil -> (match s with | Nil -> NoneN | Cons (a, b) -> NoneN)", 1)
@@ -55,7 +58,7 @@ def test_infer_cache_dir_reinfers_only_the_edited_operation(tmp_path, capsys):
     edited.write_text(edited_text)
     assert main(["infer", str(edited), "--timeout", "60",
                  "--cache-dir", cache_dir]) == 0
-    assert "9 hit(s), 1 miss(es)" in capsys.readouterr().out
+    assert "9 hit(s), 2 miss(es)" in capsys.readouterr().out
 
 
 def test_infer_malformed_file_prints_diagnostic(tmp_path, capsys):
