@@ -47,14 +47,14 @@ The in-memory caches (:mod:`repro.verify.evalcache`,
   invalidates every stored entry.  A ``synth`` entry maps each synthesis
   input - V+ and V-, each value as its constructor tree, in
   :func:`~repro.lang.values.value_order` - to the synthesizer's answer: the
-  rendered source of each candidate, best first, or the
-  ``SynthesisFailure`` message.  Apart from the module, Myth's answer
-  depends only on those two sets, so a warm run replays its synthesis
-  calls instead of rebuilding their term pools.  The global names are in
+  syntax-tree code (:mod:`repro.lang.astcode`) of each candidate, best
+  first, or the ``SynthesisFailure`` message.  Apart from the module,
+  Myth's answer depends only on those two sets, so a warm run replays its
+  synthesis calls instead of rebuilding their term pools.  The global names are in
   the key because the synthesizer picks pattern variables around them.  A
   ``checks`` entry maps one conditional-inductiveness check - its kind
   (visible, full, or the synthesis-recovery closure), the candidate's
-  rendered source (not for the closure check) and V+ as constructor trees
+  syntax-tree code (not for the closure check) and V+ as constructor trees
   in value order (not for the full check) - to its verdict and the number
   of structures it tested.  The check runs the operations (and the
   functional arguments built from them and the helpers) on values of the
@@ -76,11 +76,13 @@ function values are re-bound by module-global *name* where possible
 (synthesis components) and dropped otherwise (the synthesizer's per-call
 oracle, spec assignments holding functions); see the ``export_*`` seams on
 the cache classes.  The ``synth`` section holds only strings: a stored
-candidate is parsed again with :meth:`Predicate.from_source`, and one of the
-wrong shape or that does not parse is a warned miss.  So does the
-``checks`` section: a verdict is the structure count, plus, for a
-counterexample, the operation's name and the codes of its inputs and
-outputs, decoded without recursion through the interning constructors.  A
+candidate's tree is rebuilt from its code by
+:func:`~repro.lang.astcode.decode_decl`, without the lexer, the parser or
+recursion, and an answer of the wrong shape or a code that does not decode
+is a warned miss.  So does the ``checks`` section: a verdict is the
+structure count, plus, for a counterexample, the operation's name and the
+codes of its inputs and outputs, decoded without recursion through the
+interning constructors.  A
 verdict of the wrong shape, a code naming no constructor of the program or
 an operation the module lacks is a warned miss.  Restores change no
 verdict: the memos are pure replay stores and every semantic input is part
@@ -111,7 +113,7 @@ from ..core.module import ModuleDefinition, ModuleInstance
 from ..core.predicate import Predicate
 from ..core.stats import InferenceStats
 from ..lang.ast import TypeDecl
-from ..lang.errors import LangError
+from ..lang.astcode import decode_decl, encode_decl
 from ..lang.eval import DEFAULT_FUEL
 from ..lang.pretty import pretty_type
 from ..lang.program import _prelude_declarations
@@ -145,13 +147,13 @@ ENTRY_FORMAT = "fmt1"
 #: search code that produced them, so any change to what the synthesizer
 #: returns bumps this tag (``tests/serve/test_synth_replay.py`` pins it
 #: together with a digest of the candidates of a few quick runs).
-SYNTH_FORMAT = "synth1"
+SYNTH_FORMAT = "synth2"
 
 #: Format tag of the ``checks`` section.  Its verdicts are only valid for
 #: the checker that produced them, so any change to what an inductiveness
 #: check returns or counts bumps this tag (``tests/serve/test_check_replay.py``
 #: pins it together with a digest of the verdicts of a few quick runs).
-CHECKS_FORMAT = "checks1"
+CHECKS_FORMAT = "checks2"
 
 #: Bound on the entries one ``synth`` or ``checks`` section holds, like
 #: :data:`repro.synth.poolcache.MAX_POOL_ENTRIES`.
@@ -290,12 +292,14 @@ class PersistentCacheBinding:
         self.config = config
         # Per-declaration dependency hashes are the invalidation unit; the
         # whole-module hash backstops names the analysis cannot see (it only
-        # ever over-invalidates, never under-invalidates).  Both hash the
-        # declarations the instance already checked, rather than parsing
-        # the source again.
+        # ever over-invalidates, never under-invalidates), and is computed
+        # on first use, which a module whose every name is a global never
+        # makes.  Both hash the declarations the instance already checked,
+        # rather than parsing the source again.
         decls = instance.program.declarations[len(_prelude_declarations()):]
+        self._decls = decls
         self._dep = declaration_dependency_hashes(definition, decls)
-        self._fallback = canonical_hash(definition, decls)
+        self._fallback: Optional[str] = None
         self._bounds = repr(astuple(config.verifier_bounds))
         self._fuel = str(DEFAULT_FUEL)
         self._operations = {op.name for op in definition.operations}
@@ -334,6 +338,8 @@ class PersistentCacheBinding:
             # alone, so key it off the prelude hash and survive module edits.
             return hashlib.sha256(
                 f"prelude\n{PRELUDE_HASH}\n{name}".encode("utf-8")).hexdigest()
+        if self._fallback is None:
+            self._fallback = canonical_hash(self.definition, self._decls)
         return self._fallback
 
     @staticmethod
@@ -459,7 +465,7 @@ class PersistentCacheBinding:
     def replay(self, positives: Sequence[Value], negatives: Sequence[Value],
                stats: InferenceStats) -> Optional[List[Predicate]]:
         """The stored answer for V+ and V- (each sorted by ``value_order``):
-        the candidates rebuilt from their source, or the stored
+        the candidates rebuilt from their codes, or the stored
         ``SynthesisFailure`` raised again.  ``None`` on a miss.  A replayed
         call counts as a synthesis call and a replay."""
         if not self._answers:
@@ -483,11 +489,10 @@ class PersistentCacheBinding:
     def _rebuild(self, key: str, answer: object) -> Optional[List[Predicate]]:
         program = self.instance.program
         try:
-            if not (isinstance(answer, tuple) and answer
-                    and all(isinstance(source, str) for source in answer)):
+            if not (isinstance(answer, tuple) and answer):
                 raise ValueError(f"malformed answer {type(answer).__name__}")
-            return [Predicate.from_source(source, program) for source in answer]
-        except (LangError, ValueError) as error:
+            return [Predicate(decode_decl(code), program) for code in answer]
+        except ValueError as error:
             del self._answers[key]
             self.store._report("unusable synth disk-cache entry skipped",
                                section="synth", key=self._synth_key,
@@ -496,8 +501,10 @@ class PersistentCacheBinding:
 
     def record(self, positives: Sequence[Value], negatives: Sequence[Value],
                answer: object) -> None:
-        """Store the synthesizer's answer for V+ and V-: its candidates, or
-        the ``SynthesisFailure`` it raised."""
+        """Store the synthesizer's answer for V+ and V-: its candidates'
+        codes, or the ``SynthesisFailure`` it raised.  An answer with a
+        candidate that has no code (one too large to decode) is not stored,
+        so a warm run synthesizes it again as a cold run does."""
         if self._answers is None or len(self._answers) >= MAX_SYNTH_ENTRIES:
             return
         key = self._entry_key(positives, negatives)
@@ -506,7 +513,10 @@ class PersistentCacheBinding:
         if isinstance(answer, SynthesisFailure):
             self._answers[key] = str(answer)
         else:
-            self._answers[key] = tuple(candidate.render() for candidate in answer)
+            try:
+                self._answers[key] = tuple(encode_decl(c.decl) for c in answer)
+            except ValueError:
+                return
         self._changed.add("synth")
 
     # -- inductiveness verdicts ----------------------------------------------
@@ -514,20 +524,20 @@ class PersistentCacheBinding:
     def check_key(self, kind: str, candidate: Optional[Predicate],
                   positives: Iterable[Value]) -> Optional[str]:
         """The entry key of one inductiveness check: its ``kind``
-        (``visible``, ``full`` or ``closure``), the candidate's source
-        unless the check is the closure check, and all of V+ in
+        (``visible``, ``full`` or ``closure``), the candidate's code unless
+        the check is the closure check, and all of V+ in
         :func:`~repro.lang.values.value_order` unless it is the full check.
         ``None`` when no verdict is stored."""
         if self._checks is None:
             return None
         parts = [kind]
-        if candidate is not None:
-            parts.append(repr(candidate.render()))
-        if kind != "full":
-            try:
+        try:
+            if candidate is not None:
+                parts.append(encode_decl(candidate.decl))
+            if kind != "full":
                 parts.extend(map(self._code, sorted(positives, key=value_order)))
-            except ValueError:
-                return None
+        except ValueError:
+            return None
         return self._key(*parts)
 
     def replay_check(self, key: Optional[str],

@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..lang.errors import LangError
 from ..lang.values import Value, is_first_order
 
-__all__ = ["EvaluationCache", "SpecEntry"]
+__all__ = ["EvaluationCache", "SpecEntry", "SPEC_TRUE"]
 
 
 class SpecEntry:
@@ -88,6 +88,11 @@ class SpecEntry:
         entry.verdict = verdict
         entry.error = None
         return entry
+
+
+#: The one resolved spec-true entry that every restored spec-true entry
+#: is: it keeps nothing, and a known verdict is never resolved again.
+SPEC_TRUE = SpecEntry.restore((None, None, True))
 
 
 class EvaluationCache:
@@ -146,11 +151,14 @@ class EvaluationCache:
         Only valid before the stream has been touched (fresh per-run cache):
         restored entries must occupy the positions the enumeration would
         assign them, so the verifier's walk can skip ``len(entries)``
-        assignments and resume at the frontier.
+        assignments and resume at the frontier.  Every spec-true entry is
+        :data:`SPEC_TRUE`: it holds nothing, and only an entry whose verdict
+        is unknown is ever resolved.
         """
         if self.entries or self.iterator is not None:
             raise ValueError("EvaluationCache.restore_entries on a non-empty stream")
-        self.entries = [SpecEntry.restore(item) for item in exported]
+        self.entries = [SPEC_TRUE if item[2] is True else SpecEntry.restore(item)
+                        for item in exported]
         self.exhausted = bool(exhausted)
 
     def snapshot(self) -> Dict[str, object]:

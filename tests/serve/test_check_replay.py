@@ -269,7 +269,7 @@ def test_hanoi_loop_modes_replay_verdicts_a_hanoi_run_stored(tmp_path):
 #: Stored verdicts are only valid for the checker that produced them.  If
 #: this digest changes, what an inductiveness check returns or counts
 #: changed: bump ``CHECKS_FORMAT`` in serve/diskcache.py, then re-pin both here.
-PINNED_VERDICTS = ("checks1", "8603638e247e2f6343e52b7e19f80251f11bd08972f21a51d89d8cec196b6459")
+PINNED_VERDICTS = ("checks2", "8603638e247e2f6343e52b7e19f80251f11bd08972f21a51d89d8cec196b6459")
 
 
 def test_checks_format_tag_pins_the_checker_output(checks):

@@ -16,9 +16,11 @@ from repro.analysis.callgraph import build_call_graph
 from repro.analysis.canon import canonical_hash, declaration_dependency_hashes
 from repro.core.config import FAST_VERIFIER_BOUNDS, HanoiConfig
 from repro.lang.ast import ETuple, FunDecl
+from repro.serve import diskcache
 from repro.serve.diskcache import DiskCacheStore, PersistentCacheBinding
 from repro.spec.loader import load_module_file, load_module_text
 from repro.suite.registry import all_benchmark_names, get_benchmark
+from repro.synth.myth import MythSynthesizer
 
 CONFIG = HanoiConfig(verifier_bounds=FAST_VERIFIER_BOUNDS, timeout_seconds=60)
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
@@ -46,6 +48,30 @@ def _every_key(text):
                                      definition.instantiate(), CONFIG)
     return (declaration_dependency_hashes(definition), canonical_hash(definition),
             binding.spec_key(), binding.component_keys())
+
+
+def test_the_whole_module_hash_is_computed_once_and_only_when_a_key_needs_it(
+        monkeypatch):
+    definition = _load(_source())
+    instance = definition.instantiate()
+    expected = canonical_hash(definition)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return expected
+
+    # Looked up by its module-level name, where a profiler may wrap it.
+    monkeypatch.setattr(diskcache, "canonical_hash", counted)
+    binding = PersistentCacheBinding(DiskCacheStore("/nonexistent"), definition,
+                                     instance, CONFIG, MythSynthesizer(instance))
+    binding.spec_key()
+    binding.component_keys()
+    assert binding.checks_key() is not None
+    assert calls == []
+    assert binding._hash_of("no_such_name") == expected
+    assert binding._hash_of("nor_this") == expected
+    assert len(calls) == 1
 
 
 def _moved(old_text, new_text):

@@ -14,9 +14,13 @@ import os
 import pytest
 
 from repro.core.config import FAST_VERIFIER_BOUNDS, HanoiConfig
+from repro.core.predicate import Predicate, always_true
 from repro.core.stats import InferenceStats
 from repro.experiments.runner import run_module
 from repro.gen.diff import outcome_fingerprint
+from repro.lang.ast import ECtor
+from repro.lang.astcode import decode_decl, encode_decl
+from repro.lang.parser import MAX_NESTING
 from repro.serve.diskcache import (
     SYNTH_FORMAT,
     DiskCacheStore,
@@ -115,11 +119,14 @@ def test_a_synthesis_failure_is_replayed_with_its_message(tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("forged", [
-    ("let inv (x : list) : bool = (andb",),   # does not parse
-    ("let inv : bool = True",),               # parses, but takes no argument
+    ("D:inv a:x T:list T:bool K:S v:y",),     # a pattern where an expression is due
+    ("D:inv a:x T:list T:bool @ V:andb",),    # truncated
+    ("let inv (x : list) : bool = True",),    # a candidate's source, as synth1 stored it
+    ("D:inv - C:True",),                      # decodes, but takes no argument
     (),                                       # no candidate
     42,                                       # not an answer at all
-], ids=["unparsable", "not-a-predicate", "empty", "wrong-type"])
+], ids=["wrong-child-kind", "truncated", "synth1-source", "not-a-predicate", "empty",
+        "wrong-type"])
 def test_a_forged_answer_is_a_warned_miss(tmp_path, forged):
     root = str(tmp_path / "cache")
     cold = _run(load_module_file(EXAMPLE), root)
@@ -143,6 +150,35 @@ def test_a_forged_answer_is_a_warned_miss(tmp_path, forged):
     mended = _run(load_module_file(EXAMPLE), root)
     assert mended.events == cold.events
     assert mended.stats.synthesis_replays == mended.stats.synthesis_calls
+
+
+def test_answers_are_stored_as_codes_and_one_too_large_to_decode_is_not(tmp_path):
+    root = str(tmp_path / "cache")
+    assert _run(load_module_file(EXAMPLE), root).succeeded
+    path, = glob.glob(os.path.join(root, "v*", "synth", "*", "*.bin"))
+    answers = DiskCacheStore(root).get("synth", os.path.basename(path)[:-len(".bin")])
+    codes = [code for answer in answers.values() for code in answer]
+    assert codes and all(encode_decl(decode_decl(code)) == code for code in codes)
+
+    definition = load_module_file(EXAMPLE)
+    instance = definition.instantiate()
+    warnings = []
+    store = DiskCacheStore(str(tmp_path / "empty"), lambda *warning: warnings.append(warning))
+    binding = PersistentCacheBinding(store, definition, instance, CONFIG,
+                                     MythSynthesizer(instance))
+    binding.restore(None, None, InferenceStats())
+    small = always_true(instance.concrete_type, instance.program)
+    body = ECtor("True")
+    for _ in range(MAX_NESTING):
+        body = ECtor("S", body)
+    large = Predicate.from_body(body, "x", instance.concrete_type, instance.program)
+    binding.record((), (), [small, large])
+    # Not stored, rather than stored and found unusable.
+    assert binding.replay((), (), InferenceStats()) is None
+    assert warnings == []
+    binding.record((), (), [small])
+    replayed = binding.replay((), (), InferenceStats())
+    assert [candidate.decl for candidate in replayed] == [small.decl]
 
 
 # -- the section key -----------------------------------------------------------
@@ -221,7 +257,7 @@ def test_hanoi_loop_modes_share_one_store_soundly(tmp_path):
 #: Stored answers are only valid for the search code that produced them.  If
 #: this digest changes, the synthesizer's output changed: bump
 #: ``SYNTH_FORMAT`` in serve/diskcache.py, then re-pin both here.
-PINNED_ANSWERS = ("synth1", "9382c85195e71a0809ed8037a5e6a6e85b36aa6956d6c9fb9203c0ed1ef3a539")
+PINNED_ANSWERS = ("synth2", "9382c85195e71a0809ed8037a5e6a6e85b36aa6956d6c9fb9203c0ed1ef3a539")
 
 
 def test_synth_format_tag_pins_the_synthesizer_output(synthesize_calls):

@@ -21,7 +21,7 @@ from repro.inductive.relation import ConditionalInductivenessChecker
 from repro.lang.eval import memo_table
 from repro.spec.loader import load_module_file
 from repro.suite.registry import get_benchmark
-from repro.verify.evalcache import EvaluationCache
+from repro.verify.evalcache import SPEC_TRUE, EvaluationCache, SpecEntry
 from repro.verify.result import SufficiencyCounterexample, Valid
 from repro.verify.tester import Verifier
 
@@ -167,6 +167,53 @@ def test_repeated_inductiveness_checks_answer_calls_from_the_memo_table(listset,
         assert stored
         assert checker.check(nodup, nodup) == plain
         assert table == stored
+
+
+def test_a_restored_stream_shares_one_spec_true_entry_and_checks_alike(
+        listset, nodup, monkeypatch):
+    """A stream restored from a snapshot holds one shared entry for every
+    spec-true assignment, gives the checks the stream it was taken from
+    gives, in the same order and with the same verdicts, and never resolves
+    the shared entry."""
+    trivial = always_true(listset.concrete_type, listset.program)
+
+    def verifier(cache):
+        return Verifier(listset, bounds=FAST_VERIFIER_BOUNDS, stats=InferenceStats(),
+                        eval_cache=cache)
+
+    def outcome(result):
+        return type(result).__name__, getattr(result, "witnesses", None)
+
+    cold_cache = EvaluationCache()
+    cold = verifier(cold_cache)
+    assert isinstance(cold.check_sufficiency(trivial), SufficiencyCounterexample)
+    entries, exhausted = cold_cache.export_entries()
+    assert sum(entry[2] is True for entry in entries) > 1
+
+    warm_cache = EvaluationCache()
+    warm_cache.restore_entries(entries, exhausted)
+    assert [entry.verdict for entry in warm_cache.entries] == [e[2] for e in entries]
+    assert all(entry is SPEC_TRUE for entry in warm_cache.entries if entry.verdict)
+    assert [entry.verdict for entry in warm_cache.entries].count(True) > 1
+
+    resolved = []
+    resolve = SpecEntry.resolve
+
+    def recording(self, verdict, error=None):
+        resolved.append(self)
+        resolve(self, verdict, error)
+
+    monkeypatch.setattr(SpecEntry, "resolve", recording)
+    warm = verifier(warm_cache)
+    for candidate in (nodup, trivial, nodup):
+        assert outcome(warm.check_sufficiency(candidate)) == \
+            outcome(cold.check_sufficiency(candidate))
+    assert resolved and all(entry is not SPEC_TRUE for entry in resolved)
+    assert [entry.verdict for entry in warm_cache.entries] == \
+        [entry.verdict for entry in cold_cache.entries]
+    assert warm_cache.exhausted == cold_cache.exhausted
+    assert (SPEC_TRUE.assignment, SPEC_TRUE.witnesses, SPEC_TRUE.verdict,
+            SPEC_TRUE.error) == (None, None, True, None)
 
 
 # -- Section 4.3 accounting ------------------------------------------------------
